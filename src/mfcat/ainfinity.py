@@ -23,6 +23,7 @@ from itertools import product as iter_product
 
 from .errors import PreconditionError, VerificationError
 from .exterior import insert_sorted, subsets_ordered
+from .fields import accumulate
 from .series import RingCtx, Series
 from .superops import SuperOp, graded_commutator
 
@@ -84,13 +85,8 @@ def _stage_homotopy(ctx: RingCtx, i: int):
             sign, th_new = ins
             new_exp = list(exp)
             new_exp[i] -= 1
-            key = (tuple(new_exp), th_new, dl)
             val = c if sign > 0 else field.neg(c)
-            acc = field.add(out.get(key, field.zero), val)
-            if acc == field.zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            accumulate(out, (tuple(new_exp), th_new, dl), val, field)
         return SuperOp(ctx, out)
 
     return h
@@ -154,18 +150,11 @@ class ContractionData:
                 c = vec.get(key)
                 if c is None:
                     continue
+                neg_c = field.neg(c)
                 for k2, v2 in pvec.items():
-                    acc = field.sub(vec.get(k2, field.zero), field.mul(c, v2))
-                    if acc == field.zero:
-                        vec.pop(k2, None)
-                    else:
-                        vec[k2] = acc
+                    accumulate(vec, k2, field.mul(neg_c, v2), field)
                 for i2, v2 in prep.items():
-                    acc = field.sub(rep.get(i2, field.zero), field.mul(c, v2))
-                    if acc == field.zero:
-                        rep.pop(i2, None)
-                    else:
-                        rep[i2] = acc
+                    accumulate(rep, i2, field.mul(neg_c, v2), field)
             if not vec:
                 raise VerificationError("projected generators are linearly dependent")
             key = min(vec)
@@ -190,18 +179,11 @@ class ContractionData:
             c = vec.get(key)
             if c is None:
                 continue
+            neg_c = field.neg(c)
             for k2, v2 in pvec.items():
-                acc = field.sub(vec.get(k2, field.zero), field.mul(c, v2))
-                if acc == field.zero:
-                    vec.pop(k2, None)
-                else:
-                    vec[k2] = acc
+                accumulate(vec, k2, field.mul(neg_c, v2), field)
             for i2, v2 in prep.items():
-                acc = field.add(out.get(i2, field.zero), field.mul(c, v2))
-                if acc == field.zero:
-                    out.pop(i2, None)
-                else:
-                    out[i2] = acc
+                accumulate(out, i2, field.mul(c, v2), field)
         if vec:
             raise VerificationError("element is not in the image of the projection")
         return out
@@ -297,13 +279,9 @@ class AInfStructure:
                             if sign < 0:
                                 val = field.neg(val)
                             bucket = acc.setdefault(full, {})
-                            s2 = field.add(bucket.get(tgt, field.zero), val)
-                            if s2 == field.zero:
-                                bucket.pop(tgt, None)
-                                if not bucket:
-                                    acc.pop(full, None)
-                            else:
-                                bucket[tgt] = s2
+                            accumulate(bucket, tgt, val, field)
+                            if not bucket:
+                                acc.pop(full, None)
         return acc
 
     def stasheff_holds(self, cap=None) -> bool:

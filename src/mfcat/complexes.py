@@ -19,8 +19,9 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .errors import PreconditionError, StabilizationError, VerificationError
+from .errors import InputParseError, PreconditionError, StabilizationError, VerificationError
 from .factorization import MatrixFactorization, MFMorphism, RMatrix
+from .fields import accumulate
 from .linalg import nullspace_dense, rank_dense, rank_sparse
 from .series import Series, monomial_basis, monomials_of_degree
 
@@ -31,7 +32,12 @@ def stabilization_cap(override=None) -> int:
     if override is not None:
         return override
     env = os.environ.get("MFCAT_NMAX")
-    return int(env) if env else DEFAULT_STABILIZATION_CAP
+    if not env:
+        return DEFAULT_STABILIZATION_CAP
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise InputParseError(f"MFCAT_NMAX must be an integer, got {env!r}") from exc
 
 
 class Z2Complex:
@@ -448,26 +454,7 @@ class _StrandRanks:
         tgt = self.stratum(1 - parity_src, s + self.delta)
         tgt_index = {bv: idx for idx, bv in enumerate(tgt)}
         mat = self.c.d_even_to_odd if parity_src == 0 else self.c.d_odd_to_even
-        rows = []
-        zero = self.field.zero
-        for i, mono in src:
-            vec: dict = {}
-            for j in range(mat.rows):
-                entry = mat.entries[j][i]
-                if entry.is_zero():
-                    continue
-                for exp, coeff in entry.terms.items():
-                    key2 = (j, tuple(a + b for a, b in zip(mono, exp)))
-                    col = tgt_index.get(key2)
-                    if col is None:
-                        continue
-                    acc = self.field.add(vec.get(col, zero), coeff)
-                    if acc == zero:
-                        vec.pop(col, None)
-                    else:
-                        vec[col] = acc
-            rows.append(vec)
-        r = rank_sparse(rows, self.field)
+        r = rank_sparse(_truncated_operator_rows(mat, src, tgt_index, self.field), self.field)
         self._rank_cache[key] = r
         return r
 
@@ -506,26 +493,24 @@ def _strand_cohomology(c: Z2Complex, u_even, u_odd, delta, cap, zero_run=None):
     )
 
 
-def _truncated_operator_rows(mat: RMatrix, src_basis, tgt_index, cap, field):
-    """Rows (one per source basis vector) of the multiplication operator."""
+def _truncated_operator_rows(mat: RMatrix, src_basis, tgt_index, field):
+    """Rows (one per source basis vector) of the multiplication operator.
+
+    Basis vectors are (matrix index, monomial) pairs. Products that land
+    outside `tgt_index` (above a degree truncation, or off a strand) are
+    dropped, so the target basis alone sets the truncation.
+    """
     rows = []
-    zero = field.zero
     for i, mono in src_basis:
-        deg_m = sum(mono)
         vec: dict = {}
         for j in range(mat.rows):
             entry = mat.entries[j][i]
             if entry.is_zero():
                 continue
             for exp, coeff in entry.terms.items():
-                if deg_m + sum(exp) > cap:
-                    continue
-                col = tgt_index[(j, tuple(a + b for a, b in zip(mono, exp)))]
-                acc = field.add(vec.get(col, zero), coeff)
-                if acc == zero:
-                    vec.pop(col, None)
-                else:
-                    vec[col] = acc
+                col = tgt_index.get((j, tuple(a + b for a, b in zip(mono, exp))))
+                if col is not None:
+                    accumulate(vec, col, coeff, field)
         rows.append(vec)
     return rows
 
@@ -539,8 +524,8 @@ def _level_data(c: Z2Complex, cap):
     idx_e = {bv: i for i, bv in enumerate(basis_e)}
     idx_o = {bv: i for i, bv in enumerate(basis_o)}
     field = c.ctx.field
-    rows_eo = _truncated_operator_rows(c.d_even_to_odd, basis_e, idx_o, cap, field)
-    rows_oe = _truncated_operator_rows(c.d_odd_to_even, basis_o, idx_e, cap, field)
+    rows_eo = _truncated_operator_rows(c.d_even_to_odd, basis_e, idx_o, field)
+    rows_oe = _truncated_operator_rows(c.d_odd_to_even, basis_o, idx_e, field)
     return basis_e, basis_o, rows_eo, rows_oe
 
 
@@ -566,15 +551,6 @@ def _two_cap_dims(c: Z2Complex, n_lo):
     be_lo, bo_lo, eo_lo, oe_lo = _level_data(c, n_lo)
     idx_e_lo = {bv: i for i, bv in enumerate(be_lo)}
     idx_o_lo = {bv: i for i, bv in enumerate(bo_lo)}
-
-    def dense_from_rows(rows, ncols):
-        out = []
-        for r in rows:
-            row = [field.zero] * ncols
-            for cidx, v in r.items():
-                row[cidx] = v
-            out.append(row)
-        return out
 
     # cycles at the high level: kernel of the operator (rows are images, so
     # transpose into column form for the nullspace computation)

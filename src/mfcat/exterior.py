@@ -59,6 +59,10 @@ def merge_sorted(left: tuple, right: tuple):
     The sign is (-1)^inversions where inversions counts pairs i in left,
     j in right with i > j, i.e. the transpositions needed to re-sort.
     """
+    if not left:
+        return 1, right
+    if not right:
+        return 1, left
     if set(left) & set(right):
         return None
     inversions = sum(1 for i in left for j in right if i > j)

@@ -163,5 +163,17 @@ def field_from_name(name: str):
     if name == "rational":
         return QQ
     if name.startswith("prime:"):
-        return PrimeField(int(name.split(":", 1)[1]))
+        try:
+            return PrimeField(int(name.split(":", 1)[1]))
+        except ValueError as exc:
+            raise InputParseError(f"bad field spec {name!r}: {exc}") from exc
     raise InputParseError(f"unknown field spec {name!r}")
+
+
+def accumulate(out: dict, key, value, field):
+    """Add `value` into out[key], dropping the key when the sum is zero."""
+    total = field.add(out.get(key, field.zero), value)
+    if total == field.zero:
+        out.pop(key, None)
+    else:
+        out[key] = total

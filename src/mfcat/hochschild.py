@@ -11,17 +11,17 @@ from dataclasses import dataclass, field as dc_field
 
 from .complexes import (
     Z2Complex,
+    _truncated_operator_rows,
     cohomology_over_R,
     hom_complex,
     mf_reduction,
     stabilization_cap,
 )
 from .errors import PreconditionError, StabilizationError, VerificationError
-from .exterior import contraction_terms, parity_split
 from .factorization import RMatrix, dual, shift_power
 from .linalg import rref_dense
 from .series import Series, monomial_basis
-from .stabilize import stabilized_diagonal
+from .stabilize import KoszulData, make_koszul_mf, stabilized_diagonal
 
 
 @dataclass
@@ -35,23 +35,18 @@ class JacobianReport:
 def _quotient_data(ctx, gens, cap):
     """dim and standard monomials of R/(gens) worked in R/m^(N+1), N = cap."""
     monos = monomial_basis(ctx, cap)
-    index = {m: i for i, m in enumerate(monos)}
     field = ctx.field
+    # the ideal is spanned by the rows of g_i * alpha: one operator row per
+    # (generator, monomial) pair, for the 1 x len(gens) matrix of generators
+    index = {(0, m): i for i, m in enumerate(monos)}
+    src = [(i, alpha) for i in range(len(gens)) for alpha in monos]
     rows = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        for alpha in monos:
-            da = sum(alpha)
+    for vec in _truncated_operator_rows(RMatrix(ctx, [list(gens)]), src, index, field):
+        if vec:
             row = [field.zero] * len(monos)
-            nonzero = False
-            for exp, c in g.terms.items():
-                if da + sum(exp) > cap:
-                    continue
-                row[index[tuple(a + b for a, b in zip(alpha, exp))]] = c
-                nonzero = True
-            if nonzero:
-                rows.append(row)
+            for col, c in vec.items():
+                row[col] = c
+            rows.append(row)
     reduced, pivots = rref_dense(rows, field)
     pivot_set = set(pivots)
     standard = [monos[i] for i in range(len(monos)) if i not in pivot_set]
@@ -84,29 +79,13 @@ def jacobian_report(w: Series, n_max=None) -> JacobianReport:
 
 
 def folded_koszul_complex(gens) -> Z2Complex:
-    """Z/2-folding of the Koszul complex of the given ring elements."""
+    """Z/2-folding of the Koszul complex of the given ring elements: the
+    Koszul factorization with zero witnesses, whose differential squares to 0."""
     if not gens:
         raise PreconditionError("need at least one generator")
     ctx = gens[0].ctx
-    m = len(gens)
-    even, odd = parity_split(m)
-    even_idx = {s: i for i, s in enumerate(even)}
-    odd_idx = {s: i for i, s in enumerate(odd)}
-    d_eo = RMatrix.zero(ctx, len(odd), len(even))
-    d_oe = RMatrix.zero(ctx, len(even), len(odd))
-
-    def fill(mat, idx_out, subsets):
-        for col, subset in enumerate(subsets):
-            for i, rest, sign in contraction_terms(subset):
-                target = idx_out.get(rest)
-                if target is None:
-                    continue
-                term = gens[i] if sign > 0 else -gens[i]
-                mat.entries[target][col] = mat.entries[target][col] + term
-
-    fill(d_eo, odd_idx, even)
-    fill(d_oe, even_idx, odd)
-    return Z2Complex(ctx, RMatrix(ctx, d_eo.entries), RMatrix(ctx, d_oe.entries))
+    mf = make_koszul_mf(KoszulData(ctx, gens, [Series.zero(ctx)] * len(gens)))
+    return Z2Complex(ctx, mf.psi, mf.phi)
 
 
 def hochschild_cohomology(w: Series, n_max=None):
@@ -115,7 +94,10 @@ def hochschild_cohomology(w: Series, n_max=None):
     Cross-checked against the Milnor number; a mismatch means the input
     violates the isolatedness hypothesis rather than a tolerance.
     """
-    report = jacobian_report(w, n_max)
+    return _checked_koszul_dims(w, jacobian_report(w, n_max), n_max)
+
+
+def _checked_koszul_dims(w: Series, report: JacobianReport, n_max):
     ctx = w.ctx
     partials = [w.partial_derivative(i) for i in range(ctx.n_vars)]
     dims = cohomology_over_R(folded_koszul_complex(partials), n_max)
@@ -160,7 +142,7 @@ def hh_report(w: Series, n_max=None) -> dict:
     """The CLI-facing summary; periodic invariants equal the homology dims
     because everything sits in a single parity."""
     report = jacobian_report(w, n_max)
-    even, odd = hochschild_cohomology(w, n_max)
+    even, odd = _checked_koszul_dims(w, report, n_max)
     return {
         "hh_even": even,
         "hh_odd": odd,

@@ -1,40 +1,13 @@
 """Exact linear algebra over an exact field.
 
-Dense routines take lists of row lists; the sparse rank routine takes rows as
-{column: coefficient} dicts and picks pivots to limit fill-in, which is what
-makes the strand-wise cohomology ranks cheap.
+Two elimination cores. The dense one, `rref_dense`, takes lists of row lists
+and runs Gauss-Jordan; `rank_dense` and `nullspace_dense` read its result.
+The sparse one, `rank_sparse`, takes rows as {column: coefficient} dicts and
+picks pivots to limit fill-in, which is what makes the strand-wise
+cohomology ranks cheap.
 """
 
 from __future__ import annotations
-
-
-def rank_dense(rows, field) -> int:
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col] != field.zero:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = field.inv(m[row][col])
-        m[row] = [field.mul(inv, v) for v in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != field.zero:
-                factor = m[r][col]
-                m[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
 
 
 def rref_dense(rows, field):
@@ -65,6 +38,10 @@ def rref_dense(rows, field):
         if row == len(m):
             break
     return m, pivots
+
+
+def rank_dense(rows, field) -> int:
+    return len(rref_dense(rows, field)[1])
 
 
 def nullspace_dense(rows, ncols, field):
@@ -131,20 +108,3 @@ def rank_sparse(rows, field) -> int:
         for c in row:
             col_count[c] -= 1
     return rank
-
-
-def matmul(a, b, field):
-    nr, mid, nc = len(a), len(b), len(b[0]) if b else 0
-    out = [[field.zero] * nc for _ in range(nr)]
-    for i in range(nr):
-        ai = a[i]
-        oi = out[i]
-        for k in range(mid):
-            v = ai[k]
-            if v == field.zero:
-                continue
-            bk = b[k]
-            for j in range(nc):
-                if bk[j] != field.zero:
-                    oi[j] = field.add(oi[j], field.mul(v, bk[j]))
-    return out

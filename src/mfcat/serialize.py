@@ -206,7 +206,12 @@ def parse_ring_spec(spec: str) -> RingCtx:
             field = field_from_name(part.replace("(", ":").rstrip(")"))
         elif part.startswith("trunc="):
             value = part.split("=", 1)[1]
-            truncation = None if value in ("inf", "none") else int(value)
+            if value in ("inf", "none"):
+                truncation = None
+            elif value.isdigit():
+                truncation = int(value)
+            else:
+                raise InputParseError(f"truncation must be a nonnegative integer, got {value!r}")
         else:
             raise InputParseError(f"unknown ring spec component {part!r}")
     try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import ContextMismatchError, PreconditionError
-from .fields import QQ
+from .fields import QQ, accumulate
 
 
 def default_names(n: int) -> tuple[str, ...]:
@@ -154,11 +154,7 @@ class Series:
         field = self.ctx.field
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = field.add(out.get(exp, field.zero), c)
-            if s == field.zero:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
+            accumulate(out, exp, c, field)
         return Series(self.ctx, out)
 
     def __sub__(self, other):
@@ -188,11 +184,7 @@ class Series:
                 if cap is not None and d1 + sum(e2) > cap:
                     continue
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                s = field.add(out.get(exp, field.zero), field.mul(c1, c2))
-                if s == field.zero:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
+                accumulate(out, exp, field.mul(c1, c2), field)
         return Series(self.ctx, out)
 
     __rmul__ = __mul__
@@ -330,17 +322,6 @@ def monomial_basis(ctx_or_n, max_degree: int):
 # -- the two-sided ring -------------------------------------------------------
 
 
-def embed_left(s: Series, doubled: RingCtx) -> Series:
-    """Include k[x] into k[x] (x) k[x] as the left factor."""
-    return s.relabel(doubled, tuple(range(s.ctx.n_vars)))
-
-
-def embed_right(s: Series, doubled: RingCtx) -> Series:
-    """Include k[x] into k[x] (x) k[x] as the right (primed) factor."""
-    n = s.ctx.n_vars
-    return s.relabel(doubled, tuple(range(n, 2 * n)))
-
-
 def difference_quotient(w: Series, i: int, doubled: RingCtx | None = None) -> Series:
     """The i-th divided difference of w in the two-sided ring.
 
@@ -368,10 +349,5 @@ def difference_quotient(w: Series, i: int, doubled: RingCtx | None = None) -> Se
             e = list(base)
             e[i] += t
             e[n + i] += exp[i] - 1 - t
-            key = tuple(e)
-            s = field.add(out.get(key, field.zero), c)
-            if s == field.zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, tuple(e), c, field)
     return Series(doubled, out)

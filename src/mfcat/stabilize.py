@@ -55,7 +55,7 @@ def make_koszul_mf(kd: KoszulData) -> MatrixFactorization:
     phi = RMatrix.zero(ctx, len(even), len(odd))
     psi = RMatrix.zero(ctx, len(odd), len(even))
 
-    def add_action(mat, idx_out, source, col, subset):
+    def add_action(mat, idx_out, col, subset):
         for i, rest, sign in contraction_terms(subset):
             target = idx_out.get(rest)
             if target is None:
@@ -70,9 +70,9 @@ def make_koszul_mf(kd: KoszulData) -> MatrixFactorization:
             mat.entries[target][col] = mat.entries[target][col] + term
 
     for col, subset in enumerate(odd):
-        add_action(phi, even_idx, odd, col, subset)
+        add_action(phi, even_idx, col, subset)
     for col, subset in enumerate(even):
-        add_action(psi, odd_idx, even, col, subset)
+        add_action(psi, odd_idx, col, subset)
 
     return MatrixFactorization(
         ctx, kd.potential, RMatrix(ctx, phi.entries), RMatrix(ctx, psi.entries)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ContextMismatchError, PreconditionError
+from .exterior import merge_sorted
+from .fields import accumulate
 from .series import RingCtx, Series
 
 
@@ -27,7 +29,7 @@ def _del_theta(dels: tuple, thetas: tuple):
     head = dels[:-1]
     out: dict = {}
 
-    def accumulate(key, sign):
+    def add_sign(key, sign):
         out[key] = out.get(key, 0) + sign
         if out[key] == 0:
             del out[key]
@@ -35,26 +37,14 @@ def _del_theta(dels: tuple, thetas: tuple):
     sign_pass = -1 if len(thetas) % 2 else 1
     for (th, dl), s in _del_theta(head, thetas):
         # b is the largest index in `dels`, so appending keeps dl sorted
-        accumulate((th, dl + (b,)), s * sign_pass)
+        add_sign((th, dl + (b,)), s * sign_pass)
     if b in thetas:
         pos = thetas.index(b)
         reduced = thetas[:pos] + thetas[pos + 1 :]
         sign_hit = -1 if pos % 2 else 1
         for (th, dl), s in _del_theta(head, reduced):
-            accumulate((th, dl), s * sign_hit)
+            add_sign((th, dl), s * sign_hit)
     return tuple(out.items())
-
-
-def _merge_word(left: tuple, right: tuple):
-    """(sign, merged) for a product of sorted odd words; None if a square appears."""
-    if not left:
-        return 1, right
-    if not right:
-        return 1, left
-    if set(left) & set(right):
-        return None
-    inversions = sum(1 for i in left for j in right if i > j)
-    return (-1 if inversions % 2 else 1), tuple(sorted(left + right))
 
 
 class SuperOp:
@@ -119,10 +109,6 @@ class SuperOp:
             (even if (len(key[1]) + len(key[2])) % 2 == 0 else odd)[key] = c
         return SuperOp(self.ctx, even), SuperOp(self.ctx, odd)
 
-    def is_homogeneous(self):
-        pars = {(len(k[1]) + len(k[2])) % 2 for k in self.terms}
-        return len(pars) <= 1
-
     def parity(self):
         pars = {(len(k[1]) + len(k[2])) % 2 for k in self.terms}
         if len(pars) > 1:
@@ -137,11 +123,7 @@ class SuperOp:
         field = self.ctx.field
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = field.add(out.get(key, field.zero), c)
-            if s == field.zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, key, c, field)
         return SuperOp(self.ctx, out)
 
     def __sub__(self, other):
@@ -163,7 +145,6 @@ class SuperOp:
             raise ContextMismatchError("operator context mismatch")
         field = self.ctx.field
         cap = self.ctx.truncation
-        zero = field.zero
         out: dict = {}
         for (e1, th1, dl1), c1 in self.terms.items():
             d1 = sum(e1)
@@ -173,22 +154,16 @@ class SuperOp:
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 c12 = field.mul(c1, c2)
                 for (th_mid, dl_mid), s_mid in _del_theta(dl1, th2):
-                    left = _merge_word(th1, th_mid)
+                    left = merge_sorted(th1, th_mid)
                     if left is None:
                         continue
                     s_th, th = left
-                    right = _merge_word(dl_mid, dl2)
+                    right = merge_sorted(dl_mid, dl2)
                     if right is None:
                         continue
                     s_dl, dl = right
                     sign = s_mid * s_th * s_dl
-                    key = (exp, th, dl)
-                    val = field.mul(c12, field.of(sign))
-                    acc = field.add(out.get(key, zero), val)
-                    if acc == zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
+                    accumulate(out, (exp, th, dl), field.mul(c12, field.of(sign)), field)
         return SuperOp(self.ctx, out)
 
     def __eq__(self, other):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Z2Complex, cohomology_over_R
+from .complexes import Z2Complex, _truncated_operator_rows, cohomology_over_R
 from .errors import PreconditionError
 from .factorization import MatrixFactorization, RMatrix, _tensor_blocks
 from .series import RingCtx, Series, monomial_basis
@@ -89,83 +89,49 @@ def integral_transform(
     if truncation is None:
         truncation = 2 * max(1, x.potential.total_degree())
     n = x.ctx.n_vars
-    monos = monomial_basis(n, truncation)
-    mono_idx = {m: i for i, m in enumerate(monos)}
-    nm = len(monos)
-    rx, rt = x.rank, t.rank
-    field = x.ctx.field
-    block_size = rx * rt * nm
-    total = 2 * block_size
-    even_blocks = [(0, 0), (1, 1)]
-    odd_blocks = [(1, 0), (0, 1)]
-    zero_out = Series.zero(out_ctx)
+    # the graded tensor differential over the kernel's variables, untruncated
+    ctx = t.ctx.with_truncation(None)
+    inner_ctx = x.ctx.with_truncation(None)
 
-    def offset(blocks, xb, tb, i, j, mi):
-        return blocks.index((xb, tb)) * block_size + (i * rt + j) * nm + mi
+    def lift(mat: RMatrix, positions) -> RMatrix:
+        return mat.map_entries(lambda e: e.relabel(ctx, positions), ctx)
 
-    def x_block(xb_t, xb_s):
-        if (xb_t, xb_s) == (0, 1):
-            return x.phi
-        if (xb_t, xb_s) == (1, 0):
-            return x.psi
-        return None
-
-    def t_block(tb_t, tb_s):
-        if (tb_t, tb_s) == (0, 1):
-            return t.phi
-        if (tb_t, tb_s) == (1, 0):
-            return t.psi
-        return None
-
-    def scatter(grid, t_blocks, s_blocks):
-        # d = d_X (x) 1 + parity-sign (x) d_T on the ordered tensor basis
-        for xb_s, tb_s in s_blocks:
-            for xb_t, tb_t in t_blocks:
-                xmat = x_block(xb_t, xb_s)
-                if xmat is not None and tb_t == tb_s:
-                    for i_t in range(rx):
-                        for i_s in range(rx):
-                            e = xmat.entries[i_t][i_s]
-                            if e.is_zero():
-                                continue
-                            for mi, mono in enumerate(monos):
-                                dm = sum(mono)
-                                for exp, c in e.terms.items():
-                                    if dm + sum(exp) > truncation:
-                                        continue
-                                    ti = mono_idx[tuple(a + b for a, b in zip(exp, mono))]
-                                    for j in range(rt):
-                                        r = offset(t_blocks, xb_t, tb_t, i_t, j, ti)
-                                        s = offset(s_blocks, xb_s, tb_s, i_s, j, mi)
-                                        grid[r][s] = grid[r][s] + Series.constant(out_ctx, c)
-                tmat = t_block(tb_t, tb_s)
-                if tmat is not None and xb_t == xb_s:
-                    sign = -1 if xb_s == 1 else 1
-                    for j_t in range(rt):
-                        for j_s in range(rt):
-                            e = tmat.entries[j_t][j_s]
-                            if e.is_zero():
-                                continue
-                            for mi, mono in enumerate(monos):
-                                dm = sum(mono)
-                                for exp, c in e.terms.items():
-                                    inner = tuple(a + b for a, b in zip(exp[:n], mono))
-                                    if dm + sum(exp[:n]) > truncation:
-                                        continue
-                                    ti = mono_idx[inner]
-                                    val = c if sign > 0 else field.neg(c)
-                                    for i in range(rx):
-                                        r = offset(t_blocks, xb_t, tb_t, i, j_t, ti)
-                                        s = offset(s_blocks, xb_s, tb_s, i, j_s, mi)
-                                        grid[r][s] = grid[r][s] + Series.monomial(
-                                            out_ctx, exp[n:], val
-                                        )
-
-    phi_grid = [[zero_out] * total for _ in range(total)]
-    psi_grid = [[zero_out] * total for _ in range(total)]
-    scatter(phi_grid, even_blocks, odd_blocks)
-    scatter(psi_grid, odd_blocks, even_blocks)
-    mf = MatrixFactorization(
-        out_ctx, w_out, RMatrix(out_ctx, phi_grid), RMatrix(out_ctx, psi_grid)
+    inner, every = tuple(range(n)), tuple(range(ctx.n_vars))
+    phi, psi = _tensor_blocks(
+        lift(x.phi, inner),
+        lift(x.psi, inner),
+        lift(t.phi, every),
+        lift(t.psi, every),
+        ctx,
+        x.rank,
+        t.rank,
     )
+    monos = monomial_basis(n, truncation)
+    nm = len(monos)
+
+    def expand(mat: RMatrix) -> RMatrix:
+        # basis vector (tensor index r, inner monomial m) sits at r * nm + index(m);
+        # one multiplication operator over the inner variables per outer monomial
+        by_outer: dict = {}
+        for r, row in enumerate(mat.entries):
+            for s, e in enumerate(row):
+                for exp, c in e.terms.items():
+                    by_outer.setdefault(exp[n:], {}).setdefault((r, s), {})[exp[:n]] = c
+        src = [(s, m) for s in range(mat.cols) for m in monos]
+        tgt = {(r, m): r * nm + k for r in range(mat.rows) for k, m in enumerate(monos)}
+        out = [[{} for _ in src] for _ in tgt]
+        for outer, cells in by_outer.items():
+            op = RMatrix(
+                inner_ctx,
+                [
+                    [Series(inner_ctx, cells.get((r, s), {})) for s in range(mat.cols)]
+                    for r in range(mat.rows)
+                ],
+            )
+            for col, vec in enumerate(_truncated_operator_rows(op, src, tgt, ctx.field)):
+                for row, c in vec.items():
+                    out[row][col][outer] = c
+        return RMatrix(out_ctx, [[Series(out_ctx, terms) for terms in row] for row in out])
+
+    mf = MatrixFactorization(out_ctx, w_out, expand(phi), expand(psi))
     return TransformResult(mf, truncation)

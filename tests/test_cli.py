@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mfcat import serialize
 from mfcat.cli import main
 from mfcat.corpus import elliptic_factorization
@@ -85,6 +87,23 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
     monkeypatch.setenv("MFCAT_NMAX", "8")
     code, _, err = run(capsys, "hh", "--inline", "x^2*y", "--ring", "x,y")
     assert code == 5 and "stabilization" in err
+
+
+@pytest.mark.parametrize(
+    "ring, env",
+    [
+        ("x;prime(4)", None),
+        ("x;prime(x)", None),
+        ("x;trunc=abc", None),
+        ("x", "abc"),
+    ],
+    ids=["composite-prime", "non-integer-prime", "non-integer-trunc", "non-integer-nmax"],
+)
+def test_malformed_input_exit(capsys, monkeypatch, ring, env):
+    if env is not None:
+        monkeypatch.setenv("MFCAT_NMAX", env)
+    code, _, err = run(capsys, "hh", "--inline", "x^3", "--ring", ring)
+    assert code == 2 and "parse error" in err
 
 
 def test_minimal_model(capsys):
