@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 from .errors import PreconditionError, VerificationError
-from .exterior import insert_sorted, subsets_ordered
+from .exterior import merge_sorted, subsets_ordered
 from .fields import accumulate
 from .series import RingCtx, Series
 from .superops import SuperOp, graded_commutator
@@ -79,7 +79,7 @@ def _stage_homotopy(ctx: RingCtx, i: int):
         for (exp, th, dl), c in a.terms.items():
             if exp[i] == 0:
                 continue
-            ins = insert_sorted(th, i)
+            ins = merge_sorted((i,), th)
             if ins is None:
                 continue
             sign, th_new = ins

@@ -35,9 +35,12 @@ def stabilization_cap(override=None) -> int:
     if not env:
         return DEFAULT_STABILIZATION_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError as exc:
         raise InputParseError(f"MFCAT_NMAX must be an integer, got {env!r}") from exc
+    if cap <= 0:
+        raise InputParseError(f"MFCAT_NMAX must be a positive integer, got {env!r}")
+    return cap
 
 
 class Z2Complex:

@@ -36,21 +36,11 @@ def wedge_terms(subset, m: int):
     """Left wedge by generator i inserts i with sign (-1)^#{j in subset: j < i}."""
     out = []
     for i in range(m):
-        if i in subset:
-            continue
-        pos = sum(1 for j in subset if j < i)
-        merged = tuple(sorted(subset + (i,)))
-        out.append((i, merged, -1 if pos % 2 else 1))
+        merged = merge_sorted((i,), subset)
+        if merged is not None:
+            sign, word = merged
+            out.append((i, word, sign))
     return out
-
-
-def insert_sorted(word: tuple, i: int):
-    """(sign, new word) for inserting generator i into a sorted odd word, or None."""
-    if i in word:
-        return None
-    pos = sum(1 for j in word if j < i)
-    sign = -1 if pos % 2 else 1
-    return sign, tuple(sorted(word + (i,)))
 
 
 def merge_sorted(left: tuple, right: tuple):

@@ -2,12 +2,18 @@
 
 Two elimination cores. The dense one, `rref_dense`, takes lists of row lists
 and runs Gauss-Jordan; `rank_dense` and `nullspace_dense` read its result.
-The sparse one, `rank_sparse`, takes rows as {column: coefficient} dicts and
-picks pivots to limit fill-in, which is what makes the strand-wise
-cohomology ranks cheap.
+The sparse one, `rank_sparse`, takes rows as {column: coefficient} dicts,
+turns them into integer rows (cleared denominators over QQ, residues over
+GF(p)) and eliminates exactly, with no Fraction per entry. A column index
+lets each pivot touch only the rows holding its column, and the pivots are
+picked to limit fill-in, which is what makes the strand-wise cohomology
+ranks cheap. It consumes its input list and may mutate the dicts in it.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 def rref_dense(rows, field):
@@ -60,51 +66,101 @@ def nullspace_dense(rows, ncols, field):
 
 
 def rank_sparse(rows, field) -> int:
-    """Rank of a sparse matrix given as a list of {col: coeff} dicts.
+    """Rank of a sparse matrix given as a list of {col: nonzero coeff} dicts.
 
-    Destroys its input. Pivot choice: sparsest available row, then the column
-    in it whose global occupancy is smallest, preferring unit entries.
+    Consumes its input: each slot of `rows` is set to None once the row is
+    read, and the dicts themselves may be mutated, so a caller that needs
+    its rows afterwards passes copies. Rows become integer rows: over QQ
+    each is scaled by the lcm of its denominators and divided by its
+    content; over GF(p) the entries in [0, p) are used as they are.
+
+    Pivot choice: the sparsest live row (a heap of (length, row id) with
+    lazy invalidation); in it, a column holding a +-1 entry first, then the
+    column held by the fewest live rows, then the lowest column. A column
+    index maps each column to the ids of the rows that may hold it (stale
+    ids are skipped), so a pivot touches only the rows holding its column.
+    Each step adds a multiple of the pivot row to a row; for a non-unit
+    pivot over QQ the row is first scaled by a nonzero integer (Bareiss's
+    fraction-free step) and its content divided out afterwards. Neither
+    changes the rank, so the result is exact.
     """
-    work = [dict(r) for r in rows if r]
-    col_count: dict = {}
-    for r in work:
-        for c in r:
-            col_count[c] = col_count.get(c, 0) + 1
-    rank = 0
-    live = set(range(len(work)))
-    while live:
-        best = min(live, key=lambda i: len(work[i]))
-        row = work[best]
-        live.discard(best)
-        if not row:
+    p = field.characteristic
+    units = (1, p - 1) if p else (1, -1)
+    work = {}
+    for rid, r in enumerate(rows):
+        rows[rid] = None
+        if not r:
             continue
-        one = field.one
-        neg_one = field.neg(one)
-        pcol = min(
-            row,
-            key=lambda c: (0 if row[c] in (one, neg_one) else 1, col_count.get(c, 0), c),
-        )
-        pval = row[pcol]
+        if not p:
+            dens = [v.denominator for v in r.values()]
+            den = lcm(*dens)
+            if den == 1:
+                r = {c: v.numerator for c, v in r.items()}
+            else:
+                r = {c: v.numerator * (den // d) for (c, v), d in zip(r.items(), dens)}
+            g = gcd(*r.values())
+            if g != 1:
+                r = {c: v // g for c, v in r.items()}
+        work[rid] = r
+    index: dict = {}
+    for rid, r in work.items():
+        for c in r:
+            index.setdefault(c, []).append(rid)
+    count = {c: len(ids) for c, ids in index.items()}
+    heap = [(len(r), rid) for rid, r in work.items()]
+    heapify(heap)
+    rank = 0
+    while heap:
+        n, rid = heappop(heap)
+        prow = work.get(rid)
+        if prow is None or len(prow) != n:
+            continue
+        del work[rid]
         rank += 1
-        inv = field.inv(pval)
-        for i in list(live):
-            other = work[i]
-            coef = other.get(pcol)
-            if coef is None:
+        pcol = min(prow, key=lambda c: (prow[c] not in units, count[c], c))
+        pv = prow.pop(pcol)
+        for c in prow:
+            count[c] -= 1
+        if p:
+            pinv = pow(pv, -1, p)
+        fraction_free = not p and pv not in units
+        for oid in index.pop(pcol):
+            other = work.get(oid)
+            if other is None or pcol not in other:
                 continue
-            factor = field.mul(coef, inv)
-            for c, v in row.items():
-                newv = field.sub(other.get(c, field.zero), field.mul(factor, v))
-                if newv == field.zero:
-                    if c in other:
-                        del other[c]
-                        col_count[c] -= 1
+            coef = other.pop(pcol)
+            if p:
+                f = coef * pinv % p
+            elif fraction_free:
+                # other = (pv/g)*other - (coef/g)*prow
+                g = gcd(pv, coef)
+                scale, f = pv // g, coef // g
+                if scale != 1:
+                    for c in other:
+                        other[c] *= scale
+            else:
+                f = coef * pv
+            for c, v in prow.items():
+                old = other.get(c)
+                if old is None:
+                    other[c] = -f * v % p if p else -f * v
+                    count[c] += 1
+                    index[c].append(oid)
+                    continue
+                new = (old - f * v) % p if p else old - f * v
+                if new:
+                    other[c] = new
                 else:
-                    if c not in other:
-                        col_count[c] = col_count.get(c, 0) + 1
-                    other[c] = newv
+                    del other[c]
+                    count[c] -= 1
             if not other:
-                live.discard(i)
-        for c in row:
-            col_count[c] -= 1
+                del work[oid]
+                continue
+            if fraction_free:
+                g = gcd(*other.values())
+                if g != 1:
+                    for c in other:
+                        other[c] //= g
+            heappush(heap, (len(other), oid))
+        del count[pcol]
     return rank

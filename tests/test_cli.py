@@ -96,8 +96,17 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
         ("x;prime(x)", None),
         ("x;trunc=abc", None),
         ("x", "abc"),
+        ("x", "0"),
+        ("x", "-3"),
     ],
-    ids=["composite-prime", "non-integer-prime", "non-integer-trunc", "non-integer-nmax"],
+    ids=[
+        "composite-prime",
+        "non-integer-prime",
+        "non-integer-trunc",
+        "non-integer-nmax",
+        "zero-nmax",
+        "negative-nmax",
+    ],
 )
 def test_malformed_input_exit(capsys, monkeypatch, ring, env):
     if env is not None:
