@@ -45,6 +45,16 @@ def _load_json_file(path):
         raise InputParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _load_checked_mf(path):
+    """A factorization file, with d^2 = w checked as `verify` does (exit 4 if not)."""
+    mf = serialize.mf_from_obj(_load_json_file(path))
+    ok, offending = verify_mf_report(mf)
+    if not ok:
+        product, row, col = offending
+        raise VerificationError(f"{path}: {product} is not w*id at entry ({row}, {col})")
+    return mf
+
+
 def _load_potential(args):
     if getattr(args, "potential", None):
         return serialize.potential_from_obj(_load_json_file(args.potential))
@@ -112,7 +122,7 @@ def cmd_quasi_iso(args):
 
 
 def cmd_cohomology(args):
-    mf = serialize.mf_from_obj(_load_json_file(args.file))
+    mf = _load_checked_mf(args.file)
     if args.endomorphisms:
         even, odd = cohomology_over_R(hom_complex(mf, mf))
         _emit({"mode": "endomorphisms-over-ring", "even": even, "odd": odd})
@@ -123,8 +133,8 @@ def cmd_cohomology(args):
 
 
 def cmd_transform(args):
-    x = serialize.mf_from_obj(_load_json_file(args.source))
-    t = serialize.mf_from_obj(_load_json_file(args.kernel))
+    x = _load_checked_mf(args.source)
+    t = _load_checked_mf(args.kernel)
     if args.dims_only:
         even, odd = transform_mod_k_dims(x, t)
         _emit({"even": even, "odd": odd})

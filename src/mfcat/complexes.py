@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import InputParseError, PreconditionError, StabilizationError, VerificationError
 from .factorization import MatrixFactorization, MFMorphism, RMatrix
 from .fields import accumulate
-from .linalg import nullspace_dense, rank_dense, rank_sparse
+from .linalg import rank_dense, rank_sparse
 from .series import Series, monomial_basis, monomials_of_degree
 
 DEFAULT_STABILIZATION_CAP = 64
@@ -532,47 +532,38 @@ def _level_data(c: Z2Complex, cap):
     return basis_e, basis_o, rows_eo, rows_oe
 
 
-def _induced_rank(z_rows_hi, hi_basis, lo_index, b_rows_lo, field):
-    """Rank of (projected cycles + boundaries) / boundaries."""
-    proj = []
-    for row in z_rows_hi:
-        vec = {}
-        for hi_col, v in row.items():
-            lo_col = lo_index.get(hi_basis[hi_col])
-            if lo_col is not None:
-                vec[lo_col] = v
-        proj.append(vec)
-    rank_b = rank_sparse([dict(r) for r in b_rows_lo], field)
-    rank_all = rank_sparse(proj + [dict(r) for r in b_rows_lo], field)
-    return rank_all - rank_b
-
-
 def _two_cap_dims(c: Z2Complex, n_lo):
+    """(even, odd) dims of the image of H(C/m^(2n+1)) in H(C/m^(n+1)), n = n_lo.
+
+    Per parity, with D_hi the differential out of level 2n, pi the truncation
+    to level n ((i, m) -> (i, m) if deg m <= n, else 0) and B_lo the image of
+    the incoming differential at level n:
+        dim (pi(ker D_hi) + B_lo)/B_lo = rank[D_hi | pi ; 0 | B_lo] - rank B_lo - rank D_hi.
+    Proof: the kernel of F: x -> (D_hi x, pi(x) mod B_lo) is ker D_hi & pi^-1(B_lo),
+    so the left side is dim ker D_hi - dim ker F = rank F - rank D_hi; the stacked
+    rows span the image of x -> (D_hi x, pi(x)) plus 0 (+) B_lo, of dim rank F + rank B_lo.
+    The level-n basis is the in-order subsequence of the level-2n one with
+    deg m <= n (`monomial_basis` is graded), which numbers the pi columns.
+    """
     field = c.ctx.field
-    n_hi = 2 * n_lo
-    be_hi, bo_hi, eo_hi, oe_hi = _level_data(c, n_hi)
+    be_hi, bo_hi, eo_hi, oe_hi = _level_data(c, 2 * n_lo)
     be_lo, bo_lo, eo_lo, oe_lo = _level_data(c, n_lo)
-    idx_e_lo = {bv: i for i, bv in enumerate(be_lo)}
-    idx_o_lo = {bv: i for i, bv in enumerate(bo_lo)}
 
-    # cycles at the high level: kernel of the operator (rows are images, so
-    # transpose into column form for the nullspace computation)
-    def cycles(rows_hi, src_dim, tgt_dim):
-        dense_cols = [[field.zero] * src_dim for _ in range(tgt_dim)]
-        for src, r in enumerate(rows_hi):
-            for tgt, v in r.items():
-                dense_cols[tgt][src] = v
-        return nullspace_dense(dense_cols, src_dim, field)
+    def induced_rank(basis_hi, d_hi, basis_lo, b_lo):
+        shift = len(basis_lo)
+        stacked = []
+        lo_col = 0
+        for (_, mono), row in zip(basis_hi, d_hi):
+            vec = {shift + col: v for col, v in row.items()}
+            if sum(mono) <= n_lo:
+                vec[lo_col] = field.one
+                lo_col += 1
+            stacked.append(vec)
+        rank_b = rank_sparse([dict(r) for r in b_lo], field)
+        rank_all = rank_sparse(stacked + b_lo, field)
+        return rank_all - rank_b - rank_sparse(d_hi, field)
 
-    z_even = cycles(eo_hi, len(be_hi), len(bo_hi))
-    z_odd = cycles(oe_hi, len(bo_hi), len(be_hi))
-
-    def as_sparse(vecs):
-        return [{i: v for i, v in enumerate(vec) if v != field.zero} for vec in vecs]
-
-    h_even = _induced_rank(as_sparse(z_even), be_hi, idx_e_lo, oe_lo, field)
-    h_odd = _induced_rank(as_sparse(z_odd), bo_hi, idx_o_lo, eo_lo, field)
-    return (h_even, h_odd)
+    return (induced_rank(be_hi, eo_hi, be_lo, oe_lo), induced_rank(bo_hi, oe_hi, bo_lo, eo_lo))
 
 
 def _two_cap_cohomology(c: Z2Complex, cap):

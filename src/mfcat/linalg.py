@@ -1,7 +1,9 @@
 """Exact linear algebra over an exact field.
 
 Two elimination cores. The dense one, `rref_dense`, takes lists of row lists
-and runs Gauss-Jordan; `rank_dense` and `nullspace_dense` read its result.
+and runs Gauss-Jordan; it serves the Jacobian quotient and the ranks of
+k-reductions (`rank_dense`). `nullspace_dense` reads its result too; no
+cohomology route calls it, and it is kept as the tests' reference kernel.
 The sparse one, `rank_sparse`, takes rows as {column: coefficient} dicts,
 turns them into integer rows (cleared denominators over QQ, residues over
 GF(p)) and eliminates exactly, with no Fraction per entry. A column index

@@ -58,7 +58,15 @@ def matrix_to_obj(m: RMatrix) -> list:
 
 
 def matrix_from_obj(ctx: RingCtx, obj) -> RMatrix:
-    return RMatrix(ctx, [[series_from_obj(ctx, e) for e in row] for row in obj])
+    try:
+        return RMatrix(ctx, [[series_from_obj(ctx, e) for e in row] for row in obj])
+    except TypeError as exc:
+        raise InputParseError(f"bad matrix object: {exc}") from exc
+
+
+def _expect_object(obj, what):
+    if not isinstance(obj, dict):
+        raise InputParseError(f"{what}: expected a JSON object, got {type(obj).__name__}")
 
 
 def mf_to_obj(mf: MatrixFactorization) -> dict:
@@ -72,6 +80,7 @@ def mf_to_obj(mf: MatrixFactorization) -> dict:
 
 
 def mf_from_obj(obj) -> MatrixFactorization:
+    _expect_object(obj, "factorization")
     try:
         ctx = ring_from_obj(obj["ring"])
         potential = series_from_obj(ctx, obj["potential"])
@@ -82,6 +91,8 @@ def mf_from_obj(obj) -> MatrixFactorization:
     mf = MatrixFactorization(ctx, potential, phi, psi)
     if "rank" in obj and obj["rank"] != mf.rank:
         raise InputParseError("declared rank does not match the matrices")
+    if mf.rank == 0:
+        raise InputParseError("factorization has rank 0")
     return mf
 
 
@@ -96,6 +107,7 @@ def morphism_to_obj(f: MFMorphism) -> dict:
 
 
 def morphism_from_obj(obj) -> MFMorphism:
+    _expect_object(obj, "morphism")
     try:
         source = mf_from_obj(obj["source"])
         target = mf_from_obj(obj["target"])
@@ -115,6 +127,7 @@ def koszul_to_obj(kd: KoszulData) -> dict:
 
 
 def koszul_from_obj(obj) -> KoszulData:
+    _expect_object(obj, "Koszul data")
     try:
         ctx = ring_from_obj(obj["ring"])
         gens = [series_from_obj(ctx, g) for g in obj["generators"]]
@@ -172,6 +185,7 @@ def potential_to_obj(w: Series) -> dict:
 
 
 def potential_from_obj(obj) -> Series:
+    _expect_object(obj, "potential")
     try:
         ctx = ring_from_obj(obj["ring"])
         return series_from_obj(ctx, obj["series"])

@@ -209,3 +209,59 @@ def test_potential_file_input(tmp_path, capsys):
     path.write_text(serialize.dumps_canonical(serialize.potential_to_obj(w)))
     code, out, _ = run(capsys, "hh", "--potential", str(path))
     assert code == 0 and json.loads(out)["milnor"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "FILE"],
+        ["cohomology", "FILE"],
+        ["cohomology", "FILE", "--endomorphisms"],
+        ["transform", "FILE", "FILE"],
+        ["quasi-iso", "FILE"],
+        ["hh", "--potential", "FILE"],
+    ],
+    ids=["verify", "cohomology", "endomorphisms", "transform", "quasi-iso", "potential"],
+)
+def test_non_object_json_exit(tmp_path, capsys, argv):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2 and "expected a JSON object" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["cohomology", "--endomorphisms"]], ids=["verify", "endomorphisms"]
+)
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"rank": 0, "phi": [], "psi": []}, "rank 0"), ({"phi": 5, "psi": 5}, "bad matrix object")],
+    ids=["rank-0", "non-list-matrix"],
+)
+def test_malformed_factorization_exit(tmp_path, capsys, argv, fields, message):
+    obj = serialize.mf_to_obj(elliptic_factorization())
+    obj.update(fields)
+    path = tmp_path / "mf.json"
+    path.write_text(serialize.dumps_canonical(obj))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and message in err and out == ""
+
+
+def test_cohomology_and_transform_check_factorization(tmp_path, capsys):
+    ctx = RingCtx(("x",), QQ, None)
+    x = Series.variable(ctx, 0)
+    # phi = x, psi = x^2 multiply to x^3, not w = 1
+    obj = serialize.mf_to_obj(stabilize_residue_field(x ** 3))
+    obj["potential"] = [[[0], "1"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(serialize.dumps_canonical(obj))
+    good = write_mf(tmp_path, stabilize_residue_field(x ** 2), "good.json")
+    for argv in (
+        ["cohomology", str(bad), "--endomorphisms"],
+        ["cohomology", str(bad)],
+        ["transform", str(bad), good],
+        ["transform", good, str(bad)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == "", argv
+        assert "bad.json: phi*psi is not w*id at entry (0, 0)" in err

@@ -11,6 +11,7 @@ from mfcat.complexes import (
     mf_reduction,
     scalar_action_nullhomotopy,
     _two_cap_cohomology,
+    _two_cap_dims,
 )
 from mfcat.errors import PreconditionError, VerificationError
 from mfcat.factorization import (
@@ -20,7 +21,7 @@ from mfcat.factorization import (
     direct_sum,
     trivial_mf,
 )
-from mfcat.fields import QQ
+from mfcat.fields import QQ, field_from_name
 from mfcat.hochschild import folded_koszul_complex
 from mfcat.series import RingCtx, Series
 from mfcat.serialize import parse_potential_text
@@ -255,12 +256,80 @@ def test_non_isolated_strand_scan_raises():
 
 
 def test_engines_agree_two_variables():
-    from mfcat.complexes import _two_cap_dims
-    from mfcat.stabilize import stabilize_residue_field
-
     ctx = RingCtx(("x", "y"), QQ, None)
     w = parse_potential_text(ctx, "x^2*y + y^3")
     k = stabilize_residue_field(w)
     C = hom_complex(k, k)
     assert cohomology_over_R(C) == (2, 2)
     assert _two_cap_dims(C, 3) == (2, 2)
+    # D5 has unequal weights, so the two-cap route answers End(K)
+    w = parse_potential_text(ctx, "x^2*y + y^4")
+    k = stabilize_residue_field(w)
+    C = hom_complex(k, k)
+    assert detect_grading(C) is None
+    assert cohomology_over_R(C) == (2, 2)
+
+
+def _two_cap_reference(C, n):
+    """The kernel-basis formula for the two-cap dims: a `nullspace_dense` basis
+    of the level-2n cycles, truncated to level n and ranked against the
+    level-n boundaries."""
+    from mfcat.complexes import _level_data
+    from mfcat.linalg import nullspace_dense, rank_sparse
+
+    field = C.ctx.field
+    be_hi, bo_hi, eo_hi, oe_hi = _level_data(C, 2 * n)
+    be_lo, bo_lo, eo_lo, oe_lo = _level_data(C, n)
+
+    def induced(basis_hi, d_hi, tgt_dim, basis_lo, b_lo):
+        cols = [[field.zero] * len(basis_hi) for _ in range(tgt_dim)]
+        for src, row in enumerate(d_hi):
+            for tgt, v in row.items():
+                cols[tgt][src] = v
+        lo_index = {bv: i for i, bv in enumerate(basis_lo)}
+        proj = []
+        for z in nullspace_dense(cols, len(basis_hi), field):
+            proj.append({lo_index[bv]: v for bv, v in zip(basis_hi, z) if v and bv in lo_index})
+        rank_b = rank_sparse([dict(r) for r in b_lo], field)
+        return rank_sparse(proj + b_lo, field) - rank_b
+
+    return (
+        induced(be_hi, eo_hi, len(bo_hi), be_lo, oe_lo),
+        induced(bo_hi, oe_hi, len(be_hi), bo_lo, eo_lo),
+    )
+
+
+def _koszul_of(names, text, field=QQ):
+    w = parse_potential_text(RingCtx(tuple(names.split(",")), field, None), text)
+    return folded_koszul_complex([w.partial_derivative(i) for i in range(w.ctx.n_vars)])
+
+
+def _end_k_of(names, text):
+    ctx = RingCtx(tuple(names.split(",")), QQ, None)
+    k = stabilize_residue_field(parse_potential_text(ctx, text))
+    return hom_complex(k, k)
+
+
+# The levels include unstable ones, where levels n and n+1 still differ:
+# W12 at n=2 gives (9, 8) and x^12+x^13 at n=6 gives (7, 5).
+@pytest.mark.parametrize(
+    "build, levels",
+    [
+        (lambda: _koszul_of("x,y", "x^3 + x*y^3"), range(1, 7)),
+        (lambda: _koszul_of("x,y", "x^2*y + y^4"), range(1, 7)),
+        (lambda: _koszul_of("x,y", "x^4 + y^5 + x^2*y^3"), range(1, 7)),
+        (lambda: _koszul_of("x", "x^12 + x^13"), range(1, 7)),
+        (lambda: _koszul_of("x,y", "x^3 - y^4"), range(1, 7)),
+        (lambda: _koszul_of("x,y", "x^3 + x*y^3", field_from_name("prime:7")), range(1, 7)),
+        # the dense reference takes ~20 s more for levels 5 and 6 here
+        (lambda: _end_k_of("x,y", "x^2*y + y^3"), range(1, 5)),
+        (lambda: _end_k_of("x", "x^12 + x^13"), range(1, 7)),
+    ],
+    ids=["koszul-E7", "koszul-D5", "koszul-W12", "koszul-A12", "koszul-E6", "koszul-E7-GF7",
+         "endK-D4", "endK-A12"],
+)
+def test_two_cap_dims_match_kernel_basis_formula(build, levels):
+    C = build()
+    for n in levels:
+        assert _two_cap_dims(C, n) == _two_cap_reference(C, n), n
+
