@@ -20,10 +20,10 @@ import os
 from fractions import Fraction
 
 from .errors import InputParseError, PreconditionError, StabilizationError, VerificationError
-from .factorization import MatrixFactorization, MFMorphism, RMatrix
+from .factorization import MatrixFactorization, MFMorphism, RMatrix, _tensor_blocks, cone, dual
 from .fields import accumulate
 from .linalg import rank_dense, rank_sparse
-from .series import Series, monomial_basis, monomials_of_degree
+from .series import monomial_basis, monomials_of_degree
 
 DEFAULT_STABILIZATION_CAP = 64
 
@@ -127,192 +127,49 @@ def mf_reduction(mf: MatrixFactorization) -> KComplex:
     )
 
 
-def cone_k(a: KComplex, b: KComplex, f_even, f_odd, field) -> KComplex:
-    """Cone of the chain map (f_even: A0->B0, f_odd: A1->B1) over k."""
-
-    def block(tl, tr, bl, br, rows_t, cols_t, rows_b, cols_b):
-        out = []
-        for i in range(rows_t):
-            out.append(list(tl[i]) + list(tr[i]))
-        for i in range(rows_b):
-            out.append(list(bl[i]) + list(br[i]))
-        return out
-
-    z = field.zero
-
-    def zeros(r, c):
-        return [[z] * c for _ in range(r)]
-
-    def neg(m):
-        return [[field.neg(v) for v in row] for row in m]
-
-    # cone even = A1 (+) B0, cone odd = A0 (+) B1
-    d_oe = block(
-        neg(a.d_even_to_odd),
-        zeros(a.odd_dim, b.even_dim),
-        f_even,
-        b.d_odd_to_even,
-        a.odd_dim,
-        a.even_dim,
-        b.even_dim,
-        b.odd_dim,
-    )
-    d_eo = block(
-        neg(a.d_odd_to_even),
-        zeros(a.even_dim, b.odd_dim),
-        f_odd,
-        b.d_even_to_odd,
-        a.even_dim,
-        a.odd_dim,
-        b.odd_dim,
-        b.even_dim,
-    )
-    return KComplex(field, a.odd_dim + b.even_dim, a.even_dim + b.odd_dim, d_eo, d_oe)
-
-
 def cohomology_mod_k(c: Z2Complex):
     """k-dimensions of the cohomology of the constant-term reduction."""
     return c.reduce_mod_k().cohomology_dims()
 
 
 def is_quasi_iso(f: MFMorphism) -> bool:
-    """A closed even morphism is invertible up to homotopy iff its reduction is."""
-    if f.parity != "even":
-        raise PreconditionError("quasi-isomorphism test needs an even morphism")
-    if not f.is_closed():
-        raise VerificationError("quasi-isomorphism test needs a closed morphism")
-    a = mf_reduction(f.source)
-    b = mf_reduction(f.target)
-    cone = cone_k(a, b, f.a.residue_matrix(), f.b.residue_matrix(), f.source.ctx.field)
-    return cone.is_acyclic()
+    """A closed even morphism is invertible up to homotopy iff its cone is
+    contractible, i.e. iff the reduction of the cone is acyclic."""
+    return mf_reduction(cone(f)).is_acyclic()
 
 
 # -- morphism complexes --------------------------------------------------------
 
 
-class BlockMapBuilder:
-    """Assembles a matrix for a map between direct sums of matrix spaces.
-
-    Each block is a space of shape (rows, cols) matrices, vectorized
-    row-major. Contributions are left composition (M . E) or right
-    composition (E . N), which have sparse coordinate descriptions.
-    """
-
-    def __init__(self, ctx, target_blocks, source_blocks):
-        self.ctx = ctx
-        self.target_blocks = target_blocks
-        self.source_blocks = source_blocks
-        self.t_offsets = self._offsets(target_blocks)
-        self.s_offsets = self._offsets(source_blocks)
-        total_t = self.t_offsets[-1]
-        total_s = self.s_offsets[-1]
-        z = Series.zero(ctx)
-        self.entries = [[z] * total_s for _ in range(total_t)]
-
-    @staticmethod
-    def _offsets(blocks):
-        offs = [0]
-        for rows, cols in blocks:
-            offs.append(offs[-1] + rows * cols)
-        return offs
-
-    def _tidx(self, tb, p, q):
-        return self.t_offsets[tb] + p * self.target_blocks[tb][1] + q
-
-    def _sidx(self, sb, p, q):
-        return self.s_offsets[sb] + p * self.source_blocks[sb][1] + q
-
-    def add_left(self, tb, sb, m: RMatrix, sign=1):
-        """Contribution E -> sign * (m . E); source block (r, c), m: (r', r)."""
-        rows_s, cols_s = self.source_blocks[sb]
-        for r in range(m.rows):
-            for p in range(rows_s):
-                e = m.entries[r][p]
-                if e.is_zero():
-                    continue
-                if sign < 0:
-                    e = -e
-                for q in range(cols_s):
-                    i = self._tidx(tb, r, q)
-                    j = self._sidx(sb, p, q)
-                    self.entries[i][j] = self.entries[i][j] + e
-
-    def add_right(self, tb, sb, n: RMatrix, sign=1):
-        """Contribution E -> sign * (E . n); source block (r, c), n: (c, c')."""
-        rows_s, cols_s = self.source_blocks[sb]
-        for q in range(cols_s):
-            for c in range(n.cols):
-                e = n.entries[q][c]
-                if e.is_zero():
-                    continue
-                if sign < 0:
-                    e = -e
-                for p in range(rows_s):
-                    i = self._tidx(tb, p, c)
-                    j = self._sidx(sb, p, q)
-                    self.entries[i][j] = self.entries[i][j] + e
-
-    def build(self) -> RMatrix:
-        return RMatrix(self.ctx, self.entries)
-
-
 def hom_complex(x: MatrixFactorization, y: MatrixFactorization) -> Z2Complex:
-    """Morphism complex Hom(X, Y): D(f) = d_Y f - (-1)^|f| f d_X.
+    """Morphism complex Hom(X, Y) = Y (x) dual(X): D(f) = d_Y f - (-1)^|f| f d_X.
 
-    Even basis blocks: Hom(X0,Y0) ++ Hom(X1,Y1); odd: Hom(X0,Y1) ++ Hom(X1,Y0).
+    Even basis blocks: Hom(X0,Y0) ++ Hom(X1,Y1); odd: Hom(X0,Y1) ++ Hom(X1,Y0),
+    each block row-major, which is the tensor basis order with Y first.
     """
     if x.ctx != y.ctx:
         raise PreconditionError("hom complex needs a shared context")
     if x.potential != y.potential:
         raise PreconditionError("hom complex needs a shared potential")
-    ctx = x.ctx
-    rx, ry = x.rank, y.rank
-    even_blocks = [(ry, rx), (ry, rx)]
-    odd_blocks = [(ry, rx), (ry, rx)]
-
-    eo = BlockMapBuilder(ctx, odd_blocks, even_blocks)
-    # f even = (f0, f1): component X0->Y1 is psi_Y f0 - f1 psi_X
-    eo.add_left(0, 0, y.psi)
-    eo.add_right(0, 1, x.psi, sign=-1)
-    # component X1->Y0 is phi_Y f1 - f0 phi_X
-    eo.add_left(1, 1, y.phi)
-    eo.add_right(1, 0, x.phi, sign=-1)
-
-    oe = BlockMapBuilder(ctx, even_blocks, odd_blocks)
-    # g odd = (g0: X0->Y1, g1: X1->Y0): component X0->Y0 is phi_Y g0 + g1 psi_X
-    oe.add_left(0, 0, y.phi)
-    oe.add_right(0, 1, x.psi)
-    # component X1->Y1 is psi_Y g1 + g0 phi_X
-    oe.add_left(1, 1, y.psi)
-    oe.add_right(1, 0, x.phi)
-
-    return Z2Complex(ctx, eo.build(), oe.build())
+    xd = dual(x)
+    phi, psi = _tensor_blocks(y.phi, y.psi, xd.phi, xd.psi, x.ctx, y.rank, x.rank)
+    return Z2Complex(x.ctx, psi, phi)
 
 
 def scalar_action_nullhomotopy(x: MatrixFactorization, y: MatrixFactorization, k: int) -> bool:
     """Exact check that d/dx_k of the potential acts null-homotopically on Hom(X, Y).
 
     The homotopy is left composition with the entrywise x_k-derivative of
-    d_Y; verifying D h + h D = (dw/dx_k) id symbolically proves the induced
-    map on cohomology over R is zero.
+    d_Y, i.e. (d/dx_k d_Y) (x) id on Y (x) dual(X); verifying
+    D h + h D = (dw/dx_k) id symbolically proves the induced map on
+    cohomology over R is zero.
     """
     c = hom_complex(x, y)
     ctx = x.ctx
     dphi = y.phi.map_entries(lambda e: e.partial_derivative(k))
     dpsi = y.psi.map_entries(lambda e: e.partial_derivative(k))
-    rx, ry = x.rank, y.rank
-    blocks = [(ry, rx), (ry, rx)]
-
-    h_eo = BlockMapBuilder(ctx, blocks, blocks)
-    # u = d/dx_k(d_Y) is odd: u f for even f has X0->Y1 part dpsi f0, X1->Y0 part dphi f1
-    h_eo.add_left(0, 0, dpsi)
-    h_eo.add_left(1, 1, dphi)
-    h_oe = BlockMapBuilder(ctx, blocks, blocks)
-    # u g for odd g has X0->Y0 part dphi g0, X1->Y1 part dpsi g1
-    h_oe.add_left(0, 0, dphi)
-    h_oe.add_left(1, 1, dpsi)
-
-    heo, hoe = h_eo.build(), h_oe.build()
+    zero = RMatrix.zero(ctx, x.rank, x.rank)
+    hoe, heo = _tensor_blocks(dphi, dpsi, zero, zero, ctx, y.rank, x.rank)
     dw = x.potential.partial_derivative(k)
     lhs_even = c.d_odd_to_even * heo + hoe * c.d_even_to_odd
     lhs_odd = c.d_even_to_odd * hoe + heo * c.d_odd_to_even

@@ -5,7 +5,11 @@ Sign conventions, frozen so every output is bit-reproducible:
   * shift negates and swaps the blocks: shift(phi, psi) = (-psi, -phi);
   * the dual of (phi, psi) over w is (psi^T, -phi^T) over -w, and the double
     dual equals the original after conjugating by the parity involution;
-  * tensor basis order: even = X0Y0 ++ X1Y1, odd = X1Y0 ++ X0Y1.
+  * tensor basis order: even = X0Y0 ++ X1Y1, odd = X1Y0 ++ X0Y1, with the
+    pair (i, j) of basis indices at i * rank(Y) + j inside each block;
+  * Hom(X, Y) is Y (x) dual(X) over the shared ring, so its basis is even =
+    Hom(X0,Y0) ++ Hom(X1,Y1), odd = Hom(X0,Y1) ++ Hom(X1,Y0), each block a
+    matrix read row-major.
 """
 
 from __future__ import annotations
@@ -365,40 +369,20 @@ def _tensor_blocks(xphi, xpsi, yphi, ypsi, ctx, rx, ry):
     """Blocks of the graded tensor differential in the frozen basis order."""
     z = Series.zero(ctx)
 
-    def kron(a, b, nb_rows, nb_cols, sign=1):
-        rows = a.rows * nb_rows
-        cols = a.cols * nb_cols
-        out = [[z] * cols for _ in range(rows)]
-        for i in range(a.rows):
-            for j in range(a.cols):
-                e = a.entries[i][j]
+    def kron_eye(m, n, m_first, sign=1):
+        # m (x) I_n if m_first, else I_n (x) m; each entry of m copied or negated
+        out = [[z] * (m.cols * n) for _ in range(m.rows * n)]
+        for i, row in enumerate(m.entries):
+            for j, e in enumerate(row):
                 if e.is_zero():
                     continue
                 if sign < 0:
                     e = -e
-                for p in range(nb_rows):
-                    for q in range(nb_cols):
-                        bpq = b(p, q)
-                        if bpq is None:
-                            continue
-                        out[i * nb_rows + p][j * nb_cols + q] = e * bpq
-        return RMatrix(ctx, out)
-
-    def eye(p, q):
-        return Series.one(ctx) if p == q else None
-
-    def idkron(b_mat, ra, sign=1):
-        # identity_{ra} tensor b_mat
-        rows = ra * b_mat.rows
-        cols = ra * b_mat.cols
-        out = [[z] * cols for _ in range(rows)]
-        for i in range(ra):
-            for p in range(b_mat.rows):
-                for q in range(b_mat.cols):
-                    e = b_mat.entries[p][q]
-                    if e.is_zero():
-                        continue
-                    out[i * b_mat.rows + p][i * b_mat.cols + q] = -e if sign < 0 else e
+                for k in range(n):
+                    if m_first:
+                        out[i * n + k][j * n + k] = e
+                    else:
+                        out[k * m.rows + i][k * m.cols + j] = e
         return RMatrix(ctx, out)
 
     def hstack(m1, m2):
@@ -408,12 +392,12 @@ def _tensor_blocks(xphi, xpsi, yphi, ypsi, ctx, rx, ry):
         return RMatrix(ctx, m1.entries + m2.entries)
 
     phi_xy = vstack(
-        hstack(kron(xphi, eye, ry, ry), idkron(yphi, rx)),
-        hstack(idkron(ypsi, rx, sign=-1), kron(xpsi, eye, ry, ry)),
+        hstack(kron_eye(xphi, ry, True), kron_eye(yphi, rx, False)),
+        hstack(kron_eye(ypsi, rx, False, sign=-1), kron_eye(xpsi, ry, True)),
     )
     psi_xy = vstack(
-        hstack(kron(xpsi, eye, ry, ry), idkron(yphi, rx, sign=-1)),
-        hstack(idkron(ypsi, rx), kron(xphi, eye, ry, ry)),
+        hstack(kron_eye(xpsi, ry, True), kron_eye(yphi, rx, False, sign=-1)),
+        hstack(kron_eye(ypsi, rx, False), kron_eye(xphi, ry, True)),
     )
     return phi_xy, psi_xy
 

@@ -45,6 +45,8 @@ class RationalField:
     one = Fraction(1)
 
     def of(self, value):
+        if isinstance(value, bool):
+            raise TypeError(f"a boolean is not a rational scalar: {value!r}")
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
@@ -105,6 +107,8 @@ class PrimeField:
         self.one = 1 % p
 
     def of(self, value):
+        if isinstance(value, bool):
+            raise TypeError(f"a boolean is not a GF({self.p}) scalar: {value!r}")
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, Fraction):

@@ -45,8 +45,8 @@ def series_from_obj(ctx: RingCtx, obj) -> Series:
     terms = {}
     try:
         for exp, coeff in obj:
-            if len(exp) != ctx.n_vars or any(e < 0 for e in exp):
-                raise InputParseError(f"bad exponent vector {exp}")
+            if len(exp) != ctx.n_vars or any(type(e) is not int or e < 0 for e in exp):
+                raise InputParseError(f"bad exponent vector {exp}: need non-negative integers")
             terms[tuple(exp)] = ctx.field.of(coeff)
     except (TypeError, ValueError) as exc:
         raise InputParseError(f"bad series object: {exc}") from exc

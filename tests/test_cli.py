@@ -90,14 +90,18 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ring, env",
+    "ring, env, term",
     [
-        ("x;prime(4)", None),
-        ("x;prime(x)", None),
-        ("x;trunc=abc", None),
-        ("x", "abc"),
-        ("x", "0"),
-        ("x", "-3"),
+        ("x;prime(4)", None, None),
+        ("x;prime(x)", None, None),
+        ("x;trunc=abc", None, None),
+        ("x", "abc", None),
+        ("x", "0", None),
+        ("x", "-3", None),
+        (None, None, [[2.5], "1"]),
+        (None, None, [[2.0], "1"]),
+        (None, None, [[True], "1"]),
+        (None, None, [[1], True]),
     ],
     ids=[
         "composite-prime",
@@ -106,13 +110,27 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
         "non-integer-nmax",
         "zero-nmax",
         "negative-nmax",
+        "fractional-exponent",
+        "float-exponent",
+        "boolean-exponent",
+        "boolean-coefficient",
     ],
 )
-def test_malformed_input_exit(capsys, monkeypatch, ring, env):
+def test_malformed_input_exit(tmp_path, capsys, monkeypatch, ring, env, term):
     if env is not None:
         monkeypatch.setenv("MFCAT_NMAX", env)
-    code, _, err = run(capsys, "hh", "--inline", "x^3", "--ring", ring)
-    assert code == 2 and "parse error" in err
+    if term is None:
+        argv = ["hh", "--inline", "x^3", "--ring", ring]
+    else:
+        # K of x^3 (phi = x, psi = x^2) with the one term of phi replaced
+        x = Series.variable(RingCtx(("x",), QQ, None), 0)
+        obj = serialize.mf_to_obj(stabilize_residue_field(x ** 3))
+        obj["phi"][0][0] = [term]
+        path = tmp_path / "mf.json"
+        path.write_text(serialize.dumps_canonical(obj))
+        argv = ["verify", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "parse error" in err and out == ""
 
 
 def test_minimal_model(capsys):

@@ -18,7 +18,9 @@ from mfcat.factorization import (
     MatrixFactorization,
     MFMorphism,
     RMatrix,
+    cone,
     direct_sum,
+    shift,
     trivial_mf,
 )
 from mfcat.fields import QQ, field_from_name
@@ -135,6 +137,76 @@ def test_is_quasi_iso():
     )
     with pytest.raises(VerificationError):
         is_quasi_iso(not_closed)
+    # D4, where K has rank 2
+    ctx2 = RingCtx(("x", "y"), QQ, None)
+    w2 = parse_potential_text(ctx2, "x^2*y + y^3")
+    K2 = stabilize_residue_field(w2)
+    T2 = trivial_mf(ctx2, w2)
+    x = Series.variable(ctx2, 0)
+    assert is_quasi_iso(MFMorphism.identity(K2))
+    assert is_quasi_iso(MFMorphism.scalar(K2, Series.one(ctx2) + x))  # a unit of R
+    assert is_quasi_iso(MFMorphism.inclusion_first(K2, direct_sum(K2, T2)))
+    assert not is_quasi_iso(MFMorphism.scalar(K2, x))
+    assert not is_quasi_iso(MFMorphism.inclusion_first(T2, direct_sum(T2, K2)))
+    zero = RMatrix.zero(ctx2, 2, 2)
+    with pytest.raises(PreconditionError):
+        is_quasi_iso(MFMorphism(K2, K2, "odd", zero, zero))
+
+
+def _hom_grid():
+    """Objects K, shift K, trivial, K (+) trivial and cone(x id) of x^3 and of
+    D4, over QQ, GF(7) and QQ truncated at degree 12: one list per ring."""
+    for names, text in (("x", "x^3"), ("x,y", "x^2*y + y^3")):
+        for field, trunc in ((QQ, None), (field_from_name("prime:7"), None), (QQ, 12)):
+            ctx = RingCtx(tuple(names.split(",")), field, trunc)
+            w = parse_potential_text(ctx, text)
+            K = stabilize_residue_field(w)
+            T = trivial_mf(ctx, w)
+            x_id = MFMorphism.scalar(K, Series.variable(ctx, 0))
+            yield [K, shift(K), T, direct_sum(K, T), cone(x_id)]
+
+
+def _hom_reference(x, y):
+    """Hom(X, Y) differentials from D(f) = d_Y f - (-1)^|f| f d_X on elementary
+    matrices f: (X0 ++ X1) -> (Y0 ++ Y1), with the basis order of `hom_complex`."""
+    ctx, rx, ry = x.ctx, x.rank, y.rank
+
+    def odd_block(mf, r):
+        z = Series.zero(ctx)
+        top = [[z] * r + list(row) for row in mf.phi.entries]
+        bottom = [list(row) + [z] * r for row in mf.psi.entries]
+        return RMatrix(ctx, top + bottom)
+
+    d_x, d_y = odd_block(x, rx), odd_block(y, ry)
+    # (row, column) offsets of the blocks inside a (2 ry) x (2 rx) matrix
+    even = [(0, 0), (ry, rx)]  # Hom(X0,Y0), Hom(X1,Y1)
+    odd = [(ry, 0), (0, rx)]  # Hom(X0,Y1), Hom(X1,Y0)
+
+    def coords(m, slots):
+        return [m.entries[r + p][c + q] for r, c in slots for p in range(ry) for q in range(rx)]
+
+    def differential(src, tgt, degree):
+        cols = []
+        for r, c in src:
+            for p in range(ry):
+                for q in range(rx):
+                    f = RMatrix.zero(ctx, 2 * ry, 2 * rx)
+                    f.entries[r + p][c + q] = Series.one(ctx)
+                    fd = f * d_x
+                    cols.append(coords(d_y * f - (fd if degree == 0 else -fd), tgt))
+        return RMatrix(ctx, [list(row) for row in zip(*cols)])
+
+    return differential(even, odd, 0), differential(odd, even, 1)
+
+
+def test_hom_complex_matches_sign_convention_reference():
+    for objects in _hom_grid():
+        for x in objects:
+            for y in objects:
+                H = hom_complex(x, y)
+                d_eo, d_oe = _hom_reference(x, y)
+                assert H.d_even_to_odd == d_eo
+                assert H.d_odd_to_even == d_oe
 
 
 def test_scalar_action_nullhomotopy():
@@ -145,6 +217,11 @@ def test_scalar_action_nullhomotopy():
     K = stabilize_residue_field(parse_potential_text(ctx2, "x^2*y + y^3"))
     assert scalar_action_nullhomotopy(K, K, 0)
     assert scalar_action_nullhomotopy(K, K, 1)
+    for objects in _hom_grid():
+        for x in objects:
+            for y in objects:
+                for k in range(x.ctx.n_vars):
+                    assert scalar_action_nullhomotopy(x, y, k)
 
 
 def test_partial_times_cycles_are_boundaries():
