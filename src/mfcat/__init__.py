@@ -7,15 +7,7 @@ from .ainfinity import (
     clifford_check,
     transfer_minimal_model,
 )
-from .complexes import (
-    KComplex,
-    Z2Complex,
-    cohomology_mod_k,
-    cohomology_over_R,
-    hom_complex,
-    is_quasi_iso,
-    mf_reduction,
-)
+from .complexes import cohomology_mod_k, cohomology_over_R, hom_complex, is_quasi_iso
 from .errors import (
     ContextMismatchError,
     InputParseError,

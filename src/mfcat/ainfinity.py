@@ -214,6 +214,13 @@ def _label_text(subset) -> str:
     return "*".join(f"D{i + 1}" for i in subset)
 
 
+def _shift_sign(parities, args) -> int:
+    """Bar-shift Koszul sign relating m_k(args) and q_k(args)."""
+    k = len(args)
+    total = sum((k - i) * parities[a] for i, a in enumerate(args, start=1))
+    return -1 if total % 2 else 1
+
+
 class AInfStructure:
     """Finite minimal model: basis with parities and products m_2..m_K.
 
@@ -237,15 +244,10 @@ class AInfStructure:
         k = len(args)
         return dict(self.products.get(k, {}).get(tuple(args), {}))
 
-    def _shift_sign(self, args) -> int:
-        k = len(args)
-        total = sum((k - i) * self.parities[a] for i, a in enumerate(args, start=1))
-        return -1 if total % 2 else 1
-
     def q_table(self, k) -> dict:
         out = {}
         for args, vec in self.products.get(k, {}).items():
-            sign = self._shift_sign(args)
+            sign = _shift_sign(self.parities, args)
             if sign > 0:
                 out[args] = dict(vec)
             else:
@@ -362,8 +364,7 @@ def transfer_minimal_model(w: Series, max_arity: int) -> AInfStructure:
             if not vec:
                 continue
             # unshift: m_k = sign * q_k with the bar-shift Koszul factor
-            total = sum((k - i) * parities[a] for i, a in enumerate(args, start=1))
-            if total % 2:
+            if _shift_sign(parities, args) < 0:
                 vec = {i: field.neg(c) for i, c in vec.items()}
             table[args] = vec
         if table:

@@ -11,7 +11,7 @@ import sys
 
 from . import serialize
 from .ainfinity import transfer_minimal_model
-from .complexes import cohomology_over_R, hom_complex, is_quasi_iso, mf_reduction
+from .complexes import cohomology_mod_k, cohomology_over_R, hom_complex, is_quasi_iso
 from .errors import (
     ContextMismatchError,
     InputParseError,
@@ -127,7 +127,7 @@ def cmd_cohomology(args):
         even, odd = cohomology_over_R(hom_complex(mf, mf))
         _emit({"mode": "endomorphisms-over-ring", "even": even, "odd": odd})
     else:
-        even, odd = mf_reduction(mf).cohomology_dims()
+        even, odd = cohomology_mod_k(mf)
         _emit({"mode": "mod-k", "even": even, "odd": odd})
     return EXIT_OK
 

@@ -1,4 +1,10 @@
-"""2-periodic complexes, morphism complexes, and exact cohomology engines.
+"""Morphism complexes and exact cohomology engines.
+
+A 2-periodic complex is a factorization of 0: `psi` is d even->odd, `phi`
+is d odd->even, and `rank` is the rank of either parity. Morphism
+complexes, folded Koszul complexes and kernel-action complexes are all
+`MatrixFactorization`s over the zero potential, so one d^2 = w check
+(`verify_mf`) serves factorizations and complexes alike.
 
 Two exact routes compute k-dimensions of cohomology over the local ring:
 
@@ -23,14 +29,12 @@ from .errors import InputParseError, PreconditionError, StabilizationError, Veri
 from .factorization import MatrixFactorization, MFMorphism, RMatrix, _tensor_blocks, cone, dual
 from .fields import accumulate
 from .linalg import rank_dense, rank_sparse
-from .series import monomial_basis, monomials_of_degree
+from .series import Series, monomial_basis, monomials_of_degree
 
 DEFAULT_STABILIZATION_CAP = 64
 
 
-def stabilization_cap(override=None) -> int:
-    if override is not None:
-        return override
+def stabilization_cap() -> int:
     env = os.environ.get("MFCAT_NMAX")
     if not env:
         return DEFAULT_STABILIZATION_CAP
@@ -43,106 +47,35 @@ def stabilization_cap(override=None) -> int:
     return cap
 
 
-class Z2Complex:
-    """2-periodic complex of finite free R-modules.
-
-    `d_even_to_odd` and `d_odd_to_even` are matrices over the ring context.
-    With twist=None the composites vanish; with twist=w both composites
-    equal w * id (the reduction of a factorization lives in this mode).
-    """
-
-    __slots__ = ("ctx", "even_rank", "odd_rank", "d_even_to_odd", "d_odd_to_even", "twist")
-
-    def __init__(self, ctx, d_even_to_odd: RMatrix, d_odd_to_even: RMatrix, twist=None):
-        self.ctx = ctx
-        self.d_even_to_odd = d_even_to_odd
-        self.d_odd_to_even = d_odd_to_even
-        self.even_rank = d_even_to_odd.cols
-        self.odd_rank = d_even_to_odd.rows
-        if d_odd_to_even.cols != self.odd_rank or d_odd_to_even.rows != self.even_rank:
-            raise PreconditionError("differential shapes are inconsistent")
-        self.twist = twist
-
-    def verify(self) -> bool:
-        ee = self.d_odd_to_even * self.d_even_to_odd
-        oo = self.d_even_to_odd * self.d_odd_to_even
-        if self.twist is None:
-            return ee.is_zero() and oo.is_zero()
-        return ee == RMatrix.scalar(self.ctx, self.even_rank, self.twist) and oo == RMatrix.scalar(
-            self.ctx, self.odd_rank, self.twist
-        )
-
-    def reduce_mod_k(self) -> "KComplex":
-        return KComplex(
-            self.ctx.field,
-            self.even_rank,
-            self.odd_rank,
-            self.d_even_to_odd.residue_matrix(),
-            self.d_odd_to_even.residue_matrix(),
-        )
-
-
-class KComplex:
-    """2-periodic complex of finite-dimensional k-vector spaces."""
-
-    __slots__ = ("field", "even_dim", "odd_dim", "d_even_to_odd", "d_odd_to_even")
-
-    def __init__(self, field, even_dim, odd_dim, d_even_to_odd, d_odd_to_even):
-        self.field = field
-        self.even_dim = even_dim
-        self.odd_dim = odd_dim
-        self.d_even_to_odd = d_even_to_odd
-        self.d_odd_to_even = d_odd_to_even
-
-    def verify(self) -> bool:
-        f = self.field
-        for rows, cols, dim_mid in (
-            (self.d_odd_to_even, self.d_even_to_odd, self.odd_dim),
-            (self.d_even_to_odd, self.d_odd_to_even, self.even_dim),
-        ):
-            for i in range(len(rows)):
-                for j in range(len(cols[0]) if cols else 0):
-                    acc = f.zero
-                    for k in range(dim_mid):
-                        acc = f.add(acc, f.mul(rows[i][k], cols[k][j]))
-                    if acc != f.zero:
-                        return False
-        return True
-
-    def cohomology_dims(self):
-        if not self.verify():
-            raise VerificationError("reduction is not a complex")
-        r_eo = rank_dense(self.d_even_to_odd, self.field) if self.even_dim else 0
-        r_oe = rank_dense(self.d_odd_to_even, self.field) if self.odd_dim else 0
-        return (self.even_dim - r_eo - r_oe, self.odd_dim - r_oe - r_eo)
-
-    def is_acyclic(self) -> bool:
-        return self.cohomology_dims() == (0, 0)
-
-
-def mf_reduction(mf: MatrixFactorization) -> KComplex:
-    """k (x) X: the constant-term complex of a factorization (w is in m)."""
-    return KComplex(
-        mf.ctx.field, mf.rank, mf.rank, mf.psi.residue_matrix(), mf.phi.residue_matrix()
-    )
-
-
-def cohomology_mod_k(c: Z2Complex):
-    """k-dimensions of the cohomology of the constant-term reduction."""
-    return c.reduce_mod_k().cohomology_dims()
+def cohomology_mod_k(mf: MatrixFactorization):
+    """k-dimensions of the (even, odd) cohomology of k (x) X, the
+    constant-term reduction, which is a complex iff w lies in m."""
+    field = mf.ctx.field
+    d_eo, d_oe = mf.psi.residue_matrix(), mf.phi.residue_matrix()
+    for left, right in ((d_oe, d_eo), (d_eo, d_oe)):
+        for row in left:
+            for j in range(mf.rank):
+                acc = field.zero
+                for k, a in enumerate(row):
+                    acc = field.add(acc, field.mul(a, right[k][j]))
+                if acc != field.zero:
+                    raise VerificationError("reduction is not a complex")
+    r = rank_dense(d_eo, field) + rank_dense(d_oe, field)
+    return (mf.rank - r, mf.rank - r)
 
 
 def is_quasi_iso(f: MFMorphism) -> bool:
     """A closed even morphism is invertible up to homotopy iff its cone is
     contractible, i.e. iff the reduction of the cone is acyclic."""
-    return mf_reduction(cone(f)).is_acyclic()
+    return cohomology_mod_k(cone(f)) == (0, 0)
 
 
 # -- morphism complexes --------------------------------------------------------
 
 
-def hom_complex(x: MatrixFactorization, y: MatrixFactorization) -> Z2Complex:
-    """Morphism complex Hom(X, Y) = Y (x) dual(X): D(f) = d_Y f - (-1)^|f| f d_X.
+def hom_complex(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFactorization:
+    """Morphism complex Hom(X, Y) = Y (x) dual(X), a factorization of w - w = 0,
+    with D(f) = d_Y f - (-1)^|f| f d_X.
 
     Even basis blocks: Hom(X0,Y0) ++ Hom(X1,Y1); odd: Hom(X0,Y1) ++ Hom(X1,Y0),
     each block row-major, which is the tensor basis order with Y first.
@@ -153,7 +86,7 @@ def hom_complex(x: MatrixFactorization, y: MatrixFactorization) -> Z2Complex:
         raise PreconditionError("hom complex needs a shared potential")
     xd = dual(x)
     phi, psi = _tensor_blocks(y.phi, y.psi, xd.phi, xd.psi, x.ctx, y.rank, x.rank)
-    return Z2Complex(x.ctx, psi, phi)
+    return MatrixFactorization(x.ctx, Series.zero(x.ctx), phi, psi)
 
 
 def scalar_action_nullhomotopy(x: MatrixFactorization, y: MatrixFactorization, k: int) -> bool:
@@ -171,20 +104,17 @@ def scalar_action_nullhomotopy(x: MatrixFactorization, y: MatrixFactorization, k
     zero = RMatrix.zero(ctx, x.rank, x.rank)
     hoe, heo = _tensor_blocks(dphi, dpsi, zero, zero, ctx, y.rank, x.rank)
     dw = x.potential.partial_derivative(k)
-    lhs_even = c.d_odd_to_even * heo + hoe * c.d_even_to_odd
-    lhs_odd = c.d_even_to_odd * hoe + heo * c.d_odd_to_even
-    return lhs_even == RMatrix.scalar(ctx, c.even_rank, dw) and lhs_odd == RMatrix.scalar(
-        ctx, c.odd_rank, dw
-    )
+    dw_id = RMatrix.scalar(ctx, c.rank, dw)
+    return c.phi * heo + hoe * c.psi == dw_id and c.psi * hoe + heo * c.phi == dw_id
 
 
 # -- exact cohomology over the ring --------------------------------------------
 
 
-def _entry_degree_grid(c: Z2Complex):
+def _entry_degree_grid(c: MatrixFactorization):
     """Per-entry homogeneous degrees, or None if some entry is inhomogeneous."""
     grids = []
-    for mat in (c.d_even_to_odd, c.d_odd_to_even):
+    for mat in (c.psi, c.phi):
         grid = []
         for row in mat.entries:
             grow = []
@@ -201,7 +131,7 @@ def _entry_degree_grid(c: Z2Complex):
     return grids
 
 
-def detect_grading(c: Z2Complex):
+def detect_grading(c: MatrixFactorization):
     """Internal degrees making d homogeneous, or None.
 
     Returns (u_even, u_odd, delta): Fractions such that a basis vector i
@@ -212,7 +142,7 @@ def detect_grading(c: Z2Complex):
     if grids is None:
         return None
     eo, oe = grids
-    n_e, n_o = c.even_rank, c.odd_rank
+    n_e = n_o = c.rank
     # nodes: 0..n_e-1 even, n_e..n_e+n_o-1 odd; value = a + b*delta
     total = n_e + n_o
     assign: list = [None] * total
@@ -276,7 +206,7 @@ def detect_grading(c: Z2Complex):
 class _StrandRanks:
     """Ranks of the degree-restricted differentials, cached per strand."""
 
-    def __init__(self, c: Z2Complex, u_even, u_odd, delta):
+    def __init__(self, c: MatrixFactorization, u_even, u_odd, delta):
         self.c = c
         self.u_even = u_even
         self.u_odd = u_odd
@@ -313,22 +243,21 @@ class _StrandRanks:
             return 0
         tgt = self.stratum(1 - parity_src, s + self.delta)
         tgt_index = {bv: idx for idx, bv in enumerate(tgt)}
-        mat = self.c.d_even_to_odd if parity_src == 0 else self.c.d_odd_to_even
+        mat = self.c.psi if parity_src == 0 else self.c.phi
         r = rank_sparse(_truncated_operator_rows(mat, src, tgt_index, self.field), self.field)
         self._rank_cache[key] = r
         return r
 
 
-def _strand_cohomology(c: Z2Complex, u_even, u_odd, delta, cap, zero_run=None):
+def _strand_cohomology(c: MatrixFactorization, u_even, u_odd, delta, cap):
     ranks = _StrandRanks(c, u_even, u_odd, delta)
     all_u = list(u_even) + list(u_odd)
     if not all_u:
         return (0, 0)
-    if zero_run is None:
-        # conservative: cover the differential's step and the spread of the
-        # internal degrees before declaring the tail empty
-        spread = int(max(all_u) - min(all_u))
-        zero_run = max(12, 2 * int(abs(delta)) + 4, spread + 4)
+    # conservative: cover the differential's step and the spread of the
+    # internal degrees before declaring the tail empty
+    spread = int(max(all_u) - min(all_u))
+    zero_run = max(12, 2 * int(abs(delta)) + 4, spread + 4)
     # candidate strand values: u + 2t and their delta-translates
     starts = sorted(set(all_u) | {u + delta for u in all_u} | {u - delta for u in all_u})
     u_max = max(all_u)
@@ -375,21 +304,19 @@ def _truncated_operator_rows(mat: RMatrix, src_basis, tgt_index, field):
     return rows
 
 
-def _level_data(c: Z2Complex, cap):
-    """Bases and truncated differentials of C tensor R/m^(cap+1)."""
-    n = c.ctx.n_vars
-    monos = monomial_basis(n, cap)
-    basis_e = [(i, m) for i in range(c.even_rank) for m in monos]
-    basis_o = [(j, m) for j in range(c.odd_rank) for m in monos]
-    idx_e = {bv: i for i, bv in enumerate(basis_e)}
-    idx_o = {bv: i for i, bv in enumerate(basis_o)}
+def _level_data(c: MatrixFactorization, cap):
+    """Basis (shared by both parities) and truncated differentials of
+    C tensor R/m^(cap+1)."""
+    monos = monomial_basis(c.ctx.n_vars, cap)
+    basis = [(i, m) for i in range(c.rank) for m in monos]
+    index = {bv: i for i, bv in enumerate(basis)}
     field = c.ctx.field
-    rows_eo = _truncated_operator_rows(c.d_even_to_odd, basis_e, idx_o, field)
-    rows_oe = _truncated_operator_rows(c.d_odd_to_even, basis_o, idx_e, field)
-    return basis_e, basis_o, rows_eo, rows_oe
+    rows_eo = _truncated_operator_rows(c.psi, basis, index, field)
+    rows_oe = _truncated_operator_rows(c.phi, basis, index, field)
+    return basis, rows_eo, rows_oe
 
 
-def _two_cap_dims(c: Z2Complex, n_lo):
+def _two_cap_dims(c: MatrixFactorization, n_lo):
     """(even, odd) dims of the image of H(C/m^(2n+1)) in H(C/m^(n+1)), n = n_lo.
 
     Per parity, with D_hi the differential out of level 2n, pi the truncation
@@ -403,10 +330,10 @@ def _two_cap_dims(c: Z2Complex, n_lo):
     deg m <= n (`monomial_basis` is graded), which numbers the pi columns.
     """
     field = c.ctx.field
-    be_hi, bo_hi, eo_hi, oe_hi = _level_data(c, 2 * n_lo)
-    be_lo, bo_lo, eo_lo, oe_lo = _level_data(c, n_lo)
+    basis_hi, eo_hi, oe_hi = _level_data(c, 2 * n_lo)
+    basis_lo, eo_lo, oe_lo = _level_data(c, n_lo)
 
-    def induced_rank(basis_hi, d_hi, basis_lo, b_lo):
+    def induced_rank(d_hi, b_lo):
         shift = len(basis_lo)
         stacked = []
         lo_col = 0
@@ -420,12 +347,12 @@ def _two_cap_dims(c: Z2Complex, n_lo):
         rank_all = rank_sparse(stacked + b_lo, field)
         return rank_all - rank_b - rank_sparse(d_hi, field)
 
-    return (induced_rank(be_hi, eo_hi, be_lo, oe_lo), induced_rank(bo_hi, oe_hi, bo_lo, eo_lo))
+    return (induced_rank(eo_hi, oe_lo), induced_rank(oe_hi, eo_lo))
 
 
-def _two_cap_cohomology(c: Z2Complex, cap):
+def _two_cap_cohomology(c: MatrixFactorization, cap):
     max_deg = 0
-    for mat in (c.d_even_to_odd, c.d_odd_to_even):
+    for mat in (c.psi, c.phi):
         for row in mat.entries:
             for e in row:
                 max_deg = max(max_deg, e.total_degree())
@@ -441,17 +368,18 @@ def _two_cap_cohomology(c: Z2Complex, cap):
     )
 
 
-def cohomology_over_R(c: Z2Complex, n_max=None):
-    """k-dimensions of (even, odd) cohomology of an untwisted 2-periodic complex.
+def cohomology_over_R(c: MatrixFactorization):
+    """k-dimensions of (even, odd) cohomology of a 2-periodic complex, i.e. of
+    a factorization of 0.
 
     Requires finite-dimensional cohomology, which holds for morphism
     complexes of factorizations of an isolated singularity. Entries are
     read as polynomial representatives: the computation happens over the
     full local ring even when the context carries a truncation.
     """
-    if c.twist is not None:
-        raise PreconditionError("cohomology over R requires an untwisted complex")
-    cap = stabilization_cap(n_max)
+    if not c.potential.is_zero():
+        raise PreconditionError("cohomology over R requires a factorization of 0")
+    cap = stabilization_cap()
     graded = detect_grading(c)
     if graded is not None:
         u_even, u_odd, delta = graded

@@ -14,10 +14,10 @@ from itertools import combinations
 
 from .ainfinity import build_contraction, clifford_check, transfer_minimal_model
 from .complexes import (
+    cohomology_mod_k,
     cohomology_over_R,
     hom_complex,
     is_quasi_iso,
-    mf_reduction,
     scalar_action_nullhomotopy,
 )
 from .errors import MfcatError
@@ -329,7 +329,7 @@ def criterion_3(corpus, rng) -> CriterionResult:
         gen = ed.kstab()
         for label, x in ed.test_objects():
             lhs = cohomology_over_R(hom_complex(gen, x))
-            rhs = _swap(mf_reduction(x).cohomology_dims(), eps)
+            rhs = _swap(cohomology_mod_k(x), eps)
             if lhs != rhs:
                 ok = False
                 details.append(f"{entry.name}/{label}: {lhs} != swapped {rhs}")
@@ -480,7 +480,7 @@ def criterion_10(corpus, rng) -> CriterionResult:
             if x.rank > 2:
                 continue
             lhs = transform_mod_k_dims(x, diag)
-            rhs = mf_reduction(x).cohomology_dims()
+            rhs = cohomology_mod_k(x)
             if lhs != rhs:
                 ok = False
                 details.append(f"{entry.name}/{label}: {lhs} != {rhs}")

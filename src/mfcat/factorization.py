@@ -9,7 +9,9 @@ Sign conventions, frozen so every output is bit-reproducible:
     pair (i, j) of basis indices at i * rank(Y) + j inside each block;
   * Hom(X, Y) is Y (x) dual(X) over the shared ring, so its basis is even =
     Hom(X0,Y0) ++ Hom(X1,Y1), odd = Hom(X0,Y1) ++ Hom(X1,Y0), each block a
-    matrix read row-major.
+    matrix read row-major;
+  * a 2-periodic complex is a factorization of 0: `psi` is d even->odd and
+    `phi` is d odd->even, so `verify_mf` is its d^2 = 0 check.
 """
 
 from __future__ import annotations
@@ -197,9 +199,7 @@ def _exactness_floor(mf: MatrixFactorization):
 
 def verify_mf(mf: MatrixFactorization) -> bool:
     """True iff phi psi = psi phi = potential * id holds exactly."""
-    _exactness_floor(mf)
-    w_id = RMatrix.scalar(mf.ctx, mf.rank, mf.potential)
-    return mf.phi * mf.psi == w_id and mf.psi * mf.phi == w_id
+    return verify_mf_report(mf)[0]
 
 
 def verify_mf_report(mf: MatrixFactorization):
@@ -243,6 +243,13 @@ def parity_conjugate(mf: MatrixFactorization) -> MatrixFactorization:
     return MatrixFactorization(mf.ctx, mf.potential, -mf.phi, -mf.psi)
 
 
+def _block(ctx, tl, tr, bl, br) -> RMatrix:
+    """The 2 x 2 block matrix [[tl, tr], [bl, br]]."""
+    top = [r1 + r2 for r1, r2 in zip(tl.entries, tr.entries)]
+    bot = [r1 + r2 for r1, r2 in zip(bl.entries, br.entries)]
+    return RMatrix(ctx, top + bot)
+
+
 def direct_sum(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactorization:
     if a.ctx != b.ctx:
         raise ContextMismatchError("direct sum across different contexts")
@@ -250,13 +257,9 @@ def direct_sum(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactoriz
         raise PreconditionError("direct sum requires equal potentials")
     z_ab = RMatrix.zero(a.ctx, a.rank, b.rank)
     z_ba = RMatrix.zero(a.ctx, b.rank, a.rank)
-
-    def block(m1, m2):
-        top = [r1 + r2 for r1, r2 in zip(m1.entries, z_ab.entries)]
-        bot = [r1 + r2 for r1, r2 in zip(z_ba.entries, m2.entries)]
-        return RMatrix(a.ctx, top + bot)
-
-    return MatrixFactorization(a.ctx, a.potential, block(a.phi, b.phi), block(a.psi, b.psi))
+    phi = _block(a.ctx, a.phi, z_ab, z_ba, b.phi)
+    psi = _block(a.ctx, a.psi, z_ab, z_ba, b.psi)
+    return MatrixFactorization(a.ctx, a.potential, phi, psi)
 
 
 class MFMorphism:
@@ -331,15 +334,9 @@ def cone(f: MFMorphism) -> MatrixFactorization:
     X, Y = f.source, f.target
     ctx = X.ctx
     z_xy = RMatrix.zero(ctx, X.rank, Y.rank)
-
-    def block(tl, tr, bl, br):
-        top = [r1 + r2 for r1, r2 in zip(tl.entries, tr.entries)]
-        bot = [r1 + r2 for r1, r2 in zip(bl.entries, br.entries)]
-        return RMatrix(ctx, top + bot)
-
     # cone even = X1 ++ Y0, cone odd = X0 ++ Y1
-    phi_c = block(-X.psi, z_xy, f.a, Y.phi)
-    psi_c = block(-X.phi, z_xy, f.b, Y.psi)
+    phi_c = _block(ctx, -X.psi, z_xy, f.a, Y.phi)
+    psi_c = _block(ctx, -X.phi, z_xy, f.b, Y.psi)
     return MatrixFactorization(ctx, X.potential, phi_c, psi_c)
 
 
@@ -385,19 +382,19 @@ def _tensor_blocks(xphi, xpsi, yphi, ypsi, ctx, rx, ry):
                         out[k * m.rows + i][k * m.cols + j] = e
         return RMatrix(ctx, out)
 
-    def hstack(m1, m2):
-        return RMatrix(ctx, [r1 + r2 for r1, r2 in zip(m1.entries, m2.entries)])
-
-    def vstack(m1, m2):
-        return RMatrix(ctx, m1.entries + m2.entries)
-
-    phi_xy = vstack(
-        hstack(kron_eye(xphi, ry, True), kron_eye(yphi, rx, False)),
-        hstack(kron_eye(ypsi, rx, False, sign=-1), kron_eye(xpsi, ry, True)),
+    phi_xy = _block(
+        ctx,
+        kron_eye(xphi, ry, True),
+        kron_eye(yphi, rx, False),
+        kron_eye(ypsi, rx, False, sign=-1),
+        kron_eye(xpsi, ry, True),
     )
-    psi_xy = vstack(
-        hstack(kron_eye(xpsi, ry, True), kron_eye(yphi, rx, False, sign=-1)),
-        hstack(kron_eye(ypsi, rx, False), kron_eye(xphi, ry, True)),
+    psi_xy = _block(
+        ctx,
+        kron_eye(xpsi, ry, True),
+        kron_eye(yphi, rx, False, sign=-1),
+        kron_eye(ypsi, rx, False),
+        kron_eye(xphi, ry, True),
     )
     return phi_xy, psi_xy
 

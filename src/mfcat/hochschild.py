@@ -10,15 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .complexes import (
-    Z2Complex,
     _truncated_operator_rows,
+    cohomology_mod_k,
     cohomology_over_R,
     hom_complex,
-    mf_reduction,
     stabilization_cap,
 )
 from .errors import PreconditionError, StabilizationError, VerificationError
-from .factorization import RMatrix, dual, shift_power
+from .factorization import MatrixFactorization, RMatrix, dual, shift_power
 from .linalg import rref_dense
 from .series import Series, monomial_basis
 from .stabilize import KoszulData, make_koszul_mf, stabilized_diagonal
@@ -53,8 +52,8 @@ def _quotient_data(ctx, gens, cap):
     return len(standard), standard
 
 
-def _stabilized_quotient(ctx, gens, n_max=None):
-    cap = stabilization_cap(n_max)
+def _stabilized_quotient(ctx, gens):
+    cap = stabilization_cap()
     prev = None
     n = 1
     while n <= cap:
@@ -68,39 +67,38 @@ def _stabilized_quotient(ctx, gens, n_max=None):
     )
 
 
-def jacobian_report(w: Series, n_max=None) -> JacobianReport:
+def jacobian_report(w: Series) -> JacobianReport:
     if not w.in_maximal_ideal_square() or w.is_zero():
         raise PreconditionError("potential must be nonzero and lie in m^2")
     ctx = w.ctx
     partials = [w.partial_derivative(i) for i in range(ctx.n_vars)]
-    milnor, standard, at = _stabilized_quotient(ctx, partials, n_max)
-    tyurina, _, _ = _stabilized_quotient(ctx, partials + [w], n_max)
+    milnor, standard, at = _stabilized_quotient(ctx, partials)
+    tyurina, _, _ = _stabilized_quotient(ctx, partials + [w])
     return JacobianReport(milnor, tyurina, standard, at)
 
 
-def folded_koszul_complex(gens) -> Z2Complex:
+def folded_koszul_complex(gens) -> MatrixFactorization:
     """Z/2-folding of the Koszul complex of the given ring elements: the
-    Koszul factorization with zero witnesses, whose differential squares to 0."""
+    Koszul factorization with zero witnesses, a factorization of 0."""
     if not gens:
         raise PreconditionError("need at least one generator")
     ctx = gens[0].ctx
-    mf = make_koszul_mf(KoszulData(ctx, gens, [Series.zero(ctx)] * len(gens)))
-    return Z2Complex(ctx, mf.psi, mf.phi)
+    return make_koszul_mf(KoszulData(ctx, gens, [Series.zero(ctx)] * len(gens)))
 
 
-def hochschild_cohomology(w: Series, n_max=None):
+def hochschild_cohomology(w: Series):
     """(even, odd) dims from the folded Koszul complex of the partials.
 
     Cross-checked against the Milnor number; a mismatch means the input
     violates the isolatedness hypothesis rather than a tolerance.
     """
-    return _checked_koszul_dims(w, jacobian_report(w, n_max), n_max)
+    return _checked_koszul_dims(w, jacobian_report(w))
 
 
-def _checked_koszul_dims(w: Series, report: JacobianReport, n_max):
+def _checked_koszul_dims(w: Series, report: JacobianReport):
     ctx = w.ctx
     partials = [w.partial_derivative(i) for i in range(ctx.n_vars)]
-    dims = cohomology_over_R(folded_koszul_complex(partials), n_max)
+    dims = cohomology_over_R(folded_koszul_complex(partials))
     if dims[1] != 0 or dims[0] != report.milnor_number:
         raise VerificationError(
             f"Koszul route gave {dims}, Jacobian quotient gave ({report.milnor_number}, 0)"
@@ -108,20 +106,20 @@ def _checked_koszul_dims(w: Series, report: JacobianReport, n_max):
     return dims
 
 
-def hochschild_homology(w: Series, n_max=None):
+def hochschild_homology(w: Series):
     """Total dimension is the Milnor number, placed in parity n mod 2."""
-    report = jacobian_report(w, n_max)
+    report = jacobian_report(w)
     if w.ctx.n_vars % 2:
         return (0, report.milnor_number)
     return (report.milnor_number, 0)
 
 
-def diagonal_hh_crosscheck(w: Series, n_max=None) -> bool:
+def diagonal_hh_crosscheck(w: Series) -> bool:
     """Two routes: folded Koszul of the partials vs endomorphisms of the
     stabilized diagonal. True iff the dimension pairs agree."""
-    route1 = hochschild_cohomology(w, n_max)
+    route1 = hochschild_cohomology(w)
     diag = stabilized_diagonal(w)
-    route2 = cohomology_over_R(hom_complex(diag, diag), n_max)
+    route2 = cohomology_over_R(hom_complex(diag, diag))
     return route1 == route2
 
 
@@ -129,20 +127,16 @@ def calabi_yau_parity_check(w: Series) -> bool:
     """Dimension shadow of the duality: k-reduced cohomology of the dual
     diagonal matches that of the diagonal shifted by n mod 2."""
     diag = stabilized_diagonal(w)
-    lhs = cohomology_mod_k_of(dual(diag))
-    rhs = cohomology_mod_k_of(shift_power(diag, w.ctx.n_vars % 2))
+    lhs = cohomology_mod_k(dual(diag))
+    rhs = cohomology_mod_k(shift_power(diag, w.ctx.n_vars % 2))
     return lhs == rhs
 
 
-def cohomology_mod_k_of(mf):
-    return mf_reduction(mf).cohomology_dims()
-
-
-def hh_report(w: Series, n_max=None) -> dict:
+def hh_report(w: Series) -> dict:
     """The CLI-facing summary; periodic invariants equal the homology dims
     because everything sits in a single parity."""
-    report = jacobian_report(w, n_max)
-    even, odd = _checked_koszul_dims(w, report, n_max)
+    report = jacobian_report(w)
+    even, odd = _checked_koszul_dims(w, report)
     return {
         "hh_even": even,
         "hh_odd": odd,

@@ -26,9 +26,10 @@ def ring_to_obj(ctx: RingCtx) -> dict:
 
 def ring_from_obj(obj) -> RingCtx:
     try:
-        return RingCtx(
-            tuple(obj["variables"]), field_from_name(obj["field"]), obj.get("truncation")
-        )
+        names, trunc = tuple(obj["variables"]), obj.get("truncation")
+        if trunc is not None and (type(trunc) is not int or trunc < 1):
+            raise InputParseError(f"bad ring truncation {trunc!r}: need null or an integer >= 1")
+        return RingCtx(names, field_from_name(obj["field"]), trunc)
     except (KeyError, TypeError) as exc:
         raise InputParseError(f"bad ring object: {exc}") from exc
 

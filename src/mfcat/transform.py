@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Z2Complex, _truncated_operator_rows, cohomology_over_R
+from .complexes import _truncated_operator_rows, cohomology_over_R
 from .errors import PreconditionError
 from .factorization import MatrixFactorization, RMatrix, _tensor_blocks
 from .series import RingCtx, Series, monomial_basis
@@ -43,9 +43,10 @@ def _output_potential(x: MatrixFactorization, t: MatrixFactorization, out_ctx) -
     return _restrict_outer(total, n, out_ctx)
 
 
-def kernel_action_complex(x: MatrixFactorization, t: MatrixFactorization) -> Z2Complex:
+def kernel_action_complex(x: MatrixFactorization, t: MatrixFactorization) -> MatrixFactorization:
     """The transform reduced modulo the output maximal ideal: a 2-periodic
-    complex of free modules over the inner ring with finite-length cohomology."""
+    complex (a factorization of w - w = 0) of free modules over the inner
+    ring with finite-length cohomology."""
     out_ctx = _split_kernel_ctx(x.ctx, t.ctx)
     _output_potential(x, t, out_ctx)
     ctx = x.ctx
@@ -59,12 +60,12 @@ def kernel_action_complex(x: MatrixFactorization, t: MatrixFactorization) -> Z2C
     t_phi = t.phi.map_entries(restrict_entry, ctx)
     t_psi = t.psi.map_entries(restrict_entry, ctx)
     phi_c, psi_c = _tensor_blocks(x.phi, x.psi, t_phi, t_psi, ctx, x.rank, t.rank)
-    return Z2Complex(ctx, psi_c, phi_c)
+    return MatrixFactorization(ctx, Series.zero(ctx), phi_c, psi_c)
 
 
-def transform_mod_k_dims(x: MatrixFactorization, t: MatrixFactorization, n_max=None):
+def transform_mod_k_dims(x: MatrixFactorization, t: MatrixFactorization):
     """Exact (even, odd) k-dimensions of the cohomology of k (x) (X (x)_R T)."""
-    return cohomology_over_R(kernel_action_complex(x, t), n_max)
+    return cohomology_over_R(kernel_action_complex(x, t))
 
 
 @dataclass

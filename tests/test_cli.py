@@ -90,18 +90,22 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ring, env, term",
+    "ring, env, term, trunc",
     [
-        ("x;prime(4)", None, None),
-        ("x;prime(x)", None, None),
-        ("x;trunc=abc", None, None),
-        ("x", "abc", None),
-        ("x", "0", None),
-        ("x", "-3", None),
-        (None, None, [[2.5], "1"]),
-        (None, None, [[2.0], "1"]),
-        (None, None, [[True], "1"]),
-        (None, None, [[1], True]),
+        ("x;prime(4)", None, None, None),
+        ("x;prime(x)", None, None, None),
+        ("x;trunc=abc", None, None, None),
+        ("x", "abc", None, None),
+        ("x", "0", None, None),
+        ("x", "-3", None, None),
+        (None, None, [[2.5], "1"], None),
+        (None, None, [[2.0], "1"], None),
+        (None, None, [[True], "1"], None),
+        (None, None, [[1], True], None),
+        (None, None, None, True),
+        (None, None, None, 2.5),
+        (None, None, None, 4.0),
+        (None, None, None, 0),
     ],
     ids=[
         "composite-prime",
@@ -114,18 +118,26 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
         "float-exponent",
         "boolean-exponent",
         "boolean-coefficient",
+        "boolean-truncation",
+        "fractional-truncation",
+        "float-truncation",
+        "zero-truncation",
     ],
 )
-def test_malformed_input_exit(tmp_path, capsys, monkeypatch, ring, env, term):
+def test_malformed_input_exit(tmp_path, capsys, monkeypatch, ring, env, term, trunc):
     if env is not None:
         monkeypatch.setenv("MFCAT_NMAX", env)
-    if term is None:
+    if ring is not None:
         argv = ["hh", "--inline", "x^3", "--ring", ring]
     else:
-        # K of x^3 (phi = x, psi = x^2) with the one term of phi replaced
+        # K of x^4 (phi = x, psi = x^3) with the one term of phi or the ring's
+        # truncation replaced; a truncation of 2.5 would drop x^3 and x^4
         x = Series.variable(RingCtx(("x",), QQ, None), 0)
-        obj = serialize.mf_to_obj(stabilize_residue_field(x ** 3))
-        obj["phi"][0][0] = [term]
+        obj = serialize.mf_to_obj(stabilize_residue_field(x ** 4))
+        if term is not None:
+            obj["phi"][0][0] = [term]
+        if trunc is not None:
+            obj["ring"]["truncation"] = trunc
         path = tmp_path / "mf.json"
         path.write_text(serialize.dumps_canonical(obj))
         argv = ["verify", str(path)]

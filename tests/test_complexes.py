@@ -8,7 +8,6 @@ from mfcat.complexes import (
     detect_grading,
     hom_complex,
     is_quasi_iso,
-    mf_reduction,
     scalar_action_nullhomotopy,
     _two_cap_cohomology,
     _two_cap_dims,
@@ -22,6 +21,7 @@ from mfcat.factorization import (
     direct_sum,
     shift,
     trivial_mf,
+    verify_mf,
 )
 from mfcat.fields import QQ, field_from_name
 from mfcat.hochschild import folded_koszul_complex
@@ -43,10 +43,10 @@ def cusp_node():
 def test_hom_complex_squares_to_zero():
     X = cusp_node()
     H = hom_complex(X, X)
-    assert H.even_rank == 2 and H.odd_rank == 2
-    assert H.verify()
+    assert H.rank == 2
+    assert verify_mf(H)
     K = stabilize_residue_field(parse_potential_text(RingCtx(("x", "y"), QQ, None), "x^2 + y^2"))
-    assert hom_complex(K, K).verify()
+    assert verify_mf(hom_complex(K, K))
 
 
 def test_hom_complex_random_pairs():
@@ -58,18 +58,18 @@ def test_hom_complex_random_pairs():
         w = x ** (k + 1) * x ** 0
         a = MatrixFactorization(ctx, x ** (k + 1), RMatrix(ctx, [[x]]), RMatrix(ctx, [[x ** k]]))
         b = MatrixFactorization(ctx, x ** (k + 1), RMatrix(ctx, [[x ** k]]), RMatrix(ctx, [[x]]))
-        assert hom_complex(a, b).verify()
-        assert hom_complex(b, a).verify()
+        assert verify_mf(hom_complex(a, b))
+        assert verify_mf(hom_complex(b, a))
 
 
 def test_cohomology_mod_k_examples():
     ctx = ring1()
     x = Series.variable(ctx, 0)
-    assert mf_reduction(trivial_mf(ctx, x ** 3)).cohomology_dims() == (0, 0)
+    assert cohomology_mod_k(trivial_mf(ctx, x ** 3)) == (0, 0)
     K = stabilize_residue_field(x ** 3)
-    assert mf_reduction(K).cohomology_dims() == (1, 1)
+    assert cohomology_mod_k(K) == (1, 1)
     doubled = direct_sum(K, K)
-    assert mf_reduction(doubled).cohomology_dims() == (2, 2)
+    assert cohomology_mod_k(doubled) == (2, 2)
     assert cohomology_mod_k(hom_complex(trivial_mf(ctx, x ** 3), trivial_mf(ctx, x ** 3))) == (
         0,
         0,
@@ -114,14 +114,11 @@ def test_two_cap_non_homogeneous():
     assert cohomology_over_R(C) == (1, 0)
 
 
-def test_cohomology_over_R_rejects_twisted():
+def test_cohomology_over_R_rejects_nonzero_potential():
     X = cusp_node()
-    from mfcat.complexes import Z2Complex
-
-    twisted = Z2Complex(X.ctx, X.psi, X.phi, twist=X.potential)
-    assert twisted.verify()
+    assert verify_mf(X)
     with pytest.raises(PreconditionError):
-        cohomology_over_R(twisted)
+        cohomology_over_R(X)
 
 
 def test_is_quasi_iso():
@@ -205,8 +202,8 @@ def test_hom_complex_matches_sign_convention_reference():
             for y in objects:
                 H = hom_complex(x, y)
                 d_eo, d_oe = _hom_reference(x, y)
-                assert H.d_even_to_odd == d_eo
-                assert H.d_odd_to_even == d_oe
+                assert H.psi == d_eo
+                assert H.phi == d_oe
 
 
 def test_scalar_action_nullhomotopy():
@@ -251,7 +248,7 @@ def test_partial_times_cycles_are_boundaries():
         # boundaries in the target stratum
         b_src = ranks.stratum(1, s + shift_deg - delta)
         rows_b = []
-        mat = C.d_odd_to_even
+        mat = C.phi
         for i, mono in b_src:
             vec = {}
             for j in range(mat.rows):
@@ -263,7 +260,7 @@ def test_partial_times_cycles_are_boundaries():
             rows_b.append({k: v for k, v in vec.items() if v != field.zero})
         rank_b = rank_sparse([dict(r) for r in rows_b], field)
         # cycles in the source stratum, multiplied by dw
-        eo = C.d_even_to_odd
+        eo = C.psi
         img_tgt = ranks.stratum(1, s + delta)
         img_index = {bv: i for i, bv in enumerate(img_tgt)}
         rows_z = []
@@ -322,14 +319,15 @@ def test_engines_agree_on_random_endomorphism_complexes():
         assert _two_cap_cohomology(C, 64) == strand
 
 
-def test_non_isolated_strand_scan_raises():
+def test_non_isolated_strand_scan_raises(monkeypatch):
     from mfcat.errors import StabilizationError
 
+    monkeypatch.setenv("MFCAT_NMAX", "10")
     ctx = RingCtx(("x", "y"), QQ, None)
     w = parse_potential_text(ctx, "x^2*y^2")  # singular along both axes
     C = folded_koszul_complex([w.partial_derivative(0), w.partial_derivative(1)])
     with pytest.raises(StabilizationError):
-        cohomology_over_R(C, n_max=10)
+        cohomology_over_R(C)
 
 
 def test_engines_agree_two_variables():
@@ -355,10 +353,10 @@ def _two_cap_reference(C, n):
     from mfcat.linalg import nullspace_dense, rank_sparse
 
     field = C.ctx.field
-    be_hi, bo_hi, eo_hi, oe_hi = _level_data(C, 2 * n)
-    be_lo, bo_lo, eo_lo, oe_lo = _level_data(C, n)
+    basis_hi, eo_hi, oe_hi = _level_data(C, 2 * n)
+    basis_lo, eo_lo, oe_lo = _level_data(C, n)
 
-    def induced(basis_hi, d_hi, tgt_dim, basis_lo, b_lo):
+    def induced(d_hi, tgt_dim, b_lo):
         cols = [[field.zero] * len(basis_hi) for _ in range(tgt_dim)]
         for src, row in enumerate(d_hi):
             for tgt, v in row.items():
@@ -371,8 +369,8 @@ def _two_cap_reference(C, n):
         return rank_sparse(proj + b_lo, field) - rank_b
 
     return (
-        induced(be_hi, eo_hi, len(bo_hi), be_lo, oe_lo),
-        induced(bo_hi, oe_hi, len(be_hi), bo_lo, eo_lo),
+        induced(eo_hi, len(basis_hi), oe_lo),
+        induced(oe_hi, len(basis_hi), eo_lo),
     )
 
 

@@ -6,10 +6,14 @@ tensor expansion) must reproduce its output byte for byte.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from mfcat import serialize
 from mfcat.cli import main
+from mfcat.factorization import MFMorphism
+from mfcat.series import Series
 
 POTENTIALS = {
     "A3": ("x", "x^4"),
@@ -46,13 +50,17 @@ GOLDEN = {
     "quad-transform": "6d285ba2f69a9093c9c37413600e5d5dadd112f3e140756eae0e5a93fb154dc8",
     "quad-transform-trunc2": "07014e9eb06e3ed96eb802b1df05bc67739ba6aec25ea62e855ed88e775f72ae",
     "quad-transform-dims": "6b36949a32a776b1be1c18df898304ece625b24a5fe9cc9de030df33ec5f4171",
+    "A3-mod-k": "15c085e1bf755589751b6831c1892c9493df2c51257f96c98d0e59909604bc8a",
+    "D4-mod-k": "8840f0a288f4fb96f03d3ab353511781008bfbe212bdc67769bc4fb6d8c98d17",
+    "D4-quasi-iso-identity": "e62eb14f953e41a206bd967c268904b7469746fa1ea26af4ebec1e6b9600bc08",
+    "D4-quasi-iso-x": "d3d73ce6e0178f3d48c0a9c7490f951bdf1991926cf70100625ed38e33f45c4d",
 }
 
 
-def stdout_of(capsys, *argv):
-    code = main(list(argv))
+def stdout_of(capsys, *argv, code=0):
+    got = main(list(argv))
     out = capsys.readouterr().out
-    assert code == 0
+    assert got == code
     return out
 
 
@@ -95,3 +103,25 @@ def test_transform(tmp_path, capsys, case, extra):
     source = saved(tmp_path, capsys, "stabilize", "quad")
     kernel = saved(tmp_path, capsys, "diagonal", "quad")
     assert digest(stdout_of(capsys, "transform", source, kernel, *extra)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_mod_k_cohomology(tmp_path, capsys, name):
+    path = saved(tmp_path, capsys, "stabilize", name)
+    assert digest(stdout_of(capsys, "cohomology", path)) == GOLDEN[f"{name}-mod-k"]
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("D4-quasi-iso-identity", 0), ("D4-quasi-iso-x", 4)],
+    ids=["D4-quasi-iso-identity", "D4-quasi-iso-x"],
+)
+def test_quasi_iso(tmp_path, capsys, case, code):
+    k = serialize.mf_from_obj(json.loads(stdout_of(capsys, "stabilize", *potential_flags("D4"))))
+    if case.endswith("identity"):
+        f = MFMorphism.identity(k)
+    else:
+        f = MFMorphism.scalar(k, Series.variable(k.ctx, 0))
+    path = tmp_path / f"{case}.json"
+    path.write_text(serialize.dumps_canonical(serialize.morphism_to_obj(f)))
+    assert digest(stdout_of(capsys, "quasi-iso", str(path), code=code)) == GOLDEN[case]

@@ -2,6 +2,7 @@ import pytest
 
 from mfcat.corpus import oracle_milnor
 from mfcat.errors import PreconditionError, StabilizationError
+from mfcat.factorization import verify_mf
 from mfcat.fields import QQ
 from mfcat.hochschild import (
     calabi_yau_parity_check,
@@ -56,10 +57,11 @@ def test_milnor_bounds_invariant():
         assert rep.milnor_number >= rep.tyurina_number >= 1
 
 
-def test_non_isolated_detected():
+def test_non_isolated_detected(monkeypatch):
+    monkeypatch.setenv("MFCAT_NMAX", "12")
     w = potential("xy", "x^2*y")  # singular along a line
     with pytest.raises(StabilizationError):
-        jacobian_report(w, n_max=12)
+        jacobian_report(w)
 
 
 def test_hochschild_cohomology_examples():
@@ -101,8 +103,8 @@ def test_report_shape():
 def test_folded_koszul_is_complex():
     w = potential("xy", "x^3 + y^3")
     C = folded_koszul_complex([w.partial_derivative(0), w.partial_derivative(1)])
-    assert C.verify()
-    assert (C.even_rank, C.odd_rank) == (2, 2)
+    assert verify_mf(C)
+    assert C.rank == 2
 
 
 def test_precondition_rejects_linear():
