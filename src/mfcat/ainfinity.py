@@ -333,21 +333,10 @@ class _Transfer:
         return total
 
 
-def _auto_raise_truncation(w: Series, max_arity: int) -> Series:
-    cap = w.ctx.truncation
-    if cap is None:
-        return w
-    need = max_arity * max(1, w.total_degree())
-    if cap >= need:
-        return w
-    return Series(w.ctx.with_truncation(need), dict(w.terms))
-
-
 def transfer_minimal_model(w: Series, max_arity: int) -> AInfStructure:
     """Transferred products m_2..m_max_arity on the projected generators."""
     if max_arity < 2:
         raise PreconditionError("max_arity must be at least 2")
-    w = _auto_raise_truncation(w, max_arity)
     contraction = build_contraction(w)
     tr = _Transfer(contraction)
     dim = len(contraction.labels)

@@ -69,7 +69,7 @@ def _load_potential(args):
 def _add_potential_flags(sub):
     sub.add_argument("--potential", help="JSON file with {ring, series}")
     sub.add_argument("--inline", help='inline expression, e.g. "x^2*y + y^3"')
-    sub.add_argument("--ring", help='ring spec "x,y;rational;trunc=32"')
+    sub.add_argument("--ring", help='ring spec "x,y;rational" or "x,y;prime(7)"')
 
 
 def cmd_verify(args):

@@ -374,8 +374,7 @@ def cohomology_over_R(c: MatrixFactorization):
 
     Requires finite-dimensional cohomology, which holds for morphism
     complexes of factorizations of an isolated singularity. Entries are
-    read as polynomial representatives: the computation happens over the
-    full local ring even when the context carries a truncation.
+    polynomials; the strand and level truncations below reach the local ring.
     """
     if not c.potential.is_zero():
         raise PreconditionError("cohomology over R requires a factorization of 0")

@@ -63,7 +63,7 @@ class CorpusEntry:
     known: dict = dc_field(default_factory=dict)
 
     def ctx(self) -> RingCtx:
-        return RingCtx(self.ring_names, QQ, None)
+        return RingCtx(self.ring_names, QQ)
 
     def potential(self) -> Series:
         return parse_potential_text(self.ctx(), self.text)
@@ -257,7 +257,7 @@ def criterion_1(corpus, rng, quick=False) -> CriterionResult:
     trials = 40 if quick else 200
     for t in range(trials):
         n = rng.randint(1, 3)
-        ctx = RingCtx(n, QQ, None)
+        ctx = RingCtx(n, QQ)
         m = rng.randint(1, min(3, n + 1))
         gens, wits = [], []
         for i in range(m):
@@ -404,7 +404,7 @@ def criterion_6(corpus, rng) -> CriterionResult:
 def criterion_7(corpus, rng) -> CriterionResult:
     details = []
     ok = True
-    ctx = RingCtx(("x",), QQ, None)
+    ctx = RingCtx(("x",), QQ)
     w = parse_potential_text(ctx, "x^2 + x^3 + x^5")
     model = transfer_minimal_model(w, 5)
     gen = model.label_subsets.index((0,))
@@ -418,7 +418,7 @@ def criterion_7(corpus, rng) -> CriterionResult:
             details.append(f"arity {arity}: value {vec}, wanted |{coeff}| scalar")
         else:
             details.append(f"|m_{arity}(D,..,D)| = {coeff}")
-    ctx2 = RingCtx(("x", "y"), QQ, None)
+    ctx2 = RingCtx(("x", "y"), QQ)
     w2 = parse_potential_text(ctx2, "x^2*y + y^3")
     model2 = transfer_minimal_model(w2, 3)
     g1 = model2.label_subsets.index((0,))
@@ -505,7 +505,7 @@ def criterion_11(corpus, rng) -> CriterionResult:
 
 def criterion_12(corpus, rng) -> CriterionResult:
     details = []
-    ctx = RingCtx(("x",), QQ, None)
+    ctx = RingCtx(("x",), QQ)
     w = parse_potential_text(ctx, "x^3")
     k = stabilize_residue_field(w)
     ident = is_quasi_iso(MFMorphism.identity(k))

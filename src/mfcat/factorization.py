@@ -181,22 +181,6 @@ class MatrixFactorization:
         )
 
 
-def _exactness_floor(mf: MatrixFactorization):
-    # d^2 = w checks need truncation >= 2*deg to be meaningful on polynomials
-    cap = mf.ctx.truncation
-    if cap is None:
-        return
-    entry_deg = max(
-        (e.total_degree() for m in (mf.phi, mf.psi) for row in m.entries for e in row),
-        default=0,
-    )
-    need = max(2 * entry_deg, mf.potential.total_degree())
-    if cap < need:
-        raise PreconditionError(
-            f"truncation {cap} below the exactness floor {need} for this verification"
-        )
-
-
 def verify_mf(mf: MatrixFactorization) -> bool:
     """True iff phi psi = psi phi = potential * id holds exactly."""
     return verify_mf_report(mf)[0]
@@ -204,7 +188,6 @@ def verify_mf(mf: MatrixFactorization) -> bool:
 
 def verify_mf_report(mf: MatrixFactorization):
     """(ok, offending (product, i, j) or None), for CLI diagnostics."""
-    _exactness_floor(mf)
     w_id = RMatrix.scalar(mf.ctx, mf.rank, mf.potential)
     for label, prod in (("phi*psi", mf.phi * mf.psi), ("psi*phi", mf.psi * mf.phi)):
         for i in range(mf.rank):
@@ -352,14 +335,7 @@ def _combined_ctx(cx: RingCtx, cy: RingCtx) -> RingCtx:
         while fresh in names:
             fresh += "'"
         names.append(fresh)
-    names = tuple(names)
-    if cx.truncation is None:
-        trunc = cy.truncation
-    elif cy.truncation is None:
-        trunc = cx.truncation
-    else:
-        trunc = min(cx.truncation, cy.truncation)
-    return RingCtx(names, cx.field, trunc)
+    return RingCtx(tuple(names), cx.field)
 
 
 def _tensor_blocks(xphi, xpsi, yphi, ypsi, ctx, rx, ry):

@@ -20,16 +20,17 @@ def ring_to_obj(ctx: RingCtx) -> dict:
     return {
         "variables": list(ctx.names),
         "field": ctx.field.name,
-        "truncation": ctx.truncation,
+        # the ring is always the polynomial ring; the null key keeps existing files valid
+        "truncation": None,
     }
 
 
 def ring_from_obj(obj) -> RingCtx:
     try:
         names, trunc = tuple(obj["variables"]), obj.get("truncation")
-        if trunc is not None and (type(trunc) is not int or trunc < 1):
-            raise InputParseError(f"bad ring truncation {trunc!r}: need null or an integer >= 1")
-        return RingCtx(names, field_from_name(obj["field"]), trunc)
+        if trunc is not None:
+            raise InputParseError(f"bad ring truncation {trunc!r}: need null")
+        return RingCtx(names, field_from_name(obj["field"]))
     except (KeyError, TypeError) as exc:
         raise InputParseError(f"bad ring object: {exc}") from exc
 
@@ -209,28 +210,19 @@ def loads(text: str):
 
 
 def parse_ring_spec(spec: str) -> RingCtx:
-    """Parse "x,y;rational;trunc=32"; field and truncation parts optional."""
+    """Parse "x,y;rational" or "x,y;prime(7)"; the field part is optional."""
     parts = [p.strip() for p in spec.split(";") if p.strip()]
     if not parts:
         raise InputParseError("empty ring spec")
     names = tuple(v.strip() for v in parts[0].split(",") if v.strip())
     field = field_from_name("rational")
-    truncation = None
     for part in parts[1:]:
         if part == "rational" or part.startswith("prime"):
             field = field_from_name(part.replace("(", ":").rstrip(")"))
-        elif part.startswith("trunc="):
-            value = part.split("=", 1)[1]
-            if value in ("inf", "none"):
-                truncation = None
-            elif value.isdigit():
-                truncation = int(value)
-            else:
-                raise InputParseError(f"truncation must be a nonnegative integer, got {value!r}")
         else:
             raise InputParseError(f"unknown ring spec component {part!r}")
     try:
-        return RingCtx(names, field, truncation)
+        return RingCtx(names, field)
     except Exception as exc:
         raise InputParseError(str(exc)) from exc
 

@@ -1,9 +1,8 @@
-"""Exact multivariate arithmetic in k[x1..xn] and its degree-truncated completion.
+"""Exact multivariate arithmetic in the polynomial ring k[x1..xn].
 
-A series is a dict from exponent vectors to nonzero field scalars. A context
-with ``truncation=None`` is the pure polynomial ring (nothing is ever
-dropped); a finite truncation N silently discards all products of total
-degree exceeding N, realizing the degree-N quotient of the completion.
+A series is a dict from exponent vectors to nonzero field scalars. Nothing is
+ever dropped: the local ring is reached by the engines' own level and strand
+truncations, which read polynomial entries.
 """
 
 from __future__ import annotations
@@ -21,15 +20,15 @@ def default_names(n: int) -> tuple[str, ...]:
 
 
 class RingCtx:
-    """Shared context for series: variable names, coefficient field, truncation.
+    """Shared context for series: variable names and coefficient field.
 
     Contexts compare by value so a deserialized context is interchangeable
     with the one it was written from. Mixed-context arithmetic raises.
     """
 
-    __slots__ = ("names", "field", "truncation")
+    __slots__ = ("names", "field")
 
-    def __init__(self, names, field=QQ, truncation=None):
+    def __init__(self, names, field=QQ):
         if isinstance(names, int):
             names = default_names(names)
         names = tuple(names)
@@ -37,39 +36,29 @@ class RingCtx:
             raise PreconditionError("a ring context needs at least one variable")
         if len(set(names)) != len(names):
             raise PreconditionError(f"duplicate variable names in {names}")
-        if truncation is not None and truncation < 1:
-            raise PreconditionError("finite truncation must be >= 1")
         self.names = names
         self.field = field
-        self.truncation = truncation
 
     @property
     def n_vars(self) -> int:
         return len(self.names)
 
-    def with_truncation(self, truncation):
-        return RingCtx(self.names, self.field, truncation)
-
     def doubled(self) -> "RingCtx":
         """Context of the two-sided ring: original variables then primed copies."""
-        return RingCtx(
-            self.names + tuple(f"{n}'" for n in self.names), self.field, self.truncation
-        )
+        return RingCtx(self.names + tuple(f"{n}'" for n in self.names), self.field)
 
     def __eq__(self, other):
         return (
             isinstance(other, RingCtx)
             and self.names == other.names
             and self.field == other.field
-            and self.truncation == other.truncation
         )
 
     def __hash__(self):
-        return hash((self.names, self.field, self.truncation))
+        return hash((self.names, self.field))
 
     def __repr__(self):
-        trunc = "inf" if self.truncation is None else self.truncation
-        return f"RingCtx({','.join(self.names)}; {self.field!r}; trunc={trunc})"
+        return f"RingCtx({','.join(self.names)}; {self.field!r})"
 
 
 def _check_ctx(a: "Series", b: "Series"):
@@ -78,18 +67,15 @@ def _check_ctx(a: "Series", b: "Series"):
 
 
 class Series:
-    """Element of k[x1..xn] (or its degree-truncated completion). Immutable."""
+    """Element of k[x1..xn]. Immutable."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: RingCtx, terms: dict):
-        cap = ctx.truncation
         zero = ctx.field.zero
         clean = {}
         for exp, coeff in terms.items():
             if coeff == zero:
-                continue
-            if cap is not None and sum(exp) > cap:
                 continue
             clean[tuple(exp)] = coeff
         self.ctx = ctx
@@ -117,17 +103,10 @@ class Series:
         exp[i] = 1
         return Series(ctx, {tuple(exp): ctx.field.one})
 
-    @staticmethod
-    def monomial(ctx: RingCtx, exp, coeff=1) -> "Series":
-        return Series(ctx, {tuple(exp): ctx.field.of(coeff)})
-
     # -- predicates and views ----------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, exp):
-        return self.terms.get(tuple(exp), self.ctx.field.zero)
 
     def residue(self):
         """Constant term, i.e. the image in the residue field."""
@@ -176,13 +155,9 @@ class Series:
             return self.scale(other)
         _check_ctx(self, other)
         field = self.ctx.field
-        cap = self.ctx.truncation
         out = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
             for e2, c2 in other.terms.items():
-                if cap is not None and d1 + sum(e2) > cap:
-                    continue
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 accumulate(out, exp, field.mul(c1, c2), field)
         return Series(self.ctx, out)

@@ -53,13 +53,10 @@ class SuperOp:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: RingCtx, terms: dict):
-        cap = ctx.truncation
         zero = ctx.field.zero
         clean = {}
         for key, coeff in terms.items():
             if coeff == zero:
-                continue
-            if cap is not None and sum(key[0]) > cap:
                 continue
             clean[key] = coeff
         self.ctx = ctx
@@ -144,13 +141,9 @@ class SuperOp:
         if self.ctx != other.ctx:
             raise ContextMismatchError("operator context mismatch")
         field = self.ctx.field
-        cap = self.ctx.truncation
         out: dict = {}
         for (e1, th1, dl1), c1 in self.terms.items():
-            d1 = sum(e1)
             for (e2, th2, dl2), c2 in other.terms.items():
-                if cap is not None and d1 + sum(e2) > cap:
-                    continue
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 c12 = field.mul(c1, c2)
                 for (th_mid, dl_mid), s_mid in _del_theta(dl1, th2):

@@ -4,7 +4,8 @@ The ring tensor over the inner variables has infinite rank; the honest
 equivalence is quasi-isomorphism, so the finite-rank representative is
 produced by truncating the inner variables and is flagged as such. The
 k-reduced cohomology of a transform is computed exactly from the untruncated
-action complex instead.
+action complex instead. Every entry is a polynomial; the inner truncation is
+the only one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def _split_kernel_ctx(x_ctx: RingCtx, t_ctx: RingCtx) -> RingCtx:
         raise PreconditionError("kernel must live over strictly more variables")
     if t_ctx.names[:n] != x_ctx.names or t_ctx.field != x_ctx.field:
         raise PreconditionError("kernel context must extend the source context")
-    return RingCtx(t_ctx.names[n:], t_ctx.field, t_ctx.truncation)
+    return RingCtx(t_ctx.names[n:], t_ctx.field)
 
 
 def _restrict_outer(series: Series, n_inner: int, out_ctx: RingCtx) -> Series:
@@ -90,23 +91,12 @@ def integral_transform(
     if truncation is None:
         truncation = 2 * max(1, x.potential.total_degree())
     n = x.ctx.n_vars
-    # the graded tensor differential over the kernel's variables, untruncated
-    ctx = t.ctx.with_truncation(None)
-    inner_ctx = x.ctx.with_truncation(None)
 
-    def lift(mat: RMatrix, positions) -> RMatrix:
-        return mat.map_entries(lambda e: e.relabel(ctx, positions), ctx)
+    def lift(mat: RMatrix) -> RMatrix:
+        return mat.map_entries(lambda e: e.relabel(t.ctx, range(n)), t.ctx)
 
-    inner, every = tuple(range(n)), tuple(range(ctx.n_vars))
-    phi, psi = _tensor_blocks(
-        lift(x.phi, inner),
-        lift(x.psi, inner),
-        lift(t.phi, every),
-        lift(t.psi, every),
-        ctx,
-        x.rank,
-        t.rank,
-    )
+    # the graded tensor differential over the kernel's variables
+    phi, psi = _tensor_blocks(lift(x.phi), lift(x.psi), t.phi, t.psi, t.ctx, x.rank, t.rank)
     monos = monomial_basis(n, truncation)
     nm = len(monos)
 
@@ -123,13 +113,13 @@ def integral_transform(
         out = [[{} for _ in src] for _ in tgt]
         for outer, cells in by_outer.items():
             op = RMatrix(
-                inner_ctx,
+                x.ctx,
                 [
-                    [Series(inner_ctx, cells.get((r, s), {})) for s in range(mat.cols)]
+                    [Series(x.ctx, cells.get((r, s), {})) for s in range(mat.cols)]
                     for r in range(mat.rows)
                 ],
             )
-            for col, vec in enumerate(_truncated_operator_rows(op, src, tgt, ctx.field)):
+            for col, vec in enumerate(_truncated_operator_rows(op, src, tgt, x.ctx.field)):
                 for row, c in vec.items():
                     out[row][col][outer] = c
         return RMatrix(out_ctx, [[Series(out_ctx, terms) for terms in row] for row in out])

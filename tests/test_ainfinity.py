@@ -17,7 +17,7 @@ from mfcat.superops import SuperOp
 
 
 def potential(names, text):
-    return parse_potential_text(RingCtx(tuple(names), QQ, None), text)
+    return parse_potential_text(RingCtx(tuple(names), QQ), text)
 
 
 def spanning_set(ctx, degree):
@@ -156,7 +156,7 @@ def test_clifford_check():
 
 
 def test_clifford_check_char2_rejected():
-    ctx = RingCtx(("x",), PrimeField(2), None)
+    ctx = RingCtx(("x",), PrimeField(2))
     w = Series.variable(ctx, 0) ** 2
     with pytest.raises(PreconditionError):
         clifford_check(w)
@@ -170,15 +170,6 @@ def test_clifford_reference_product():
     assert (s, word) == (QQ.of(-1), (0, 1))
     s, word = clifford_product((0, 1), (1,), a, QQ)
     assert (s, word) == (QQ.of(-2), (0,))
-
-
-def test_truncated_context_auto_raised():
-    ctx = RingCtx(("x",), QQ, 2)
-    w = Series.variable(ctx, 0) ** 2
-    model = transfer_minimal_model(w, 4)
-    gen = model.label_subsets.index((0,))
-    unit = model.label_subsets.index(())
-    assert model.product((gen, gen)) == {unit: QQ.of(-1)}
 
 
 def test_max_arity_precondition():
@@ -195,7 +186,7 @@ def test_minimal_model_has_no_unary_product():
 
 
 def test_transfer_prime_field():
-    ctx = RingCtx(("x",), PrimeField(5), None)
+    ctx = RingCtx(("x",), PrimeField(5))
     w = Series.variable(ctx, 0) ** 2 + Series.variable(ctx, 0) ** 3
     model = transfer_minimal_model(w, 3)
     gen = model.label_subsets.index((0,))

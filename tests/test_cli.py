@@ -95,6 +95,7 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
         ("x;prime(4)", None, None, None),
         ("x;prime(x)", None, None, None),
         ("x;trunc=abc", None, None, None),
+        ("x;trunc=32", None, None, None),
         ("x", "abc", None, None),
         ("x", "0", None, None),
         ("x", "-3", None, None),
@@ -106,11 +107,13 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
         (None, None, None, 2.5),
         (None, None, None, 4.0),
         (None, None, None, 0),
+        (None, None, None, 2),
     ],
     ids=[
         "composite-prime",
         "non-integer-prime",
         "non-integer-trunc",
+        "inline-truncation",
         "non-integer-nmax",
         "zero-nmax",
         "negative-nmax",
@@ -122,6 +125,7 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
         "fractional-truncation",
         "float-truncation",
         "zero-truncation",
+        "integer-truncation",
     ],
 )
 def test_malformed_input_exit(tmp_path, capsys, monkeypatch, ring, env, term, trunc):
@@ -131,8 +135,8 @@ def test_malformed_input_exit(tmp_path, capsys, monkeypatch, ring, env, term, tr
         argv = ["hh", "--inline", "x^3", "--ring", ring]
     else:
         # K of x^4 (phi = x, psi = x^3) with the one term of phi or the ring's
-        # truncation replaced; a truncation of 2.5 would drop x^3 and x^4
-        x = Series.variable(RingCtx(("x",), QQ, None), 0)
+        # truncation replaced; a truncation of 2 would drop x^3 and x^4
+        x = Series.variable(RingCtx(("x",), QQ), 0)
         obj = serialize.mf_to_obj(stabilize_residue_field(x ** 4))
         if term is not None:
             obj["phi"][0][0] = [term]
@@ -159,7 +163,7 @@ def test_minimal_model(capsys):
 
 
 def test_quasi_iso(tmp_path, capsys):
-    ctx = RingCtx(("x",), QQ, None)
+    ctx = RingCtx(("x",), QQ)
     k = stabilize_residue_field(Series.variable(ctx, 0) ** 3)
     from mfcat.factorization import MFMorphism
 
@@ -175,7 +179,7 @@ def test_quasi_iso(tmp_path, capsys):
 
 
 def test_cohomology(tmp_path, capsys):
-    ctx = RingCtx(("x",), QQ, None)
+    ctx = RingCtx(("x",), QQ)
     k = stabilize_residue_field(Series.variable(ctx, 0) ** 3)
     path = write_mf(tmp_path, k)
     code, out, _ = run(capsys, "cohomology", path)
@@ -191,7 +195,7 @@ def test_cohomology(tmp_path, capsys):
 def test_transform(tmp_path, capsys):
     from mfcat.stabilize import stabilized_diagonal
 
-    ctx = RingCtx(("x",), QQ, None)
+    ctx = RingCtx(("x",), QQ)
     w = Series.variable(ctx, 0) ** 2
     x_path = write_mf(tmp_path, stabilize_residue_field(w), "x.json")
     t_path = write_mf(tmp_path, stabilized_diagonal(w), "t.json")
@@ -233,7 +237,7 @@ def test_table_flag(capsys):
 def test_potential_file_input(tmp_path, capsys):
     from mfcat.series import RingCtx, Series
 
-    ctx = RingCtx(("x",), QQ, None)
+    ctx = RingCtx(("x",), QQ)
     w = Series.variable(ctx, 0) ** 3
     path = tmp_path / "w.json"
     path.write_text(serialize.dumps_canonical(serialize.potential_to_obj(w)))
@@ -278,7 +282,7 @@ def test_malformed_factorization_exit(tmp_path, capsys, argv, fields, message):
 
 
 def test_cohomology_and_transform_check_factorization(tmp_path, capsys):
-    ctx = RingCtx(("x",), QQ, None)
+    ctx = RingCtx(("x",), QQ)
     x = Series.variable(ctx, 0)
     # phi = x, psi = x^2 multiply to x^3, not w = 1
     obj = serialize.mf_to_obj(stabilize_residue_field(x ** 3))

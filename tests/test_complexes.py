@@ -31,7 +31,7 @@ from mfcat.stabilize import stabilize_residue_field
 
 
 def ring1():
-    return RingCtx(("x",), QQ, None)
+    return RingCtx(("x",), QQ)
 
 
 def cusp_node():
@@ -45,7 +45,7 @@ def test_hom_complex_squares_to_zero():
     H = hom_complex(X, X)
     assert H.rank == 2
     assert verify_mf(H)
-    K = stabilize_residue_field(parse_potential_text(RingCtx(("x", "y"), QQ, None), "x^2 + y^2"))
+    K = stabilize_residue_field(parse_potential_text(RingCtx(("x", "y"), QQ), "x^2 + y^2"))
     assert verify_mf(hom_complex(K, K))
 
 
@@ -135,7 +135,7 @@ def test_is_quasi_iso():
     with pytest.raises(VerificationError):
         is_quasi_iso(not_closed)
     # D4, where K has rank 2
-    ctx2 = RingCtx(("x", "y"), QQ, None)
+    ctx2 = RingCtx(("x", "y"), QQ)
     w2 = parse_potential_text(ctx2, "x^2*y + y^3")
     K2 = stabilize_residue_field(w2)
     T2 = trivial_mf(ctx2, w2)
@@ -152,10 +152,10 @@ def test_is_quasi_iso():
 
 def _hom_grid():
     """Objects K, shift K, trivial, K (+) trivial and cone(x id) of x^3 and of
-    D4, over QQ, GF(7) and QQ truncated at degree 12: one list per ring."""
+    D4, over QQ and GF(7): one list per ring."""
     for names, text in (("x", "x^3"), ("x,y", "x^2*y + y^3")):
-        for field, trunc in ((QQ, None), (field_from_name("prime:7"), None), (QQ, 12)):
-            ctx = RingCtx(tuple(names.split(",")), field, trunc)
+        for field in (QQ, field_from_name("prime:7")):
+            ctx = RingCtx(tuple(names.split(",")), field)
             w = parse_potential_text(ctx, text)
             K = stabilize_residue_field(w)
             T = trivial_mf(ctx, w)
@@ -210,7 +210,7 @@ def test_scalar_action_nullhomotopy():
     ctx = ring1()
     X = cusp_node()
     assert scalar_action_nullhomotopy(X, X, 0)
-    ctx2 = RingCtx(("x", "y"), QQ, None)
+    ctx2 = RingCtx(("x", "y"), QQ)
     K = stabilize_residue_field(parse_potential_text(ctx2, "x^2*y + y^3"))
     assert scalar_action_nullhomotopy(K, K, 0)
     assert scalar_action_nullhomotopy(K, K, 1)
@@ -323,7 +323,7 @@ def test_non_isolated_strand_scan_raises(monkeypatch):
     from mfcat.errors import StabilizationError
 
     monkeypatch.setenv("MFCAT_NMAX", "10")
-    ctx = RingCtx(("x", "y"), QQ, None)
+    ctx = RingCtx(("x", "y"), QQ)
     w = parse_potential_text(ctx, "x^2*y^2")  # singular along both axes
     C = folded_koszul_complex([w.partial_derivative(0), w.partial_derivative(1)])
     with pytest.raises(StabilizationError):
@@ -331,7 +331,7 @@ def test_non_isolated_strand_scan_raises(monkeypatch):
 
 
 def test_engines_agree_two_variables():
-    ctx = RingCtx(("x", "y"), QQ, None)
+    ctx = RingCtx(("x", "y"), QQ)
     w = parse_potential_text(ctx, "x^2*y + y^3")
     k = stabilize_residue_field(w)
     C = hom_complex(k, k)
@@ -375,12 +375,12 @@ def _two_cap_reference(C, n):
 
 
 def _koszul_of(names, text, field=QQ):
-    w = parse_potential_text(RingCtx(tuple(names.split(",")), field, None), text)
+    w = parse_potential_text(RingCtx(tuple(names.split(",")), field), text)
     return folded_koszul_complex([w.partial_derivative(i) for i in range(w.ctx.n_vars)])
 
 
 def _end_k_of(names, text):
-    ctx = RingCtx(tuple(names.split(",")), QQ, None)
+    ctx = RingCtx(tuple(names.split(",")), QQ)
     k = stabilize_residue_field(parse_potential_text(ctx, text))
     return hom_complex(k, k)
 

@@ -25,7 +25,7 @@ from mfcat.stabilize import stabilize_residue_field
 
 
 def ring1():
-    return RingCtx(("x",), QQ, None)
+    return RingCtx(("x",), QQ)
 
 
 def node(ctx, w, a, b):
@@ -111,8 +111,8 @@ def test_cone():
 
 
 def test_external_tensor():
-    cx = RingCtx(("x",), QQ, None)
-    cy = RingCtx(("y",), QQ, None)
+    cx = RingCtx(("x",), QQ)
+    cy = RingCtx(("y",), QQ)
     X = stabilize_residue_field(Series.variable(cx, 0) ** 2)
     Y = stabilize_residue_field(Series.variable(cy, 0) ** 2)
     T = external_tensor(X, Y)
@@ -130,8 +130,8 @@ def test_external_tensor():
 
 def test_tensor_rank_multiplies_random():
     rng = random.Random(13)
-    cx = RingCtx(("x",), QQ, None)
-    cy = RingCtx(("y",), QQ, None)
+    cx = RingCtx(("x",), QQ)
+    cy = RingCtx(("y",), QQ)
     x = Series.variable(cx, 0)
     y = Series.variable(cy, 0)
     for _ in range(5):
@@ -159,10 +159,3 @@ def test_morphism_closedness():
         MFMorphism(X, X, "even", RMatrix(X.ctx, [[Series.one(X.ctx)]]),
                    RMatrix(X.ctx, [[Series.zero(X.ctx)]]), check_closed=True)
 
-
-def test_exactness_floor_enforced():
-    ctx = RingCtx(("x",), QQ, 2)
-    x = Series.variable(ctx, 0)
-    mf = node(ctx, Series.zero(ctx), x ** 2, x ** 2)  # products overflow the cap
-    with pytest.raises(PreconditionError):
-        verify_mf(mf)

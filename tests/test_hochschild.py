@@ -18,7 +18,7 @@ from mfcat.serialize import parse_potential_text
 
 
 def potential(names, text):
-    return parse_potential_text(RingCtx(tuple(names), QQ, None), text)
+    return parse_potential_text(RingCtx(tuple(names), QQ), text)
 
 
 def test_milnor_numbers():
@@ -117,7 +117,7 @@ def test_prime_field_end_to_end():
     from mfcat.stabilize import stabilize_residue_field
     from mfcat.factorization import verify_mf
 
-    ctx = RingCtx(("x",), PrimeField(7), None)
+    ctx = RingCtx(("x",), PrimeField(7))
     w = parse_potential_text(ctx, "x^3")
     assert verify_mf(stabilize_residue_field(w))
     rep = jacobian_report(w)

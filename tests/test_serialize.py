@@ -10,15 +10,14 @@ from mfcat.stabilize import decompose_potential, stabilize_residue_field
 
 def test_ring_round_trip():
     for ctx in (
-        RingCtx(("x",), QQ, None),
-        RingCtx(("x", "y"), QQ, 16),
-        RingCtx(("u", "v"), PrimeField(13), None),
+        RingCtx(("x",), QQ),
+        RingCtx(("u", "v"), PrimeField(13)),
     ):
         assert serialize.ring_from_obj(serialize.ring_to_obj(ctx)) == ctx
 
 
 def test_series_round_trip_and_order():
-    ctx = RingCtx(("x", "y"), QQ, None)
+    ctx = RingCtx(("x", "y"), QQ)
     w = serialize.parse_potential_text(ctx, "y^2 - 1/2*x*y + x^2 + 3")
     obj = serialize.series_to_obj(w)
     assert obj[0] == [[0, 0], "3"]  # constant first, graded-lex after
@@ -26,7 +25,7 @@ def test_series_round_trip_and_order():
 
 
 def test_mf_round_trip():
-    ctx = RingCtx(("x",), QQ, None)
+    ctx = RingCtx(("x",), QQ)
     mf = stabilize_residue_field(Series.variable(ctx, 0) ** 3)
     obj = serialize.mf_to_obj(mf)
     back = serialize.mf_from_obj(obj)
@@ -37,7 +36,7 @@ def test_mf_round_trip():
 
 
 def test_morphism_round_trip():
-    ctx = RingCtx(("x",), QQ, None)
+    ctx = RingCtx(("x",), QQ)
     mf = stabilize_residue_field(Series.variable(ctx, 0) ** 3)
     f = MFMorphism.identity(mf)
     back = serialize.morphism_from_obj(serialize.morphism_to_obj(f))
@@ -45,14 +44,14 @@ def test_morphism_round_trip():
 
 
 def test_koszul_serialization():
-    ctx = RingCtx(("x", "y"), QQ, None)
+    ctx = RingCtx(("x", "y"), QQ)
     kd = decompose_potential(serialize.parse_potential_text(ctx, "x^2*y + y^3"))
     obj = serialize.koszul_to_obj(kd)
     assert len(obj["generators"]) == 2 and len(obj["witnesses"]) == 2
 
 
 def test_byte_determinism():
-    ctx = RingCtx(("x",), QQ, None)
+    ctx = RingCtx(("x",), QQ)
     mf = stabilize_residue_field(Series.variable(ctx, 0) ** 2)
     a = serialize.dumps_canonical(serialize.mf_to_obj(mf))
     b = serialize.dumps_canonical(serialize.mf_to_obj(mf))
@@ -61,7 +60,7 @@ def test_byte_determinism():
 
 
 def test_golden_bytes():
-    ctx = RingCtx(("x",), QQ, None)
+    ctx = RingCtx(("x",), QQ)
     mf = stabilize_residue_field(Series.variable(ctx, 0) ** 2)
     assert serialize.dumps_canonical(serialize.mf_to_obj(mf)) == (
         '{\n'
@@ -110,10 +109,12 @@ def test_golden_bytes():
 
 
 def test_ring_spec_parser():
-    ctx = serialize.parse_ring_spec("x,y;rational;trunc=32")
-    assert ctx.names == ("x", "y") and ctx.truncation == 32
+    ctx = serialize.parse_ring_spec("x,y;rational")
+    assert ctx.names == ("x", "y") and ctx.field == QQ
     ctx2 = serialize.parse_ring_spec("x")
-    assert ctx2.field == QQ and ctx2.truncation is None
+    assert ctx2 == RingCtx(("x",), QQ)
+    with pytest.raises(InputParseError):
+        serialize.parse_ring_spec("x,y;rational;trunc=32")
     ctx3 = serialize.parse_ring_spec("u,v;prime(7)")
     assert ctx3.field.characteristic == 7
     with pytest.raises(InputParseError):
@@ -121,7 +122,7 @@ def test_ring_spec_parser():
 
 
 def test_potential_parser():
-    ctx = RingCtx(("x", "y"), QQ, None)
+    ctx = RingCtx(("x", "y"), QQ)
     x, y = Series.variable(ctx, 0), Series.variable(ctx, 1)
     assert serialize.parse_potential_text(ctx, "x^2*y + y^3") == x ** 2 * y + y ** 3
     assert serialize.parse_potential_text(ctx, "-x + (x + y)^2") == -x + (x + y) ** 2
@@ -134,7 +135,7 @@ def test_potential_parser():
 def test_ainf_serialization():
     from mfcat.ainfinity import transfer_minimal_model
 
-    ctx = RingCtx(("x",), QQ, None)
+    ctx = RingCtx(("x",), QQ)
     w = serialize.parse_potential_text(ctx, "x^3")
     model = transfer_minimal_model(w, 3)
     obj = serialize.ainf_to_obj(model)
@@ -146,7 +147,7 @@ def test_ainf_serialization():
 
 
 def test_koszul_round_trip():
-    ctx = RingCtx(("x", "y"), QQ, None)
+    ctx = RingCtx(("x", "y"), QQ)
     kd = decompose_potential(serialize.parse_potential_text(ctx, "x^2*y + y^3"))
     back = serialize.koszul_from_obj(serialize.koszul_to_obj(kd))
     assert back.ctx == kd.ctx
@@ -157,7 +158,7 @@ def test_koszul_round_trip():
 def test_ainf_round_trip():
     from mfcat.ainfinity import transfer_minimal_model
 
-    ctx = RingCtx(("x", "y"), QQ, None)
+    ctx = RingCtx(("x", "y"), QQ)
     w = serialize.parse_potential_text(ctx, "x^2*y + y^3")
     model = transfer_minimal_model(w, 3)
     back = serialize.ainf_from_obj(serialize.ainf_to_obj(model), QQ)

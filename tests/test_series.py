@@ -13,12 +13,12 @@ from mfcat.series import (
 )
 
 
-def ctx1(trunc=None):
-    return RingCtx(("x",), QQ, trunc)
+def ctx1():
+    return RingCtx(("x",), QQ)
 
 
-def ctx2(trunc=None):
-    return RingCtx(("x", "y"), QQ, trunc)
+def ctx2():
+    return RingCtx(("x", "y"), QQ)
 
 
 def var(ctx, i):
@@ -43,17 +43,9 @@ def test_monomial_products():
     assert (x + y) * (x - y) == x ** 2 - y ** 2
 
 
-def test_truncation_drops_overflow():
-    c = ctx1(trunc=2)
-    x = var(c, 0)
-    # (x + x^2)(1 + x) = x + 2x^2 + x^3, degree-3 term dropped
-    lhs = (x + x ** 2) * (Series.one(c) + x)
-    assert lhs == x + (x ** 2).scale(2)
-
-
 def test_context_mismatch_raises():
     with pytest.raises(ContextMismatchError):
-        var(ctx1(), 0) + var(ctx1(trunc=5), 0)
+        var(ctx1(), 0) + var(RingCtx(("y",), QQ), 0)
 
 
 def test_partial_derivative_examples():
@@ -63,7 +55,7 @@ def test_partial_derivative_examples():
     c2 = ctx2()
     x, y = var(c2, 0), var(c2, 1)
     assert (x ** 2 * y + y ** 3).partial_derivative(1) == x ** 2 + (y ** 2).scale(3)
-    c3 = RingCtx(("x", "y", "z"), QQ, None)
+    c3 = RingCtx(("x", "y", "z"), QQ)
     x, y, z = (var(c3, i) for i in range(3))
     w = x ** 3 + y ** 3 + z ** 3 - (x * y * z).scale(3)
     assert w.partial_derivative(0) == (x ** 2).scale(3) - (y * z).scale(3)
@@ -169,7 +161,7 @@ def test_ring_axioms_random():
 
 def test_partials_commute_random():
     rng = random.Random(5)
-    c = RingCtx(("x", "y", "z"), QQ, None)
+    c = RingCtx(("x", "y", "z"), QQ)
     for _ in range(20):
         a = rand_series(rng, c, 3)
         for i in range(3):
@@ -181,7 +173,7 @@ def test_partials_commute_random():
 
 def test_prime_field_mode():
     F = PrimeField(7)
-    c = RingCtx(("x",), F, None)
+    c = RingCtx(("x",), F)
     x = var(c, 0)
     assert (x.scale(3) + x.scale(5)) == x  # 8 = 1 mod 7
     assert (x.scale(4) * x.scale(2)) == x ** 2  # 8 = 1 mod 7
@@ -191,6 +183,4 @@ def test_prime_field_mode():
 
 def test_truncation_precondition():
     with pytest.raises(PreconditionError):
-        RingCtx(("x",), QQ, 0)
-    with pytest.raises(PreconditionError):
-        RingCtx((), QQ, None)
+        RingCtx((), QQ)

@@ -18,8 +18,8 @@ from mfcat.stabilize import (
 )
 
 
-def ring(*names, trunc=None):
-    return RingCtx(names, QQ, trunc)
+def ring(*names):
+    return RingCtx(names, QQ)
 
 
 def test_decompose_examples():
@@ -97,7 +97,7 @@ def test_every_output_verifies_random():
     rng = random.Random(99)
     for _ in range(30):
         n = rng.randint(1, 3)
-        ctx = RingCtx(n, QQ, None)
+        ctx = RingCtx(n, QQ)
         m = rng.randint(1, 3)
         gens = []
         wits = []
@@ -130,7 +130,7 @@ def test_endomorphism_data_dims():
 
 def test_generator_self_duality():
     for names, text in ((("x",), "x^2"), (("x",), "x^3"), (("x", "y"), "x^2 + y^2")):
-        ctx = RingCtx(names, QQ, None)
+        ctx = RingCtx(names, QQ)
         w = parse_potential_text(ctx, text)
         k = stabilize_residue_field(w)
         eps = ctx.n_vars % 2

@@ -12,7 +12,7 @@ from mfcat.superops import SuperOp, graded_commutator
 
 
 def ctx_n(n):
-    return RingCtx(n, QQ, None)
+    return RingCtx(n, QQ)
 
 
 def test_canonical_relations():
@@ -68,7 +68,7 @@ def test_parity():
 
 def test_differential_on_generators():
     c = ctx_n(1)
-    w = parse_potential_text(RingCtx(("x",), QQ, None), "x^3")
+    w = parse_potential_text(RingCtx(("x",), QQ), "x^3")
     A = build_dg_algebra(w)
     x = SuperOp.from_series(Series.variable(A.ctx, 0))
     assert A.d(SuperOp.theta(A.ctx, 0)) == x
@@ -81,7 +81,7 @@ def test_differential_on_generators():
 
 def test_differential_squares_to_zero_and_leibniz():
     rng = random.Random(67)
-    ctx = RingCtx(("x", "y"), QQ, None)
+    ctx = RingCtx(("x", "y"), QQ)
     w = parse_potential_text(ctx, "x^2*y + y^3")
     A = build_dg_algebra(w)
     for _ in range(15):

@@ -11,7 +11,7 @@ from mfcat.transform import integral_transform, kernel_action_complex, transform
 
 
 def setup(names, text):
-    ctx = RingCtx(tuple(names), QQ, None)
+    ctx = RingCtx(tuple(names), QQ)
     w = parse_potential_text(ctx, text)
     return w, stabilize_residue_field(w), stabilized_diagonal(w)
 
