@@ -3,7 +3,6 @@
 from .ainfinity import (
     AInfStructure,
     build_contraction,
-    build_dg_algebra,
     clifford_check,
     transfer_minimal_model,
 )
@@ -42,7 +41,6 @@ from .series import RingCtx, Series, difference_quotient, monomial_basis
 from .stabilize import (
     KoszulData,
     decompose_potential,
-    endomorphism_data,
     make_koszul_mf,
     stabilize_residue_field,
     stabilized_diagonal,

@@ -3,12 +3,16 @@
 The contracting homotopy peels one variable at a time; each stage divides
 by x_i and left multiplies by theta_i. For the staged identities to close,
 the witness for x_i must avoid the variables contracted after it, so this
-module peels from the last variable down (w_i involves x_1..x_i only) and
-contracts in that same order. With this choice the transferred products
-recover the potential's coefficients on argument tuples grouped by
-ascending generator index. Stages are spliced by sandwiching between the
-earlier stages' projections, and the total homotopy satisfies
-d h + h d = id - p exactly, which the tests assert on spanning sets.
+module peels from the last variable down (`peel_witnesses` in descending
+order: w_i involves x_1..x_i only) and contracts in that same order. With
+this choice the transferred products recover the potential's coefficients
+on argument tuples grouped by ascending generator index. Stages are spliced
+by sandwiching between the earlier stages' projections, and the total
+homotopy satisfies d h + h d = id - p exactly, which the tests assert on
+spanning sets.
+
+The projection keeps the pure del-word coefficients, so they are the
+coordinates on its image, read off with no elimination (`coords`).
 
 Tree-sum signs follow the bar-construction shift: in the shifted world the
 two-leaf product is b2(a, b) = (-1)^|a| a b, the recursion carries no other
@@ -25,25 +29,8 @@ from .errors import PreconditionError, VerificationError
 from .exterior import merge_sorted, subsets_ordered
 from .fields import accumulate
 from .series import RingCtx, Series
+from .stabilize import peel_witnesses
 from .superops import SuperOp, graded_commutator
-
-
-def descending_witnesses(w: Series) -> list:
-    """Witnesses with w = sum x_i w_i and w_i free of x_(i+1)..x_n.
-
-    Obtained by peeling the last variable first; this is the decomposition
-    the staged contraction needs, as opposed to the ascending peel used for
-    the Koszul stabilizations.
-    """
-    ctx = w.ctx
-    witnesses = [None] * ctx.n_vars
-    rest = w
-    for i in reversed(range(ctx.n_vars)):
-        quot, rest = rest.split_by_variable(i)
-        witnesses[i] = quot
-    if not rest.is_zero():
-        raise PreconditionError("potential must have zero constant term")
-    return witnesses
 
 
 class DgAlgebra:
@@ -54,7 +41,9 @@ class DgAlgebra:
             raise PreconditionError("potential must be nonzero and lie in m^2")
         self.ctx = w.ctx
         self.potential = w
-        self.witnesses = descending_witnesses(w)
+        # peel the last variable first: the staged contraction needs w_i
+        # free of x_(i+1)..x_n, the opposite of the Koszul builder's peel
+        self.witnesses = peel_witnesses(w, reversed(range(self.ctx.n_vars)))
         delta = SuperOp.zero(self.ctx)
         for i in range(self.ctx.n_vars):
             xi = SuperOp.from_series(Series.variable(self.ctx, i))
@@ -64,10 +53,6 @@ class DgAlgebra:
 
     def d(self, a: SuperOp) -> SuperOp:
         return graded_commutator(self.delta, a)
-
-
-def build_dg_algebra(w: Series) -> DgAlgebra:
-    return DgAlgebra(w)
 
 
 def _stage_homotopy(ctx: RingCtx, i: int):
@@ -135,34 +120,11 @@ class ContractionData:
             projection(SuperOp.word(ctx, dels=subset)) for subset in self.labels
         ]
         self.parities = [len(s) % 2 for s in self.labels]
-        for subset, elt in zip(self.labels, self.basis_elements):
+        for idx, (subset, elt) in enumerate(zip(self.labels, self.basis_elements)):
             if not d(elt).is_zero():
                 raise VerificationError(f"projected generator {subset} is not a cycle")
-        self._pivots = self._echelonize()
-
-    def _echelonize(self):
-        field = self.algebra.ctx.field
-        pivots = []
-        for idx, elt in enumerate(self.basis_elements):
-            vec = dict(elt.terms)
-            rep = {idx: field.one}
-            for key, pvec, prep in pivots:
-                c = vec.get(key)
-                if c is None:
-                    continue
-                neg_c = field.neg(c)
-                for k2, v2 in pvec.items():
-                    accumulate(vec, k2, field.mul(neg_c, v2), field)
-                for i2, v2 in prep.items():
-                    accumulate(rep, i2, field.mul(neg_c, v2), field)
-            if not vec:
-                raise VerificationError("projected generators are linearly dependent")
-            key = min(vec)
-            inv = field.inv(vec[key])
-            vec = {k: field.mul(inv, v) for k, v in vec.items()}
-            rep = {k: field.mul(inv, v) for k, v in rep.items()}
-            pivots.append((key, vec, rep))
-        return pivots
+            if self.coords(elt) != {idx: ctx.field.one}:
+                raise VerificationError(f"projected generator {subset} lost its pure part")
 
     def iota(self, coords: dict) -> SuperOp:
         out = SuperOp.zero(self.algebra.ctx)
@@ -171,20 +133,22 @@ class ContractionData:
         return out
 
     def coords(self, x: SuperOp) -> dict:
-        """Coordinates of an element of the image in the projected basis."""
-        field = self.algebra.ctx.field
-        vec = dict(x.terms)
-        out: dict = {}
-        for key, pvec, prep in self._pivots:
-            c = vec.get(key)
-            if c is None:
-                continue
-            neg_c = field.neg(c)
-            for k2, v2 in pvec.items():
-                accumulate(vec, k2, field.mul(neg_c, v2), field)
-            for i2, v2 in prep.items():
-                accumulate(out, i2, field.mul(c, v2), field)
-        if vec:
+        """Coordinates of an element of the image in the projected basis.
+
+        They are the coefficients of the pure del-words D_S. Every term of
+        delta has coefficient x_i or w_i, both in m because w is in m^2, so
+        each term of d(t) has positive x-degree; each stage homotopy appends
+        a theta. So neither h nor d outputs a pure word, and p = id - dh - hd
+        keeps the pure part: p(D_S) has coefficient [S = T] on D_T, and
+        coords(p(a)) is the pure part of a.
+        """
+        zero = (0,) * self.algebra.ctx.n_vars
+        out = {}
+        for idx, subset in enumerate(self.labels):
+            c = x.terms.get((zero, (), subset))
+            if c is not None:
+                out[idx] = c
+        if x != self.iota(out):
             raise VerificationError("element is not in the image of the projection")
         return out
 

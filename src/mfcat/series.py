@@ -61,31 +61,74 @@ class RingCtx:
         return f"RingCtx({','.join(self.names)}; {self.field!r})"
 
 
-def _check_ctx(a: "Series", b: "Series"):
-    if a.ctx != b.ctx:
+def _check_ctx(a, b):
+    # results share their operands' context object, so identity settles most checks
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise ContextMismatchError(f"context mismatch: {a.ctx!r} vs {b.ctx!r}")
 
 
-class Series:
-    """Element of k[x1..xn]. Immutable."""
+class LinearCombination:
+    """Finite linear combination: `terms` maps hashable terms to nonzero
+    coefficients in the context's field. `Series` and `SuperOp` add their
+    products, constructors and views. Immutable."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: RingCtx, terms: dict):
+        # an explicit loop: before Python 3.12 a comprehension is a frame per call
         zero = ctx.field.zero
         clean = {}
-        for exp, coeff in terms.items():
+        for key, coeff in terms.items():
             if coeff == zero:
                 continue
-            clean[tuple(exp)] = coeff
+            clean[key] = coeff
         self.ctx = ctx
         self.terms = clean
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def zero(cls, ctx: RingCtx):
+        return cls(ctx, {})
 
-    @staticmethod
-    def zero(ctx: RingCtx) -> "Series":
-        return Series(ctx, {})
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        _check_ctx(self, other)
+        field = self.ctx.field
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(out, key, c, field)
+        return type(self)(self.ctx, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        neg = self.ctx.field.neg
+        return type(self)(self.ctx, {k: neg(c) for k, c in self.terms.items()})
+
+    def scale(self, scalar):
+        field = self.ctx.field
+        c0 = field.of(scalar)
+        if c0 == field.zero:
+            return type(self).zero(self.ctx)
+        return type(self)(self.ctx, {k: field.mul(c0, c) for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self) and self.ctx == other.ctx and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.ctx, frozenset(self.terms.items())))
+
+
+class Series(LinearCombination):
+    """Element of k[x1..xn]. Immutable."""
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(ctx: RingCtx, value) -> "Series":
@@ -104,9 +147,6 @@ class Series:
         return Series(ctx, {tuple(exp): ctx.field.one})
 
     # -- predicates and views ----------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def residue(self):
         """Constant term, i.e. the image in the residue field."""
@@ -127,28 +167,6 @@ class Series:
         return self.order() >= 2
 
     # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other):
-        _check_ctx(self, other)
-        field = self.ctx.field
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            accumulate(out, exp, c, field)
-        return Series(self.ctx, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        neg = self.ctx.field.neg
-        return Series(self.ctx, {e: neg(c) for e, c in self.terms.items()})
-
-    def scale(self, scalar):
-        field = self.ctx.field
-        c0 = field.of(scalar)
-        if c0 == field.zero:
-            return Series.zero(self.ctx)
-        return Series(self.ctx, {e: field.mul(c0, c) for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Series):
@@ -175,14 +193,6 @@ class Series:
             base = base * base
             n >>= 1
         return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Series) and self.ctx == other.ctx and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
 
     # -- calculus ------------------------------------------------------------
 

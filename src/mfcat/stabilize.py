@@ -8,7 +8,6 @@ are bit-reproducible.
 
 from __future__ import annotations
 
-from .complexes import hom_complex
 from .errors import PreconditionError, VerificationError
 from .exterior import contraction_terms, parity_split, wedge_terms
 from .factorization import MatrixFactorization, RMatrix
@@ -79,23 +78,26 @@ def make_koszul_mf(kd: KoszulData) -> MatrixFactorization:
     )
 
 
+def peel_witnesses(w: Series, order) -> list:
+    """Witnesses with w = sum x_i w_i, peeling the variables in `order`: w_i
+    is the x_i-quotient once the variables peeled before x_i are set to 0."""
+    witnesses = [None] * w.ctx.n_vars
+    rest = w
+    for i in order:
+        witnesses[i], rest = rest.split_by_variable(i)
+    if not rest.is_zero():
+        raise PreconditionError("potential must have zero constant term")
+    return witnesses
+
+
 def decompose_potential(w: Series) -> KoszulData:
     """Write w = sum x_i w_i by peeling variables in index order.
 
-    w_i is the x_i-quotient of w with x_1..x_{i-1} already set to zero, so
     w_i involves only x_i..x_n. Other decompositions give homotopy
     equivalent but different matrices; this one is the frozen convention.
     """
-    if not w.in_maximal_ideal():
-        raise PreconditionError("potential must have zero constant term")
     ctx = w.ctx
-    witnesses = []
-    rest = w
-    for i in range(ctx.n_vars):
-        quot, rest = rest.split_by_variable(i)
-        witnesses.append(quot)
-    if not rest.is_zero():
-        raise VerificationError("peeling left a nonzero remainder")
+    witnesses = peel_witnesses(w, range(ctx.n_vars))
     generators = [Series.variable(ctx, i) for i in range(ctx.n_vars)]
     return KoszulData(ctx, generators, witnesses, w)
 
@@ -127,10 +129,3 @@ def stabilized_diagonal(w: Series) -> MatrixFactorization:
     right = w.relabel(doubled, tuple(range(n, 2 * n)))
     kd = KoszulData(doubled, gens, wits, -left + right)
     return make_koszul_mf(kd)
-
-
-def endomorphism_data(w: Series):
-    """(generator, its endomorphism complex); cohomology dims are finite
-    when the singularity is isolated."""
-    gen = stabilize_residue_field(w)
-    return gen, hom_complex(gen, gen)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ContextMismatchError, PreconditionError
+from .errors import PreconditionError
 from .exterior import merge_sorted
 from .fields import accumulate
-from .series import RingCtx, Series
+from .series import LinearCombination, Series, _check_ctx
 
 
 @lru_cache(maxsize=None)
@@ -47,26 +47,12 @@ def _del_theta(dels: tuple, thetas: tuple):
     return tuple(out.items())
 
 
-class SuperOp:
+class SuperOp(LinearCombination):
     """Element of the operator algebra, in normal form. Immutable."""
 
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: RingCtx, terms: dict):
-        zero = ctx.field.zero
-        clean = {}
-        for key, coeff in terms.items():
-            if coeff == zero:
-                continue
-            clean[key] = coeff
-        self.ctx = ctx
-        self.terms = clean
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(ctx):
-        return SuperOp(ctx, {})
 
     @staticmethod
     def one(ctx):
@@ -96,9 +82,6 @@ class SuperOp:
 
     # -- structure ----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def parity_parts(self):
         """(even part, odd part) by (len thetas + len dels) mod 2."""
         even, odd = {}, {}
@@ -114,32 +97,8 @@ class SuperOp:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("operator context mismatch")
-        field = self.ctx.field
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            accumulate(out, key, c, field)
-        return SuperOp(self.ctx, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        neg = self.ctx.field.neg
-        return SuperOp(self.ctx, {k: neg(c) for k, c in self.terms.items()})
-
-    def scale(self, scalar):
-        field = self.ctx.field
-        c0 = field.of(scalar)
-        if c0 == field.zero:
-            return SuperOp.zero(self.ctx)
-        return SuperOp(self.ctx, {k: field.mul(c0, c) for k, c in self.terms.items()})
-
     def __mul__(self, other):
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("operator context mismatch")
+        _check_ctx(self, other)
         field = self.ctx.field
         out: dict = {}
         for (e1, th1, dl1), c1 in self.terms.items():
@@ -158,14 +117,6 @@ class SuperOp:
                     sign = s_mid * s_th * s_dl
                     accumulate(out, (exp, th, dl), field.mul(c12, field.of(sign)), field)
         return SuperOp(self.ctx, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SuperOp) and self.ctx == other.ctx and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:

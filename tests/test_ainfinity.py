@@ -3,13 +3,13 @@ from itertools import combinations
 import pytest
 
 from mfcat.ainfinity import (
+    DgAlgebra,
     build_contraction,
     clifford_check,
     clifford_product,
-    descending_witnesses,
     transfer_minimal_model,
 )
-from mfcat.errors import PreconditionError
+from mfcat.errors import PreconditionError, VerificationError
 from mfcat.fields import QQ, PrimeField
 from mfcat.series import RingCtx, Series, monomial_basis
 from mfcat.serialize import parse_potential_text
@@ -37,12 +37,36 @@ def spanning_set(ctx, degree):
 
 def test_descending_witnesses():
     w = potential("xy", "x^3 + x*y^2")
-    wits = descending_witnesses(w)
+    wits = DgAlgebra(w).witnesses
     ctx = w.ctx
     x, y = Series.variable(ctx, 0), Series.variable(ctx, 1)
     assert wits == [x ** 2, x * y]
     total = x * wits[0] + y * wits[1]
     assert total == w
+
+
+def pure_del_coefficients(C, a):
+    zero = (0,) * a.ctx.n_vars
+    keys = [(zero, (), subset) for subset in C.labels]
+    return {i: a.terms[key] for i, key in enumerate(keys) if key in a.terms}
+
+
+@pytest.mark.parametrize(
+    "names, text, field, degree",
+    [
+        ("xy", "x^2*y + y^3", QQ, 2),
+        ("xy", "x^3 + y^3", PrimeField(7), 2),
+        ("xyz", "x^2 + y^2 + z^2", QQ, 1),
+    ],
+    ids=["D4", "cusp-GF7", "quadric3"],
+)
+def test_coords_are_pure_del_coefficients(names, text, field, degree):
+    ctx = RingCtx(tuple(names), field)
+    C = build_contraction(parse_potential_text(ctx, text))
+    for a in spanning_set(ctx, degree):
+        assert C.coords(C.p(a)) == pure_del_coefficients(C, a)
+    with pytest.raises(VerificationError):
+        C.coords(SuperOp.theta(ctx, 0))
 
 
 def test_one_variable_contraction():
@@ -242,7 +266,7 @@ def test_correction_with_nonzero_division_remainder():
     # witness w2 = x^2 + xy divides by y with quotient x and remainder x^2,
     # so the second corrected generator picks up a theta_1 term as well
     w = potential("xy", "x^3 + x^2*y + x*y^2")
-    wits = descending_witnesses(w)
+    wits = DgAlgebra(w).witnesses
     ctx = w.ctx
     x = Series.variable(ctx, 0)
     y = Series.variable(ctx, 1)

@@ -19,6 +19,8 @@ POTENTIALS = {
     "A3": ("x", "x^4"),
     "D4": ("x,y", "x^2*y + y^3"),
     "quad": ("x,y", "x^2 + y^2"),
+    "D4-GF7": ("x,y;prime(7)", "x^2*y + y^3"),
+    "quadric3": ("x,y,z", "x^2 + y^2 + z^2"),
 }
 
 # (case id, potential, command before the potential flags, trailing arguments)
@@ -32,6 +34,9 @@ INLINE_CASES = [
         ("hh", "hh", []),
         ("minimal-model", "minimal-model", ["--max-arity", "4"]),
     )
+] + [
+    ("D4-GF7-minimal-model", "D4-GF7", "minimal-model", ["--max-arity", "4"]),
+    ("quadric3-minimal-model", "quadric3", "minimal-model", ["--max-arity", "3"]),
 ]
 
 GOLDEN = {
@@ -45,6 +50,8 @@ GOLDEN = {
     "D4-diagonal": "97d6c3b6bbd567c85ddf10d4aa1ac2e58e8bb94513d17f244a40b9e66cc9e20c",
     "D4-hh": "b9ba64cc957410f9290bb0aa0c6c645fe7a5a5c01bd9cc83a02b857b15b3cd3e",
     "D4-minimal-model": "968737dff2d937bd58ba9d66d75763c20160810e98098149d4a78f321469b551",
+    "D4-GF7-minimal-model": "74f27b05448f2a57459f4ba396ba7abefafd33d401277f5fe0b4e47d82b2aa7c",
+    "quadric3-minimal-model": "1d023a7ffe2d010df5e031daa712730462b11e39b7f4a50c8858a2f5123844cf",
     "A3-endomorphisms": "285017a02c649a094aff252898b469c13c73fd856908ed26720a057f365e68f7",
     "D4-endomorphisms": "801f4766252f6f6857307261681917297dd59ba82b993eee2c7ca362b3026669",
     "quad-transform": "6d285ba2f69a9093c9c37413600e5d5dadd112f3e140756eae0e5a93fb154dc8",

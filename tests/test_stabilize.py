@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mfcat.complexes import cohomology_mod_k, cohomology_over_R
+from mfcat.complexes import cohomology_mod_k, cohomology_over_R, hom_complex
 from mfcat.errors import PreconditionError, VerificationError
 from mfcat.factorization import RMatrix, dual, shift_power, verify_mf
 from mfcat.fields import QQ
@@ -11,7 +11,6 @@ from mfcat.serialize import parse_potential_text
 from mfcat.stabilize import (
     KoszulData,
     decompose_potential,
-    endomorphism_data,
     make_koszul_mf,
     stabilize_residue_field,
     stabilized_diagonal,
@@ -118,12 +117,14 @@ def test_endomorphism_data_dims():
     ctx = ring("x")
     x = Series.variable(ctx, 0)
     for w, dims in ((x ** 2, (1, 1)), (x ** 3, (1, 1))):
-        gen, hom = endomorphism_data(w)
+        gen = stabilize_residue_field(w)
+        hom = hom_complex(gen, gen)
         assert verify_mf(gen)
         assert cohomology_over_R(hom) == dims
     ctx2 = ring("x", "y")
     q = parse_potential_text(ctx2, "x^2 + y^2")
-    _, hom = endomorphism_data(q)
+    gen = stabilize_residue_field(q)
+    hom = hom_complex(gen, gen)
     dims = cohomology_over_R(hom)
     assert dims[0] + dims[1] == 4  # Clifford algebra on two generators
 

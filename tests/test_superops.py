@@ -3,8 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from mfcat.ainfinity import build_dg_algebra
-from mfcat.errors import PreconditionError
+from mfcat.ainfinity import DgAlgebra
+from mfcat.errors import ContextMismatchError, PreconditionError
 from mfcat.fields import QQ
 from mfcat.series import RingCtx, Series, monomial_basis
 from mfcat.serialize import parse_potential_text
@@ -69,7 +69,7 @@ def test_parity():
 def test_differential_on_generators():
     c = ctx_n(1)
     w = parse_potential_text(RingCtx(("x",), QQ), "x^3")
-    A = build_dg_algebra(w)
+    A = DgAlgebra(w)
     x = SuperOp.from_series(Series.variable(A.ctx, 0))
     assert A.d(SuperOp.theta(A.ctx, 0)) == x
     assert A.d(SuperOp.del_theta(A.ctx, 0)) == x * x
@@ -83,7 +83,7 @@ def test_differential_squares_to_zero_and_leibniz():
     rng = random.Random(67)
     ctx = RingCtx(("x", "y"), QQ)
     w = parse_potential_text(ctx, "x^2*y + y^3")
-    A = build_dg_algebra(w)
+    A = DgAlgebra(w)
     for _ in range(15):
         a = rand_op(rng, A.ctx)
         assert A.d(A.d(a)).is_zero()
@@ -117,3 +117,12 @@ def test_word_rejects_non_canonical():
         SuperOp.word(c, dels=(0, 0))
     with pytest.raises(PreconditionError):
         SuperOp.word(c, dels=(5,))
+
+
+def test_context_mismatch_raises():
+    a = SuperOp.theta(ctx_n(1), 0)
+    b = SuperOp.theta(RingCtx(("y",), QQ), 0)
+    with pytest.raises(ContextMismatchError):
+        a + b
+    with pytest.raises(ContextMismatchError):
+        a * b
