@@ -14,6 +14,11 @@ spanning sets.
 The projection keeps the pure del-word coefficients, so they are the
 coordinates on its image, read off with no elimination (`coords`).
 
+d, h and p compute each single term's image once and extend linearly
+(`cached_linear`); the tree transfer applies them to a few hundred distinct
+terms tens of thousands of times. The caches are exact because the three
+maps are k-linear, and each belongs to its algebra or contraction.
+
 Tree-sum signs follow the bar-construction shift: in the shifted world the
 two-leaf product is b2(a, b) = (-1)^|a| a b, the recursion carries no other
 signs, and transferred products are unshifted with the standard Koszul
@@ -50,9 +55,34 @@ class DgAlgebra:
             delta = delta + xi * SuperOp.del_theta(self.ctx, i)
             delta = delta + SuperOp.from_series(self.witnesses[i]) * SuperOp.theta(self.ctx, i)
         self.delta = delta
+        # graded_commutator is looked up at call time, so a wrapper bound to
+        # the module name sees every call
+        self.d = cached_linear(self.ctx, lambda t: graded_commutator(delta, t))
 
-    def d(self, a: SuperOp) -> SuperOp:
-        return graded_commutator(self.delta, a)
+
+def cached_linear(ctx: RingCtx, f):
+    """The k-linear map that agrees with `f` on single terms.
+
+    Each term's image f(t) is computed once and kept in a dict owned by the
+    returned closure, so it dies with the algebra or contraction holding the
+    map. The cache is exact: d = [delta, -], the stage homotopies, and so h
+    and p built from them, are k-linear, so the sum of c f(t) over the terms
+    c t of a is f(a), and no value changes.
+    """
+    field = ctx.field
+    images: dict = {}
+
+    def g(a: SuperOp) -> SuperOp:
+        out: dict = {}
+        for key, c in a.terms.items():
+            image = images.get(key)
+            if image is None:
+                image = images[key] = f(SuperOp(ctx, {key: field.one})).terms
+            for k, v in image.items():
+                accumulate(out, k, field.mul(c, v), field)
+        return SuperOp(ctx, out)
+
+    return g
 
 
 def _stage_homotopy(ctx: RingCtx, i: int):
@@ -90,13 +120,10 @@ class ContractionData:
         # allowed to involve every variable
         stages = [_stage_homotopy(ctx, i) for i in reversed(range(n))]
 
-        def stage_projection(h):
-            def p(a):
-                return a - d(h(a)) - h(d(a))
+        def projection(h):
+            return lambda a: a - d(h(a)) - h(d(a))
 
-            return p
-
-        projections = [stage_projection(h) for h in stages]
+        projections = [projection(h) for h in stages]
 
         def homotopy(a: SuperOp) -> SuperOp:
             total = SuperOp.zero(ctx)
@@ -110,15 +137,10 @@ class ContractionData:
                 total = total + mid
             return total
 
-        def projection(a: SuperOp) -> SuperOp:
-            return a - d(homotopy(a)) - homotopy(d(a))
-
-        self.h = homotopy
-        self.p = projection
+        self.h = cached_linear(ctx, homotopy)
+        self.p = cached_linear(ctx, projection(self.h))
         self.labels = subsets_ordered(n)
-        self.basis_elements = [
-            projection(SuperOp.word(ctx, dels=subset)) for subset in self.labels
-        ]
+        self.basis_elements = [self.p(SuperOp.word(ctx, dels=subset)) for subset in self.labels]
         self.parities = [len(s) % 2 for s in self.labels]
         for idx, (subset, elt) in enumerate(zip(self.labels, self.basis_elements)):
             if not d(elt).is_zero():

@@ -96,6 +96,8 @@ def decompose_potential(w: Series) -> KoszulData:
     w_i involves only x_i..x_n. Other decompositions give homotopy
     equivalent but different matrices; this one is the frozen convention.
     """
+    if not w.in_maximal_ideal_square() or w.is_zero():
+        raise PreconditionError("potential must be nonzero and lie in m^2")
     ctx = w.ctx
     witnesses = peel_witnesses(w, range(ctx.n_vars))
     generators = [Series.variable(ctx, i) for i in range(ctx.n_vars)]
@@ -104,8 +106,6 @@ def decompose_potential(w: Series) -> KoszulData:
 
 def stabilize_residue_field(w: Series) -> MatrixFactorization:
     """The compact generator: stabilization of R/m as a module over R/w."""
-    if not w.in_maximal_ideal_square() or w.is_zero():
-        raise PreconditionError("potential must be nonzero and lie in m^2")
     return make_koszul_mf(decompose_potential(w))
 
 

@@ -1,9 +1,12 @@
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from mfcat.ainfinity import (
     DgAlgebra,
+    _stage_homotopy,
     build_contraction,
     clifford_check,
     clifford_product,
@@ -13,7 +16,7 @@ from mfcat.errors import PreconditionError, VerificationError
 from mfcat.fields import QQ, PrimeField
 from mfcat.series import RingCtx, Series, monomial_basis
 from mfcat.serialize import parse_potential_text
-from mfcat.superops import SuperOp
+from mfcat.superops import SuperOp, graded_commutator
 
 
 def potential(names, text):
@@ -67,6 +70,62 @@ def test_coords_are_pure_del_coefficients(names, text, field, degree):
         assert C.coords(C.p(a)) == pure_del_coefficients(C, a)
     with pytest.raises(VerificationError):
         C.coords(SuperOp.theta(ctx, 0))
+
+
+def uncached_maps(C):
+    """d, h and p rebuilt with no cache: [delta, -] and the staged sandwich of
+    the stage homotopies between the earlier stages' projections."""
+    ctx = C.algebra.ctx
+    n = ctx.n_vars
+
+    def d(a):
+        return graded_commutator(C.algebra.delta, a)
+
+    def projection(h):
+        return lambda a: a - d(h(a)) - h(d(a))
+
+    stages = [_stage_homotopy(ctx, i) for i in reversed(range(n))]
+    projections = [projection(h) for h in stages]
+
+    def h(a):
+        total = SuperOp.zero(ctx)
+        for i in range(n):
+            mid = a
+            for j in range(i):
+                mid = projections[j](mid)
+            mid = stages[i](mid)
+            for j in reversed(range(i)):
+                mid = projections[j](mid)
+            total = total + mid
+        return total
+
+    return d, h, projection(h)
+
+
+@pytest.mark.parametrize(
+    "names, text, field, coeffs",
+    [
+        ("xy", "x^2*y + y^3", QQ, [Fraction(-3, 2), Fraction(5, 7), 2, -4]),
+        ("xy", "x^3 + y^3", PrimeField(7), [2, 3, 5, 6]),
+    ],
+    ids=["D4", "cusp-GF7"],
+)
+def test_cached_maps_match_uncached_on_combinations(names, text, field, coeffs):
+    ctx = RingCtx(tuple(names), field)
+    C = build_contraction(parse_potential_text(ctx, text))
+    d, h, p = uncached_maps(C)
+    rng = random.Random(0)
+    # a pool of ten words: later combinations reuse terms whose images are cached
+    pool = rng.sample(spanning_set(ctx, 2), 10)
+    for _ in range(12):
+        a = SuperOp.zero(ctx)
+        for word in rng.sample(pool, rng.randint(2, 5)):
+            a = a + word.scale(rng.choice(coeffs))
+        assert len(a.terms) >= 2
+        assert C.algebra.d(a) == d(a)
+        assert C.h(a) == h(a)
+        assert C.p(a) == p(a)
+        assert C.check_identity(a)
 
 
 def test_one_variable_contraction():

@@ -64,6 +64,13 @@ def test_stabilize_precondition_exit(capsys):
     assert code == 3 and "precondition" in err
 
 
+@pytest.mark.parametrize("text", ["x", "0"], ids=["unit-witness", "zero"])
+def test_stabilize_koszul_precondition_exit(capsys, text):
+    code, out, err = run(capsys, "stabilize", "--koszul", "--inline", text, "--ring", "x,y")
+    assert code == 3 and out == ""
+    assert "potential must be nonzero and lie in m^2" in err
+
+
 def test_diagonal(capsys):
     code, out, _ = run(capsys, "diagonal", "--inline", "x^2", "--ring", "x")
     obj = json.loads(out)
