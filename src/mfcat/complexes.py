@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from operator import add
 
 from .errors import InputParseError, PreconditionError, StabilizationError, VerificationError
 from .factorization import MatrixFactorization, MFMorphism, RMatrix, _tensor_blocks, cone, dual
-from .fields import accumulate
 from .linalg import rank_dense, rank_sparse
 from .series import Series, monomial_basis, monomials_of_degree
 
@@ -207,12 +207,13 @@ class _StrandRanks:
     """Ranks of the degree-restricted differentials, cached per strand."""
 
     def __init__(self, c: MatrixFactorization, u_even, u_odd, delta):
-        self.c = c
         self.u_even = u_even
         self.u_odd = u_odd
         self.delta = delta
         self.n = c.ctx.n_vars
         self.field = c.ctx.field
+        self._columns = (_column_terms(c.psi), _column_terms(c.phi))
+        self._monomials: dict = {}
         self._rank_cache: dict = {}
         self._dim_cache: dict = {}
 
@@ -227,7 +228,10 @@ class _StrandRanks:
             if g2 < 0 or g2 % 2 != 0:
                 continue
             g = int(g2 / 2)
-            for mono in monomials_of_degree(self.n, g):
+            monos = self._monomials.get(g)
+            if monos is None:
+                monos = self._monomials[g] = monomials_of_degree(self.n, g)
+            for mono in monos:
                 basis.append((i, mono))
         self._dim_cache[key] = basis
         return basis
@@ -243,8 +247,8 @@ class _StrandRanks:
             return 0
         tgt = self.stratum(1 - parity_src, s + self.delta)
         tgt_index = {bv: idx for idx, bv in enumerate(tgt)}
-        mat = self.c.psi if parity_src == 0 else self.c.phi
-        r = rank_sparse(_truncated_operator_rows(mat, src, tgt_index, self.field), self.field)
+        columns = self._columns[parity_src]
+        r = rank_sparse(_truncated_operator_rows(columns, src, tgt_index), self.field)
         self._rank_cache[key] = r
         return r
 
@@ -282,24 +286,36 @@ def _strand_cohomology(c: MatrixFactorization, u_even, u_odd, delta, cap):
     )
 
 
-def _truncated_operator_rows(mat: RMatrix, src_basis, tgt_index, field):
-    """Rows (one per source basis vector) of the multiplication operator.
+def _column_terms(mat: RMatrix):
+    """Per column i of `mat`, the list of nonzero terms (j, exp, coeff): one
+    for each monomial x^exp with coefficient coeff in the entry mat[j][i]."""
+    columns = [[] for _ in range(mat.cols)]
+    for j, row in enumerate(mat.entries):
+        for i, entry in enumerate(row):
+            for exp, coeff in entry.terms.items():
+                columns[i].append((j, exp, coeff))
+    return columns
 
-    Basis vectors are (matrix index, monomial) pairs. Products that land
-    outside `tgt_index` (above a degree truncation, or off a strand) are
-    dropped, so the target basis alone sets the truncation.
+
+def _truncated_operator_rows(columns, src_basis, tgt_index):
+    """Rows of the multiplication operator of a matrix over R, one
+    {target column: coefficient} dict per source basis vector.
+
+    Basis vectors are (matrix index, monomial) pairs, and `columns` is the
+    matrix as `_column_terms` gives it. The source vector (i, mono) goes to
+    coeff at (j, mono + exp) for each term (j, exp, coeff) of column i.
+    These targets are pairwise distinct, since (j, exp) is distinct over the
+    terms and mono is fixed, so each is set once and nothing is summed.
+    Targets outside `tgt_index` (above a degree truncation, or off a strand)
+    are dropped, so the target basis alone sets the truncation.
     """
     rows = []
     for i, mono in src_basis:
         vec: dict = {}
-        for j in range(mat.rows):
-            entry = mat.entries[j][i]
-            if entry.is_zero():
-                continue
-            for exp, coeff in entry.terms.items():
-                col = tgt_index.get((j, tuple(a + b for a, b in zip(mono, exp))))
-                if col is not None:
-                    accumulate(vec, col, coeff, field)
+        for j, exp, coeff in columns[i]:
+            col = tgt_index.get((j, tuple(map(add, mono, exp))))
+            if col is not None:
+                vec[col] = coeff
         rows.append(vec)
     return rows
 
@@ -310,9 +326,8 @@ def _level_data(c: MatrixFactorization, cap):
     monos = monomial_basis(c.ctx.n_vars, cap)
     basis = [(i, m) for i in range(c.rank) for m in monos]
     index = {bv: i for i, bv in enumerate(basis)}
-    field = c.ctx.field
-    rows_eo = _truncated_operator_rows(c.psi, basis, index, field)
-    rows_oe = _truncated_operator_rows(c.phi, basis, index, field)
+    rows_eo = _truncated_operator_rows(_column_terms(c.psi), basis, index)
+    rows_oe = _truncated_operator_rows(_column_terms(c.phi), basis, index)
     return basis, rows_eo, rows_oe
 
 

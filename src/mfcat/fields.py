@@ -1,8 +1,11 @@
 """Exact coefficient fields: arbitrary-precision rationals and GF(p).
 
-Field elements are plain Python values (Fraction for the rationals, int in
-[0, p) for a prime field); the field object supplies the arithmetic. All
-operations are exact.
+Field elements are plain Python values and the field object supplies the
+arithmetic. A rational is an `int` whenever its denominator is 1 and a
+`Fraction` otherwise: every operation of `RationalField` returns an integral
+result as an `int`, so the common integral coefficients never pay for
+`Fraction`. An element of GF(p) is an int in [0, p). All operations are
+exact; no operation returns a float.
 """
 
 from __future__ import annotations
@@ -36,36 +39,44 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _integral(q: Fraction):
+    """`q` as an int when its denominator is 1, else `q` itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class RationalField:
     """The field of arbitrary-precision rationals."""
 
     name = "rational"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, value):
         if isinstance(value, bool):
             raise TypeError(f"a boolean is not a rational scalar: {value!r}")
-        if isinstance(value, Fraction):
-            return value
         if isinstance(value, int):
-            return Fraction(value)
+            return int(value)
+        if isinstance(value, Fraction):
+            return _integral(value)
         if isinstance(value, str):
             try:
-                return Fraction(value)
+                return _integral(Fraction(value))
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputParseError(f"bad rational literal {value!r}") from exc
         raise TypeError(f"cannot coerce {value!r} into the rational field")
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int else _integral(r)
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        return r if type(r) is int else _integral(r)
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int else _integral(r)
 
     def neg(self, a):
         return -a
@@ -73,10 +84,10 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        return _integral(Fraction(1, a))
 
     def div(self, a, b):
-        return a / b
+        return _integral(Fraction(a, b))
 
     def to_str(self, a) -> str:
         return str(a)

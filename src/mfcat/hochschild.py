@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .complexes import (
+    _column_terms,
     _truncated_operator_rows,
     cohomology_mod_k,
     cohomology_over_R,
@@ -40,7 +41,7 @@ def _quotient_data(ctx, gens, cap):
     index = {(0, m): i for i, m in enumerate(monos)}
     src = [(i, alpha) for i in range(len(gens)) for alpha in monos]
     rows = []
-    for vec in _truncated_operator_rows(RMatrix(ctx, [list(gens)]), src, index, field):
+    for vec in _truncated_operator_rows(_column_terms(RMatrix(ctx, [list(gens)])), src, index):
         if vec:
             row = [field.zero] * len(monos)
             for col, c in vec.items():

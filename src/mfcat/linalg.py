@@ -5,11 +5,13 @@ and runs Gauss-Jordan; it serves the Jacobian quotient and the ranks of
 k-reductions (`rank_dense`). `nullspace_dense` reads its result too; no
 cohomology route calls it, and it is kept as the tests' reference kernel.
 The sparse one, `rank_sparse`, takes rows as {column: coefficient} dicts,
-turns them into integer rows (cleared denominators over QQ, residues over
-GF(p)) and eliminates exactly, with no Fraction per entry. A column index
-lets each pivot touch only the rows holding its column, and the pivots are
-picked to limit fill-in, which is what makes the strand-wise cohomology
-ranks cheap. It consumes its input list and may mutate the dicts in it.
+turns them into integer rows and eliminates exactly, with no Fraction per
+entry. Over QQ a row whose entries are all ints is taken as it is, up to
+its content; only rows holding a Fraction have their denominators cleared.
+Over GF(p) the residues are the integers. A column index lets each pivot
+touch only the rows holding its column, and the pivots are picked to limit
+fill-in, which is what makes the strand-wise cohomology ranks cheap. It
+consumes its input list and may mutate the dicts in it.
 """
 
 from __future__ import annotations
@@ -72,9 +74,11 @@ def rank_sparse(rows, field) -> int:
 
     Consumes its input: each slot of `rows` is set to None once the row is
     read, and the dicts themselves may be mutated, so a caller that needs
-    its rows afterwards passes copies. Rows become integer rows: over QQ
-    each is scaled by the lcm of its denominators and divided by its
-    content; over GF(p) the entries in [0, p) are used as they are.
+    its rows afterwards passes copies. Rows become integer rows: over QQ a
+    row of ints (the common case, as `RationalField` keeps integral values
+    as ints) is only divided by its content, and any other row is first
+    scaled by the lcm of its denominators; over GF(p) the entries in [0, p)
+    are used as they are.
 
     Pivot choice: the sparsest live row (a heap of (length, row id) with
     lazy invalidation); in it, a column holding a +-1 entry first, then the
@@ -94,11 +98,9 @@ def rank_sparse(rows, field) -> int:
         if not r:
             continue
         if not p:
-            dens = [v.denominator for v in r.values()]
-            den = lcm(*dens)
-            if den == 1:
-                r = {c: v.numerator for c, v in r.items()}
-            else:
+            if set(map(type, r.values())) != {int}:
+                dens = [v.denominator for v in r.values()]
+                den = lcm(*dens)
                 r = {c: v.numerator * (den // d) for (c, v), d in zip(r.items(), dens)}
             g = gcd(*r.values())
             if g != 1:

@@ -102,24 +102,21 @@ def integral_transform(
 
     def expand(mat: RMatrix) -> RMatrix:
         # basis vector (tensor index r, inner monomial m) sits at r * nm + index(m);
-        # one multiplication operator over the inner variables per outer monomial
+        # one multiplication operator over the inner variables per outer
+        # monomial, as the per-column terms `_truncated_operator_rows` reads
         by_outer: dict = {}
         for r, row in enumerate(mat.entries):
             for s, e in enumerate(row):
                 for exp, c in e.terms.items():
-                    by_outer.setdefault(exp[n:], {}).setdefault((r, s), {})[exp[:n]] = c
+                    columns = by_outer.get(exp[n:])
+                    if columns is None:
+                        columns = by_outer[exp[n:]] = [[] for _ in range(mat.cols)]
+                    columns[s].append((r, exp[:n], c))
         src = [(s, m) for s in range(mat.cols) for m in monos]
         tgt = {(r, m): r * nm + k for r in range(mat.rows) for k, m in enumerate(monos)}
         out = [[{} for _ in src] for _ in tgt]
-        for outer, cells in by_outer.items():
-            op = RMatrix(
-                x.ctx,
-                [
-                    [Series(x.ctx, cells.get((r, s), {})) for s in range(mat.cols)]
-                    for r in range(mat.rows)
-                ],
-            )
-            for col, vec in enumerate(_truncated_operator_rows(op, src, tgt, x.ctx.field)):
+        for outer, columns in by_outer.items():
+            for col, vec in enumerate(_truncated_operator_rows(columns, src, tgt)):
                 for row, c in vec.items():
                     out[row][col][outer] = c
         return RMatrix(out_ctx, [[Series(out_ctx, terms) for terms in row] for row in out])

@@ -78,16 +78,18 @@ def test_diagonal(capsys):
 
 
 def test_hh(capsys):
-    code, out, _ = run(capsys, "hh", "--inline", "x^3", "--ring", "x")
-    assert code == 0
-    assert json.loads(out) == {
-        "hh_even": 2,
-        "hh_odd": 0,
-        "milnor": 2,
-        "tyurina": 2,
-        "hh_homology_parity": 1,
-        "hp": 2,
-    }
+    # A2, and E7 with a non-integral coefficient
+    for text, ring, dims, parity in (("x^3", "x", 2, 1), ("x^3 + 1/2*x*y^3", "x,y", 7, 0)):
+        code, out, _ = run(capsys, "hh", "--inline", text, "--ring", ring)
+        assert code == 0
+        assert json.loads(out) == {
+            "hh_even": dims,
+            "hh_odd": 0,
+            "milnor": dims,
+            "tyurina": dims,
+            "hh_homology_parity": parity,
+            "hp": dims,
+        }
 
 
 def test_hh_stabilization_exit(capsys, monkeypatch):
@@ -197,6 +199,25 @@ def test_cohomology(tmp_path, capsys):
         "even": 1,
         "odd": 1,
     }
+
+
+@pytest.mark.parametrize(
+    "ring, text, graded, dims",
+    [("x,y", "1/2*x^2*y + 1/3*y^3", True, (2, 2)), ("x", "x^12 + 1/2*x^13", False, (1, 1))],
+    ids=["strand-route", "two-cap-route"],
+)
+def test_endomorphisms_with_non_integral_coefficients(tmp_path, capsys, ring, text, graded, dims):
+    from mfcat.complexes import detect_grading, hom_complex
+
+    code, out, _ = run(capsys, "stabilize", "--inline", text, "--ring", ring)
+    assert code == 0
+    k = serialize.mf_from_obj(json.loads(out))
+    assert (detect_grading(hom_complex(k, k)) is not None) == graded
+    path = tmp_path / "k.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "cohomology", str(path), "--endomorphisms")
+    obj = json.loads(out)
+    assert code == 0 and (obj["even"], obj["odd"]) == dims
 
 
 def test_transform(tmp_path, capsys):

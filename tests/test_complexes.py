@@ -3,6 +3,8 @@ import random
 import pytest
 
 from mfcat.complexes import (
+    _column_terms,
+    _truncated_operator_rows,
     cohomology_mod_k,
     cohomology_over_R,
     detect_grading,
@@ -25,7 +27,7 @@ from mfcat.factorization import (
 )
 from mfcat.fields import QQ, field_from_name
 from mfcat.hochschild import folded_koszul_complex
-from mfcat.series import RingCtx, Series
+from mfcat.series import RingCtx, Series, monomial_basis, monomials_of_degree
 from mfcat.serialize import parse_potential_text
 from mfcat.stabilize import stabilize_residue_field
 
@@ -408,3 +410,64 @@ def test_two_cap_dims_match_kernel_basis_formula(build, levels):
     for n in levels:
         assert _two_cap_dims(C, n) == _two_cap_reference(C, n), n
 
+
+def _random_rmatrix(rng, ctx, rows, cols):
+    field = ctx.field
+    monos = monomial_basis(ctx, 3)
+
+    def coeff():
+        if field == QQ:
+            return field.div(field.of(rng.choice([-3, -1, 1, 2, 5])), field.of(rng.choice([1, 2, 3, 4])))
+        return field.of(rng.randint(1, 6))
+
+    return RMatrix(
+        ctx,
+        [
+            [Series(ctx, {m: coeff() for m in rng.sample(monos, rng.randint(0, 4))}) for _ in range(cols)]
+            for _ in range(rows)
+        ],
+    )
+
+
+def _operator_rows_reference(mat, src_basis, tgt_index):
+    """The operator rows from `Series` products: monomial times entry, each
+    term kept when its (row, monomial) is in the target index."""
+    ctx = mat.ctx
+    rows = []
+    for i, mono in src_basis:
+        vec = {}
+        for j in range(mat.rows):
+            product = Series(ctx, {mono: ctx.field.one}) * mat.entries[j][i]
+            for exp, c in product.terms.items():
+                col = tgt_index.get((j, exp))
+                if col is not None:
+                    assert col not in vec
+                    vec[col] = c
+        rows.append(vec)
+    return rows
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime:7"])
+def test_operator_rows_match_series_products(field_name):
+    rng = random.Random(29)
+    ctx = RingCtx(("x", "y"), field_from_name(field_name))
+    for _ in range(12):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        mat = _random_rmatrix(rng, ctx, rows, cols)
+        columns = _column_terms(mat)
+        # a strand-like pair: source index i in degree g_i, target row j in degree h_j
+        src = [(i, m) for i in range(cols) for m in monomials_of_degree(2, rng.randint(0, 3))]
+        tgt = [(j, m) for j in range(rows) for m in monomials_of_degree(2, rng.randint(0, 5))]
+        strand_index = {bv: k for k, bv in enumerate(tgt)}
+        assert _truncated_operator_rows(columns, src, strand_index) == _operator_rows_reference(
+            mat, src, strand_index
+        )
+        # a level truncation, as the two-cap route builds it
+        cap = rng.randint(1, 4)
+        monos = monomial_basis(ctx, cap)
+        src = [(i, m) for i in range(cols) for m in monos]
+        level = [(j, m) for j in range(rows) for m in monos]
+        level_index = {bv: k for k, bv in enumerate(level)}
+        assert _truncated_operator_rows(columns, src, level_index) == _operator_rows_reference(
+            mat, src, level_index
+        )
