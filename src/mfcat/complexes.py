@@ -12,12 +12,14 @@ Two exact routes compute k-dimensions of cohomology over the local ring:
     grading (detected automatically), the complex splits into finite
     strands and each contributes an exact rank computation;
   * projective-limit route: otherwise the dimensions are recovered as the
-    rank of the map induced on cohomology by truncation from a high degree
-    cap to a lower one, which kills the spurious classes a single
-    truncation would manufacture at its boundary.
+    dimension of the image of H(C/m^(2n+1)) in H(C/m^(n+1)), which kills
+    the spurious classes a single truncation would manufacture at its
+    boundary; per parity and level it is three sparse ranks of the level
+    differentials (`_two_cap_dims`).
 
-Both are wrapped in the doubling stabilization loop with the configurable
-cap (env MFCAT_NMAX, default 64).
+Both stop below the configurable cap (env MFCAT_NMAX, default 64), by a rule
+that is assumed, not proven: a long run of empty strands, or two-cap levels
+n and n+1 that agree.
 """
 
 from __future__ import annotations
@@ -111,56 +113,30 @@ def scalar_action_nullhomotopy(x: MatrixFactorization, y: MatrixFactorization, k
 # -- exact cohomology over the ring --------------------------------------------
 
 
-def _entry_degree_grid(c: MatrixFactorization):
-    """Per-entry homogeneous degrees, or None if some entry is inhomogeneous."""
-    grids = []
-    for mat in (c.psi, c.phi):
-        grid = []
-        for row in mat.entries:
-            grow = []
-            for e in row:
-                if e.is_zero():
-                    grow.append(None)
-                    continue
-                degs = {sum(exp) for exp in e.terms}
-                if len(degs) != 1:
-                    return None
-                grow.append(degs.pop())
-            grid.append(grow)
-        grids.append(grid)
-    return grids
-
-
 def detect_grading(c: MatrixFactorization):
     """Internal degrees making d homogeneous, or None.
 
     Returns (u_even, u_odd, delta): Fractions such that a basis vector i
     carrying a ring monomial of degree g sits in strand 2g + u_i, and the
-    differential raises the strand by delta.
+    differential raises the strand by delta. Entry degrees are read from the
+    `_column_terms` of d; None as soon as an entry mixes two degrees.
     """
-    grids = _entry_degree_grid(c)
-    if grids is None:
-        return None
-    eo, oe = grids
-    n_e = n_o = c.rank
-    # nodes: 0..n_e-1 even, n_e..n_e+n_o-1 odd; value = a + b*delta
-    total = n_e + n_o
+    n_e = c.rank
+    # nodes: 0..n_e-1 even, n_e..2n_e-1 odd; value = a + b*delta
+    total = 2 * n_e
     assign: list = [None] * total
-    edges = []
-    for j in range(n_o):
-        for i in range(n_e):
-            g = eo[j][i]
-            if g is not None:
-                edges.append((i, n_e + j, g))  # u_target = u_source + delta - 2g
-    for i in range(n_e):
-        for j in range(n_o):
-            g = oe[i][j]
-            if g is not None:
-                edges.append((n_e + j, i, g))
     adj: dict = {}
-    for src, dst, g in edges:
-        adj.setdefault(src, []).append((dst, g, 1))
-        adj.setdefault(dst, []).append((src, g, -1))
+    for src_off, dst_off, mat in ((0, n_e, c.psi), (n_e, 0, c.phi)):
+        degrees: dict = {}
+        for i, terms in enumerate(_column_terms(mat)):
+            for j, exp, _ in terms:
+                g = sum(exp)
+                if degrees.setdefault((i, j), g) != g:
+                    return None
+        for (i, j), g in degrees.items():
+            # u_target = u_source + delta - 2g
+            adj.setdefault(src_off + i, []).append((dst_off + j, g, 1))
+            adj.setdefault(dst_off + j, []).append((src_off + i, g, -1))
     delta = None
 
     def resolve(a1, b1, a2, b2):
@@ -193,13 +169,7 @@ def detect_grading(c: MatrixFactorization):
                     return None
     if delta is None:
         delta = Fraction(0)
-    u = []
-    for node in range(total):
-        if assign[node] is None:
-            u.append(Fraction(0))
-        else:
-            a, b = assign[node]
-            u.append(a + b * delta)
+    u = [Fraction(0) if ab is None else ab[0] + ab[1] * delta for ab in assign]
     return u[:n_e], u[n_e:], delta
 
 
@@ -334,35 +304,34 @@ def _level_data(c: MatrixFactorization, cap):
 def _two_cap_dims(c: MatrixFactorization, n_lo):
     """(even, odd) dims of the image of H(C/m^(2n+1)) in H(C/m^(n+1)), n = n_lo.
 
-    Per parity, with D_hi the differential out of level 2n, pi the truncation
-    to level n ((i, m) -> (i, m) if deg m <= n, else 0) and B_lo the image of
-    the incoming differential at level n:
-        dim (pi(ker D_hi) + B_lo)/B_lo = rank[D_hi | pi ; 0 | B_lo] - rank B_lo - rank D_hi.
-    Proof: the kernel of F: x -> (D_hi x, pi(x) mod B_lo) is ker D_hi & pi^-1(B_lo),
-    so the left side is dim ker D_hi - dim ker F = rank F - rank D_hi; the stacked
-    rows span the image of x -> (D_hi x, pi(x)) plus 0 (+) B_lo, of dim rank F + rank B_lo.
-    The level-n basis is the in-order subsequence of the level-2n one with
-    deg m <= n (`monomial_basis` is graded), which numbers the pi columns.
+    Per parity, let D_hi be the differential out of level 2n, pi the
+    truncation to level n ((i, m) -> (i, m) if deg m <= n, else 0), D_high
+    the rows of D_hi on the basis vectors of degree > n (those vectors span
+    ker pi), B_lo the image of the incoming differential at level n, and
+    N_lo the size of the level-n basis. The image is (pi(ker D_hi) + B_lo)/B_lo,
+    and
+        dim (pi(ker D_hi) + B_lo)/B_lo = N_lo - rank D_hi + rank D_high - rank B_lo.
+    Proof: ker D_hi & ker pi = ker D_high, so dim pi(ker D_hi) =
+    (N_hi - rank D_hi) - (N_high - rank D_high), and N_hi - N_high = N_lo.
+    B_lo lies in pi(ker D_hi): for a level-n chain b, let v be d b truncated
+    at level 2n. Since d never lowers degree and d^2 = 0, D_hi v is d^2 b
+    truncated at level 2n, which is 0, and pi v is b's image in B_lo.
     """
     field = c.ctx.field
     basis_hi, eo_hi, oe_hi = _level_data(c, 2 * n_lo)
     basis_lo, eo_lo, oe_lo = _level_data(c, n_lo)
 
-    def induced_rank(d_hi, b_lo):
-        shift = len(basis_lo)
-        stacked = []
-        lo_col = 0
-        for (_, mono), row in zip(basis_hi, d_hi):
-            vec = {shift + col: v for col, v in row.items()}
-            if sum(mono) <= n_lo:
-                vec[lo_col] = field.one
-                lo_col += 1
-            stacked.append(vec)
-        rank_b = rank_sparse([dict(r) for r in b_lo], field)
-        rank_all = rank_sparse(stacked + b_lo, field)
-        return rank_all - rank_b - rank_sparse(d_hi, field)
+    def image_dim(d_hi, b_lo):
+        # rank_sparse consumes its rows, so D_high gets copies
+        high = [dict(r) for (_, mono), r in zip(basis_hi, d_hi) if sum(mono) > n_lo]
+        return (
+            len(basis_lo)
+            - rank_sparse(d_hi, field)
+            + rank_sparse(high, field)
+            - rank_sparse(b_lo, field)
+        )
 
-    return (induced_rank(eo_hi, oe_lo), induced_rank(oe_hi, eo_lo))
+    return (image_dim(eo_hi, oe_lo), image_dim(oe_hi, eo_lo))
 
 
 def _two_cap_cohomology(c: MatrixFactorization, cap):
@@ -388,8 +357,10 @@ def cohomology_over_R(c: MatrixFactorization):
     a factorization of 0.
 
     Requires finite-dimensional cohomology, which holds for morphism
-    complexes of factorizations of an isolated singularity. Entries are
-    polynomials; the strand and level truncations below reach the local ring.
+    complexes of factorizations of an isolated singularity, and assumes
+    d^2 = 0 without checking it: the strand count dim - rank - rank and the
+    two-cap rank formula both rely on it. Entries are polynomials; the strand
+    and level truncations below reach the local ring.
     """
     if not c.potential.is_zero():
         raise PreconditionError("cohomology over R requires a factorization of 0")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import InputParseError
+from .errors import InputParseError, PreconditionError
 from .factorization import MatrixFactorization, MFMorphism, RMatrix
 from .fields import field_from_name
 from .series import RingCtx, Series, monomial_sort_key
@@ -27,12 +27,16 @@ def ring_to_obj(ctx: RingCtx) -> dict:
 
 def ring_from_obj(obj) -> RingCtx:
     try:
-        names, trunc = tuple(obj["variables"]), obj.get("truncation")
-        if trunc is not None:
-            raise InputParseError(f"bad ring truncation {trunc!r}: need null")
-        return RingCtx(names, field_from_name(obj["field"]))
+        names, field, trunc = obj["variables"], obj["field"], obj.get("truncation")
     except (KeyError, TypeError) as exc:
         raise InputParseError(f"bad ring object: {exc}") from exc
+    if trunc is not None:
+        raise InputParseError(f"bad ring truncation {trunc!r}: need null")
+    if type(names) is not list or any(type(v) is not str for v in names):
+        raise InputParseError(f"bad ring variables {names!r}: need a list of strings")
+    if type(field) is not str:
+        raise InputParseError(f"bad ring field {field!r}: need a string")
+    return RingCtx(tuple(names), field_from_name(field))
 
 
 def series_to_obj(s: Series) -> list:
@@ -209,21 +213,28 @@ def loads(text: str):
 # -- inline parsers ------------------------------------------------------------
 
 
+_PRIME_SPEC = re.compile(r"prime\((.*)\)")
+
+
 def parse_ring_spec(spec: str) -> RingCtx:
-    """Parse "x,y;rational" or "x,y;prime(7)"; the field part is optional."""
+    """Parse "x,y;rational" or "x,y;prime(7)"; the field part is optional and
+    may be given at most once."""
     parts = [p.strip() for p in spec.split(";") if p.strip()]
     if not parts:
         raise InputParseError("empty ring spec")
-    names = tuple(v.strip() for v in parts[0].split(",") if v.strip())
-    field = field_from_name("rational")
-    for part in parts[1:]:
-        if part == "rational" or part.startswith("prime"):
-            field = field_from_name(part.replace("(", ":").rstrip(")"))
-        else:
-            raise InputParseError(f"unknown ring spec component {part!r}")
+    head, *fields = parts
+    names = tuple(v.strip() for v in head.split(",") if v.strip())
+    if len(fields) > 1:
+        raise InputParseError(f"ring spec {spec!r} has more than one field component")
+    field = fields[0] if fields else "rational"
+    prime = _PRIME_SPEC.fullmatch(field)
+    if prime:
+        field = f"prime:{prime.group(1)}"
+    elif field != "rational":
+        raise InputParseError(f"unknown ring spec component {field!r}")
     try:
-        return RingCtx(names, field)
-    except Exception as exc:
+        return RingCtx(names, field_from_name(field))
+    except PreconditionError as exc:
         raise InputParseError(str(exc)) from exc
 
 

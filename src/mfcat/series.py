@@ -160,9 +160,6 @@ class Series(LinearCombination):
         """Min total degree of a term; large sentinel for zero."""
         return min((sum(e) for e in self.terms), default=1 << 30)
 
-    def in_maximal_ideal(self) -> bool:
-        return self.residue() == self.ctx.field.zero
-
     def in_maximal_ideal_square(self) -> bool:
         return self.order() >= 2
 

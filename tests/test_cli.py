@@ -99,12 +99,16 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ring, env, term, trunc",
+    "ring, env, term, ring_obj",
     [
         ("x;prime(4)", None, None, None),
         ("x;prime(x)", None, None, None),
         ("x;trunc=abc", None, None, None),
         ("x;trunc=32", None, None, None),
+        ("x;prime(7", None, None, None),
+        ("x;prime(7);prime(5)", None, None, None),
+        ("x;rational;prime(7)", None, None, None),
+        ("x;prime:7", None, None, None),
         ("x", "abc", None, None),
         ("x", "0", None, None),
         ("x", "-3", None, None),
@@ -112,17 +116,25 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
         (None, None, [[2.0], "1"], None),
         (None, None, [[True], "1"], None),
         (None, None, [[1], True], None),
-        (None, None, None, True),
-        (None, None, None, 2.5),
-        (None, None, None, 4.0),
-        (None, None, None, 0),
-        (None, None, None, 2),
+        (None, None, None, {"truncation": True}),
+        (None, None, None, {"truncation": 2.5}),
+        (None, None, None, {"truncation": 4.0}),
+        (None, None, None, {"truncation": 0}),
+        (None, None, None, {"truncation": 2}),
+        (None, None, None, {"field": 5}),
+        (None, None, None, {"field": None}),
+        (None, None, None, {"variables": "x"}),
+        (None, None, None, {"variables": [1]}),
     ],
     ids=[
         "composite-prime",
         "non-integer-prime",
         "non-integer-trunc",
         "inline-truncation",
+        "unclosed-prime",
+        "two-fields",
+        "rational-and-prime",
+        "colon-prime",
         "non-integer-nmax",
         "zero-nmax",
         "negative-nmax",
@@ -135,22 +147,26 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
         "float-truncation",
         "zero-truncation",
         "integer-truncation",
+        "integer-field",
+        "null-field",
+        "string-variables",
+        "integer-variable",
     ],
 )
-def test_malformed_input_exit(tmp_path, capsys, monkeypatch, ring, env, term, trunc):
+def test_malformed_input_exit(tmp_path, capsys, monkeypatch, ring, env, term, ring_obj):
     if env is not None:
         monkeypatch.setenv("MFCAT_NMAX", env)
     if ring is not None:
         argv = ["hh", "--inline", "x^3", "--ring", ring]
     else:
-        # K of x^4 (phi = x, psi = x^3) with the one term of phi or the ring's
-        # truncation replaced; a truncation of 2 would drop x^3 and x^4
+        # K of x^4 (phi = x, psi = x^3) with the one term of phi or a key of
+        # the ring object replaced; a truncation of 2 would drop x^3 and x^4
         x = Series.variable(RingCtx(("x",), QQ), 0)
         obj = serialize.mf_to_obj(stabilize_residue_field(x ** 4))
         if term is not None:
             obj["phi"][0][0] = [term]
-        if trunc is not None:
-            obj["ring"]["truncation"] = trunc
+        if ring_obj is not None:
+            obj["ring"].update(ring_obj)
         path = tmp_path / "mf.json"
         path.write_text(serialize.dumps_canonical(obj))
         argv = ["verify", str(path)]

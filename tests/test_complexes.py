@@ -29,7 +29,7 @@ from mfcat.fields import QQ, field_from_name
 from mfcat.hochschild import folded_koszul_complex
 from mfcat.series import RingCtx, Series, monomial_basis, monomials_of_degree
 from mfcat.serialize import parse_potential_text
-from mfcat.stabilize import stabilize_residue_field
+from mfcat.stabilize import stabilize_residue_field, stabilized_diagonal
 
 
 def ring1():
@@ -114,6 +114,21 @@ def test_two_cap_non_homogeneous():
     C = folded_koszul_complex([w.partial_derivative(0)])
     assert detect_grading(C) is None
     assert cohomology_over_R(C) == (1, 0)
+
+
+def test_detect_grading_values():
+    # pinned values: equal weights on the quadric's End(K); the shifts of
+    # End(Delta) of D4 on the doubled ring; an entry 2x + 3x^2 mixes degrees
+    C = _end_k_of("x,y,z", "x^2 + y^2 + z^2")
+    assert detect_grading(C) == ([0] * 32, [0] * 32, 2)
+    w = parse_potential_text(RingCtx(("x", "y"), QQ), "x^2*y + y^3")
+    diag = stabilized_diagonal(w)
+    assert detect_grading(hom_complex(diag, diag)) == (
+        [0, 2, -2, 0, 0, 0, 0, 0],
+        [-1, 1, -1, 1, 1, 1, -1, -1],
+        3,
+    )
+    assert detect_grading(_koszul_of("x", "x^2 + x^3")) is None
 
 
 def test_cohomology_over_R_rejects_nonzero_potential():
@@ -381,8 +396,8 @@ def _koszul_of(names, text, field=QQ):
     return folded_koszul_complex([w.partial_derivative(i) for i in range(w.ctx.n_vars)])
 
 
-def _end_k_of(names, text):
-    ctx = RingCtx(tuple(names.split(",")), QQ)
+def _end_k_of(names, text, field=QQ):
+    ctx = RingCtx(tuple(names.split(",")), field)
     k = stabilize_residue_field(parse_potential_text(ctx, text))
     return hom_complex(k, k)
 
@@ -401,9 +416,10 @@ def _end_k_of(names, text):
         # the dense reference takes ~20 s more for levels 5 and 6 here
         (lambda: _end_k_of("x,y", "x^2*y + y^3"), range(1, 5)),
         (lambda: _end_k_of("x", "x^12 + x^13"), range(1, 7)),
+        (lambda: _end_k_of("x", "x^12 + x^13", field_from_name("prime:7")), range(1, 7)),
     ],
     ids=["koszul-E7", "koszul-D5", "koszul-W12", "koszul-A12", "koszul-E6", "koszul-E7-GF7",
-         "endK-D4", "endK-A12"],
+         "endK-D4", "endK-A12", "endK-A12-GF7"],
 )
 def test_two_cap_dims_match_kernel_basis_formula(build, levels):
     C = build()

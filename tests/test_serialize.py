@@ -117,8 +117,12 @@ def test_ring_spec_parser():
         serialize.parse_ring_spec("x,y;rational;trunc=32")
     ctx3 = serialize.parse_ring_spec("u,v;prime(7)")
     assert ctx3.field.characteristic == 7
-    with pytest.raises(InputParseError):
-        serialize.parse_ring_spec("x;unknownfield")
+    # a field component is exactly "rational" or "prime(<p>)", at most once;
+    # a bad variable list (RingCtx's PreconditionError) is a parse error too
+    for spec in ("x;unknownfield", "x;prime(7", "x;prime:7", "x;prime(7);prime(5)",
+                 "x;rational;rational", "x,x;prime(7)"):
+        with pytest.raises(InputParseError):
+            serialize.parse_ring_spec(spec)
 
 
 def test_potential_parser():
