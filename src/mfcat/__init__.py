@@ -6,7 +6,7 @@ from .ainfinity import (
     clifford_check,
     transfer_minimal_model,
 )
-from .complexes import cohomology_mod_k, cohomology_over_R, hom_complex, is_quasi_iso
+from .complexes import cohomology_mod_k, cohomology_over_R, hom_cohomology, hom_complex, is_quasi_iso
 from .errors import (
     ContextMismatchError,
     InputParseError,

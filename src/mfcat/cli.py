@@ -11,7 +11,7 @@ import sys
 
 from . import serialize
 from .ainfinity import transfer_minimal_model
-from .complexes import cohomology_mod_k, cohomology_over_R, hom_complex, is_quasi_iso
+from .complexes import cohomology_mod_k, hom_cohomology, is_quasi_iso
 from .errors import (
     ContextMismatchError,
     InputParseError,
@@ -124,7 +124,7 @@ def cmd_quasi_iso(args):
 def cmd_cohomology(args):
     mf = _load_checked_mf(args.file)
     if args.endomorphisms:
-        even, odd = cohomology_over_R(hom_complex(mf, mf))
+        even, odd = hom_cohomology(mf, mf)
         _emit({"mode": "endomorphisms-over-ring", "even": even, "odd": odd})
     else:
         even, odd = cohomology_mod_k(mf)

@@ -17,15 +17,23 @@ Two exact routes compute k-dimensions of cohomology over the local ring:
     boundary; per parity and level it is three sparse ranks of the level
     differentials (`_two_cap_dims`).
 
-Both stop below the configurable cap (env MFCAT_NMAX, default 64), by a rule
-that is assumed, not proven: a long run of empty strands, or two-cap levels
-n and n+1 that agree.
+Both stay below the configurable cap (env MFCAT_NMAX, default 64). The strand
+scan of a morphism complex Hom(X, Y) (`hom_cohomology`) has a proven end when
+the potential w is homogeneous of the grading's step delta and certified
+isolated by (R/(dw))_{n(delta-2)+1} = 0: graded Serre duality puts every class
+at or below the strand u_max + n(delta - 2) (`_serre_stop`). The folded Koszul
+complex of the partials has a proven end too (`hochschild._koszul_stop`).
+Every other stop is assumed, not proven: the strand scan of any other graded
+complex, such as the kernel-action complex of `transform`, or of a Hom whose
+potential fails the preconditions, ends after a long run of empty strands;
+and the two-cap route ends when levels n and n+1 agree.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import partial
 from operator import add
 
 from .errors import InputParseError, PreconditionError, StabilizationError, VerificationError
@@ -223,11 +231,21 @@ class _StrandRanks:
         return r
 
 
-def _strand_cohomology(c: MatrixFactorization, u_even, u_odd, delta, cap):
-    ranks = _StrandRanks(c, u_even, u_odd, delta)
+_UNSETTLED = "strand scan hit the degree cap without settling (non-isolated input or cap too low)"
+
+
+def _strand_dims(c: MatrixFactorization, u_even, u_odd, delta, cap, stop=None):
+    """(s, even, odd): the cohomology dimensions of each strand s, in increasing s.
+
+    With `stop`, exactly the strands s <= stop are visited; a stop past the
+    cap's last strand 2*cap + u_max is a StabilizationError. Without one, the
+    scan ends after a long run of empty strands past the largest shift, a rule
+    that is assumed, not proven.
+    """
     all_u = list(u_even) + list(u_odd)
     if not all_u:
-        return (0, 0)
+        return
+    ranks = _StrandRanks(c, u_even, u_odd, delta)
     # conservative: cover the differential's step and the spread of the
     # internal degrees before declaring the tail empty
     spread = int(max(all_u) - min(all_u))
@@ -236,24 +254,24 @@ def _strand_cohomology(c: MatrixFactorization, u_even, u_odd, delta, cap):
     starts = sorted(set(all_u) | {u + delta for u in all_u} | {u - delta for u in all_u})
     u_max = max(all_u)
     s_cap = 2 * cap + u_max
+    if stop is not None and stop > s_cap:
+        raise StabilizationError(_UNSETTLED)
     svals = sorted({u + 2 * t for u in starts for t in range(int((s_cap - u) / 2) + 1)})
-    total_e = total_o = 0
     run = 0
     for s in svals:
+        if stop is not None and s > stop:
+            return
         he = len(ranks.stratum(0, s)) - ranks.rank(0, s) - ranks.rank(1, s - delta)
         ho = len(ranks.stratum(1, s)) - ranks.rank(1, s) - ranks.rank(0, s - delta)
-        total_e += he
-        total_o += ho
-        if he == 0 and ho == 0:
-            if s > u_max:
-                run += 1
-                if run >= zero_run:
-                    return (total_e, total_o)
-        else:
+        yield s, he, ho
+        if he or ho:
             run = 0
-    raise StabilizationError(
-        "strand scan hit the degree cap without settling (non-isolated input or cap too low)"
-    )
+        elif s > u_max:
+            run += 1
+            if stop is None and run >= zero_run:
+                return
+    if stop is None:
+        raise StabilizationError(_UNSETTLED)
 
 
 def _column_terms(mat: RMatrix):
@@ -352,7 +370,7 @@ def _two_cap_cohomology(c: MatrixFactorization, cap):
     )
 
 
-def cohomology_over_R(c: MatrixFactorization):
+def cohomology_over_R(c: MatrixFactorization, strand_stop=None):
     """k-dimensions of (even, odd) cohomology of a 2-periodic complex, i.e. of
     a factorization of 0.
 
@@ -361,12 +379,92 @@ def cohomology_over_R(c: MatrixFactorization):
     d^2 = 0 without checking it: the strand count dim - rank - rank and the
     two-cap rank formula both rely on it. Entries are polynomials; the strand
     and level truncations below reach the local ring.
+
+    `strand_stop(u_even, u_odd, delta)`, when given, returns the last strand
+    that can carry cohomology under the grading found, or None; a strand scan
+    with a stop visits exactly the strands up to it (see `hom_cohomology`).
     """
     if not c.potential.is_zero():
         raise PreconditionError("cohomology over R requires a factorization of 0")
     cap = stabilization_cap()
     graded = detect_grading(c)
     if graded is not None:
-        u_even, u_odd, delta = graded
-        return _strand_cohomology(c, u_even, u_odd, delta, cap)
+        stop = None if strand_stop is None else strand_stop(*graded)
+        strands = list(_strand_dims(c, *graded, cap, stop))
+        return (sum(s[1] for s in strands), sum(s[2] for s in strands))
     return _two_cap_cohomology(c, cap)
+
+
+def hom_cohomology(x: MatrixFactorization, y: MatrixFactorization):
+    """k-dimensions of (even, odd) H(Hom(X, Y)) over R: `cohomology_over_R`
+    of `hom_complex(x, y)`, with the strand scan ended by graded Serre
+    duality where it applies (`_serre_stop`)."""
+    return cohomology_over_R(hom_complex(x, y), partial(_serre_stop, x.potential))
+
+
+def _serre_stop(w: Series, u_even, u_odd, delta):
+    """Last strand of Hom(X, Y) that can carry cohomology, u_max + n(delta - 2),
+    or None when the proof below does not apply.
+
+    It applies when w is homogeneous of degree delta >= 2 (the step of the
+    grading found) and (R/(dw))_{n(delta-2)+1} = 0, which certifies that w
+    has an isolated singularity (`_certified_top_degree`); n is the number of
+    variables and u_max the largest shift of the grading.
+
+    Proof. A strand-s element m e_ij of Hom(X, Y), with monomial m of degree
+    g, is a map of degree s = u_ij + 2g between graded X and Y. First let X
+    and Y be graded (basis degrees a_j and b_i, d of degree delta, variables
+    of degree 2, w of degree 2 delta) and u_ij = b_i - a_j. Graded Serre
+    duality for the isolated hypersurface singularity (Auslander-Reiten
+    duality; Murfet, arXiv:0912.1629) gives
+        H(Hom(X, Y))_t = H(Hom(Y, X))^dual_{n(delta-2)-t},
+    with the parity shifted by n: the Kapustin-Li pairing
+    Res[str(d_1 d_X ... d_n d_X f g) dx / d_1 w ... d_n w] is nondegenerate,
+    each d_i d_X has degree delta - 2, and the residue is nonzero only in the
+    Hessian degree 2n(delta - 2). Hom(Y, X) has its chains in strands
+    2g - u_ij >= -u_max, so H(Hom(X, Y))_t = 0 for t > u_max + n(delta - 2).
+    In general `detect_grading` normalizes each component of the basis graph
+    of Hom(X, Y) on its own. X is the direct sum of the factorizations X_a
+    spanned by the components of its own basis graph (d_X has no entry
+    between two of them), likewise Y = sum Y_b, and every component of
+    Hom's graph is Hom(X_a, Y_b). Every entry of d_X and d_Y is an entry of
+    Hom's differential, so each is homogeneous (or no grading is found), and
+    the grading found, read along the X- and the Y-edges, grades X_a by some
+    a and Y_b by some b. On Hom(X_a, Y_b) it then differs from b_i - a_j by a
+    constant c, so it is the grading of Hom(X_a, Y_b + c) and the argument
+    applies to each component, whose largest shift is at most u_max. The bound
+    is sharp: End of the node (x^20, x^20) of x^40 has a class in strand
+    38 = u_max + n(delta - 2).
+    """
+    if w.is_zero() or delta < 2 or any(sum(exp) != delta for exp in w.terms):
+        return None
+    top = _certified_top_degree([w.partial_derivative(i) for i in range(w.ctx.n_vars)])
+    return None if top is None else max(list(u_even) + list(u_odd)) + top
+
+
+def _certified_top_degree(gens):
+    """sum(deg g - 1) over n nonzero homogeneous gens in n variables when
+    R/(gens) is certified finite-dimensional, else None.
+
+    The certificate is (R/(gens))_{top+1} = 0, one sparse rank. It makes
+    R/(gens) finite: the ideal is homogeneous, so every degree above top+1 is
+    a multiple of degree top+1. Then the gens generate an m-primary ideal, so
+    they form a regular sequence, R/(gens) has Hilbert series
+    prod (1 - t^deg g) / (1 - t)^n, and top is its top degree. For the
+    partials of a homogeneous w of degree D, top = n(D - 2).
+    """
+    ctx = gens[0].ctx
+    degrees = []
+    for g in gens:
+        degs = {sum(exp) for exp in g.terms}
+        if len(degs) != 1:
+            return None
+        degrees.append(degs.pop())
+    if len(gens) != ctx.n_vars or min(degrees) < 1:
+        return None
+    top = sum(e - 1 for e in degrees)
+    target = monomials_of_degree(ctx.n_vars, top + 1)
+    index = {(0, m): i for i, m in enumerate(target)}
+    src = [(i, m) for i, e in enumerate(degrees) for m in monomials_of_degree(ctx.n_vars, top + 1 - e)]
+    rows = _truncated_operator_rows(_column_terms(RMatrix(ctx, [list(gens)])), src, index)
+    return top if rank_sparse(rows, ctx.field) == len(target) else None

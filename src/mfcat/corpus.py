@@ -15,8 +15,7 @@ from itertools import combinations
 from .ainfinity import build_contraction, clifford_check, transfer_minimal_model
 from .complexes import (
     cohomology_mod_k,
-    cohomology_over_R,
-    hom_complex,
+    hom_cohomology,
     is_quasi_iso,
     scalar_action_nullhomotopy,
 )
@@ -328,7 +327,7 @@ def criterion_3(corpus, rng) -> CriterionResult:
         eps = ed.ctx.n_vars % 2
         gen = ed.kstab()
         for label, x in ed.test_objects():
-            lhs = cohomology_over_R(hom_complex(gen, x))
+            lhs = hom_cohomology(gen, x)
             rhs = _swap(cohomology_mod_k(x), eps)
             if lhs != rhs:
                 ok = False
@@ -374,7 +373,7 @@ def criterion_5(corpus, rng) -> CriterionResult:
         # diagonal_hh_crosscheck inlined, so hochschild_cohomology runs once per entry
         route1 = hochschild_cohomology(ed.w)
         diag = ed.diagonal()
-        agree = route1 == cohomology_over_R(hom_complex(diag, diag))
+        agree = route1 == hom_cohomology(diag, diag)
         if route1 != (mu_oracle, 0) or not agree:
             ok = False
             details.append(f"{entry.name}: routes disagree: {route1}, crosscheck={agree}")

@@ -8,13 +8,15 @@ monotone and a repeat value certifies stabilization (graded Nakayama).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 from .complexes import (
+    _certified_top_degree,
     _column_terms,
     _truncated_operator_rows,
     cohomology_mod_k,
     cohomology_over_R,
-    hom_complex,
+    hom_cohomology,
     stabilization_cap,
 )
 from .errors import PreconditionError, StabilizationError, VerificationError
@@ -99,12 +101,28 @@ def hochschild_cohomology(w: Series):
 def _checked_koszul_dims(w: Series, report: JacobianReport):
     ctx = w.ctx
     partials = [w.partial_derivative(i) for i in range(ctx.n_vars)]
-    dims = cohomology_over_R(folded_koszul_complex(partials))
+    dims = cohomology_over_R(folded_koszul_complex(partials), partial(_koszul_stop, partials))
     if dims[1] != 0 or dims[0] != report.milnor_number:
         raise VerificationError(
             f"Koszul route gave {dims}, Jacobian quotient gave ({report.milnor_number}, 0)"
         )
     return dims
+
+
+def _koszul_stop(partials, u_even, u_odd, delta):
+    """Last strand of the folded Koszul complex of the partials that can carry
+    cohomology, u(e_0) + 2 top, or None when the proof below does not apply.
+
+    It applies when each partial is nonzero and homogeneous and
+    `_certified_top_degree` certifies them, with top = sum(deg - 1) (n(D - 2)
+    for w homogeneous of degree D). Proof: the partials then form a regular
+    sequence, so the Koszul complex is a resolution of Jac(w) and its folding
+    has cohomology Jac(w) on the basis vector e_0 of the empty wedge word
+    (even index 0). A class m e_0 with m of degree g lies in strand
+    u(e_0) + 2g, and Jac(w) is zero above degree top.
+    """
+    top = _certified_top_degree(partials)
+    return None if top is None else u_even[0] + 2 * top
 
 
 def hochschild_homology(w: Series):
@@ -120,7 +138,7 @@ def diagonal_hh_crosscheck(w: Series) -> bool:
     stabilized diagonal. True iff the dimension pairs agree."""
     route1 = hochschild_cohomology(w)
     diag = stabilized_diagonal(w)
-    route2 = cohomology_over_R(hom_complex(diag, diag))
+    route2 = hom_cohomology(diag, diag)
     return route1 == route2
 
 

@@ -214,16 +214,23 @@ def loads(text: str):
 
 
 _PRIME_SPEC = re.compile(r"prime\((.*)\)")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9']*")
 
 
 def parse_ring_spec(spec: str) -> RingCtx:
-    """Parse "x,y;rational" or "x,y;prime(7)"; the field part is optional and
-    may be given at most once."""
-    parts = [p.strip() for p in spec.split(";") if p.strip()]
-    if not parts:
+    """Parse "x,y;rational" or "x,y;prime(7)": comma-separated variable names,
+    each an identifier as the expression tokenizer reads it, then optionally
+    one field component. No part may be empty."""
+    if not spec.strip():
         raise InputParseError("empty ring spec")
-    head, *fields = parts
-    names = tuple(v.strip() for v in head.split(",") if v.strip())
+    head, *fields = (p.strip() for p in spec.split(";"))
+    names = tuple(v.strip() for v in head.split(","))
+    for part in names + tuple(fields):
+        if not part:
+            raise InputParseError(f"ring spec {spec!r} has an empty component")
+    for name in names:
+        if not _NAME.fullmatch(name):
+            raise InputParseError(f"ring spec {spec!r}: {name!r} is not a variable name")
     if len(fields) > 1:
         raise InputParseError(f"ring spec {spec!r} has more than one field component")
     field = fields[0] if fields else "rational"
@@ -238,7 +245,7 @@ def parse_ring_spec(spec: str) -> RingCtx:
         raise InputParseError(str(exc)) from exc
 
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9']*|\^|\*|\+|\-|\(|\))")
+_TOKEN = re.compile(rf"\s*(\d+/\d+|\d+|{_NAME.pattern}|\^|\*|\+|\-|\(|\))")
 
 
 def _tokenize(text: str):

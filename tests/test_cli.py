@@ -109,6 +109,11 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
         ("x;prime(7);prime(5)", None, None, None),
         ("x;rational;prime(7)", None, None, None),
         ("x;prime:7", None, None, None),
+        (";prime(7)", None, None, None),
+        (";rational", None, None, None),
+        ("x y", None, None, None),
+        ("x,,y", None, None, None),
+        ("x;;prime(7)", None, None, None),
         ("x", "abc", None, None),
         ("x", "0", None, None),
         ("x", "-3", None, None),
@@ -135,6 +140,11 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
         "two-fields",
         "rational-and-prime",
         "colon-prime",
+        "field-without-variables",
+        "rational-without-variables",
+        "space-in-variable",
+        "empty-variable",
+        "empty-component",
         "non-integer-nmax",
         "zero-nmax",
         "negative-nmax",
@@ -215,6 +225,30 @@ def test_cohomology(tmp_path, capsys):
         "even": 1,
         "odd": 1,
     }
+
+
+@pytest.mark.parametrize(
+    "command, text, ring, dims",
+    [("stabilize", "x^40", "x", (1, 1)), ("diagonal", "x^2+y^2+z^2", "x,y,z", (1, 0))],
+    ids=["endK-x40", "endDiag-quadric3"],
+)
+def test_endomorphisms_end_at_the_serre_stop(tmp_path, capsys, monkeypatch, command, text, ring, dims):
+    # the zero-run scan exits 5 on x^40 at the default cap, and scans the
+    # quadric's diagonal to strand 24 (about 1 GiB) to confirm strand 0
+    monkeypatch.delenv("MFCAT_NMAX", raising=False)
+    code, out, _ = run(capsys, command, "--inline", text, "--ring", ring)
+    assert code == 0
+    path = tmp_path / "mf.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "cohomology", str(path), "--endomorphisms")
+    assert code == 0
+    assert json.loads(out) == {"mode": "endomorphisms-over-ring", "even": dims[0], "odd": dims[1]}
+
+
+def test_hh_ends_at_the_jacobian_top_degree(capsys, monkeypatch):
+    monkeypatch.delenv("MFCAT_NMAX", raising=False)
+    code, out, _ = run(capsys, "hh", "--inline", "x^40", "--ring", "x")
+    assert code == 0 and (json.loads(out)["hh_even"], json.loads(out)["hh_odd"]) == (39, 0)
 
 
 @pytest.mark.parametrize(

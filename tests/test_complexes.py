@@ -3,14 +3,19 @@ import random
 import pytest
 
 from mfcat.complexes import (
+    _certified_top_degree,
     _column_terms,
+    _serre_stop,
+    _strand_dims,
     _truncated_operator_rows,
     cohomology_mod_k,
     cohomology_over_R,
     detect_grading,
+    hom_cohomology,
     hom_complex,
     is_quasi_iso,
     scalar_action_nullhomotopy,
+    stabilization_cap,
     _two_cap_cohomology,
     _two_cap_dims,
 )
@@ -26,7 +31,7 @@ from mfcat.factorization import (
     verify_mf,
 )
 from mfcat.fields import QQ, field_from_name
-from mfcat.hochschild import folded_koszul_complex
+from mfcat.hochschild import _koszul_stop, folded_koszul_complex, hochschild_cohomology
 from mfcat.series import RingCtx, Series, monomial_basis, monomials_of_degree
 from mfcat.serialize import parse_potential_text
 from mfcat.stabilize import stabilize_residue_field, stabilized_diagonal
@@ -487,3 +492,122 @@ def test_operator_rows_match_series_products(field_name):
         assert _truncated_operator_rows(columns, src, level_index) == _operator_rows_reference(
             mat, src, level_index
         )
+
+
+# -- the proven end of the strand scan ------------------------------------------
+
+
+def _pair(names, text, left, right, field=QQ):
+    """Hom(left, right) objects over w = text: "K", "K[1]", "triv", "Delta",
+    or a rank-one factorization written "a|b" (phi = a, psi = b)."""
+    ctx = RingCtx(tuple(names.split(",")), field)
+    w = parse_potential_text(ctx, text)
+
+    def build(label):
+        if label in ("K", "K[1]"):
+            k = stabilize_residue_field(w)
+            return shift(k) if label == "K[1]" else k
+        if label == "triv":
+            return trivial_mf(ctx, w)
+        if label == "Delta":
+            return stabilized_diagonal(w)
+        a, b = (parse_potential_text(ctx, t) for t in label.split("|"))
+        return MatrixFactorization(ctx, w, RMatrix(ctx, [[a]]), RMatrix(ctx, [[b]]))
+
+    return build(left), build(right)
+
+
+def _nonzero_strands(c, graded):
+    """Strands of the zero-run scan (the old, assumed end) that carry cohomology."""
+    return [s for s, e, o in _strand_dims(c, *graded, stabilization_cap()) if e or o]
+
+
+# A fast subset of graded Hom pairs; the sharp ones have their top class
+# exactly on the stop.
+_HOM_PAIRS = [
+    ("x", "x^12", "x^6|x^6", "x^6|x^6", QQ, True),
+    ("x", "x^40", "x^20|x^20", "x^20|x^20", QQ, True),
+    ("x", "x^40", "K", "K", QQ, False),
+    ("x", "x^40", "x^7|x^33", "x^20|x^20", QQ, False),
+    ("x", "x^5", "K", "x^2|x^3", QQ, False),
+    ("x", "x^5", "x^2|x^3", "K[1]", field_from_name("prime:7"), False),
+    ("x", "x^3", "Delta", "Delta", QQ, False),
+    ("x,y", "x^2*y+y^3", "y|x^2+y^2", "x^2+y^2|y", QQ, False),
+    ("x,y", "x^2*y+y^3", "Delta", "Delta", QQ, False),
+    ("x,y", "x^3+y^3", "x+y|x^2-x*y+y^2", "K", field_from_name("prime:7"), False),
+    ("x,y", "x^3*y+x*y^3", "x*y|x^2+y^2", "x*y|x^2+y^2", QQ, True),
+    ("x,y", "x^2+y^2", "K", "K[1]", QQ, True),
+    ("x,y,z", "x^2+y^2+z^2", "K", "triv", QQ, False),
+]
+
+
+@pytest.mark.parametrize(
+    "names, text, left, right, field, sharp",
+    _HOM_PAIRS,
+    ids=["x12-node6", "x40-node20", "x40-K", "x40-node7-node20", "x5-K-node2", "x5-node2-K1-GF7",
+         "x3-Delta", "D4-E-F", "D4-Delta", "cusp-G-K-GF7", "x3y-node", "quadric2-K-K1",
+         "quadric3-K-triv"],
+)
+def test_serre_stop_bounds_the_strand_scan(monkeypatch, names, text, left, right, field, sharp):
+    # the zero-run scan needs a cap of 200 to settle on x^40
+    monkeypatch.setenv("MFCAT_NMAX", "200")
+    x, y = _pair(names, text, left, right, field)
+    C = hom_complex(x, y)
+    graded = detect_grading(C)
+    stop = _serre_stop(x.potential, *graded)
+    assert stop is not None
+    assert hom_cohomology(x, y) == cohomology_over_R(C)
+    strands = _nonzero_strands(C, graded)
+    assert all(s <= stop for s in strands)
+    assert (bool(strands) and strands[-1] == stop) == sharp
+
+
+@pytest.mark.parametrize(
+    "names, text, field",
+    [("x", "x^3", QQ), ("x", "x^7", QQ), ("x", "x^32", QQ), ("x,y", "x^2*y+y^3", QQ),
+     ("x,y", "x^3+y^4", QQ), ("x,y", "x^3+y^5", QQ), ("x,y", "x^3+y^3", field_from_name("prime:7")),
+     ("x,y,z", "x^2+y^2+z^2", QQ)],
+    ids=["A2", "A6", "A31", "D4", "E6", "E8", "cusp-GF7", "quadric3"],
+)
+def test_koszul_stop_bounds_the_strand_scan(monkeypatch, names, text, field):
+    monkeypatch.setenv("MFCAT_NMAX", "200")
+    w = parse_potential_text(RingCtx(tuple(names.split(",")), field), text)
+    partials = [w.partial_derivative(i) for i in range(w.ctx.n_vars)]
+    C = folded_koszul_complex(partials)
+    graded = detect_grading(C)
+    stop = _koszul_stop(partials, *graded)
+    assert hochschild_cohomology(w) == cohomology_over_R(C)
+    # Jac(w) is nonzero in its top degree, so this stop is always sharp
+    assert _nonzero_strands(C, graded)[-1] == stop
+
+
+def test_stop_needs_homogeneous_isolated_potential():
+    ctx = RingCtx(("x", "y"), QQ)
+    graded = ([0], [0], 4)
+
+    def stop(text):
+        return _serre_stop(parse_potential_text(ctx, text), *graded)
+
+    assert stop("x^3*y+x*y^3") == 4  # n(delta - 2) = 4 above u_max = 0
+    assert stop("x^2*y^2") is None  # homogeneous, not isolated
+    assert stop("x^4+y^5") is None  # not homogeneous
+    assert stop("x^3+y^3") is None  # homogeneous of the wrong degree
+    assert _serre_stop(Series.zero(ctx), *graded) is None
+    partials = [parse_potential_text(ctx, t) for t in ("2*x*y", "x^2+3*y^2")]
+    assert _certified_top_degree(partials) == 2
+    assert _certified_top_degree([partials[0], Series.zero(ctx)]) is None
+    assert _certified_top_degree([partials[0], partials[0]]) is None
+
+
+def test_stop_past_the_cap_raises(monkeypatch):
+    from mfcat.errors import StabilizationError
+
+    x, _ = _pair("x", "x^40", "K", "K")
+    graded = detect_grading(hom_complex(x, x))
+    assert _serre_stop(x.potential, *graded) == max(graded[0] + graded[1]) + 38
+    # the last strand under the cap is 2 * 18 + u_max, two below the stop
+    monkeypatch.setenv("MFCAT_NMAX", "18")
+    with pytest.raises(StabilizationError):
+        hom_cohomology(x, x)
+    monkeypatch.setenv("MFCAT_NMAX", "19")
+    assert hom_cohomology(x, x) == (1, 1)

@@ -115,12 +115,15 @@ def test_ring_spec_parser():
     assert ctx2 == RingCtx(("x",), QQ)
     with pytest.raises(InputParseError):
         serialize.parse_ring_spec("x,y;rational;trunc=32")
+    assert serialize.parse_ring_spec(" x , y' ; prime(7) ").names == ("x", "y'")
     ctx3 = serialize.parse_ring_spec("u,v;prime(7)")
     assert ctx3.field.characteristic == 7
     # a field component is exactly "rational" or "prime(<p>)", at most once;
     # a bad variable list (RingCtx's PreconditionError) is a parse error too
+    # no part is empty, and every variable is a name the expression tokenizer reads
     for spec in ("x;unknownfield", "x;prime(7", "x;prime:7", "x;prime(7);prime(5)",
-                 "x;rational;rational", "x,x;prime(7)"):
+                 "x;rational;rational", "x,x;prime(7)", ";prime(7)", ";rational", "x y",
+                 "x,,y", "x;;prime(7)", "x;", "x,y,", "2x", "x-y"):
         with pytest.raises(InputParseError):
             serialize.parse_ring_spec(spec)
 
