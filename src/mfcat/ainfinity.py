@@ -14,10 +14,20 @@ spanning sets.
 The projection keeps the pure del-word coefficients, so they are the
 coordinates on its image, read off with no elimination (`coords`).
 
-d, h and p compute each single term's image once and extend linearly
-(`cached_linear`); the tree transfer applies them to a few hundred distinct
-terms tens of thousands of times. The caches are exact because the three
-maps are k-linear, and each belongs to its algebra or contraction.
+d, h, p and the stage projections compute each single term's image once
+and extend linearly (`cached_linear`); the tree transfer applies them to a
+few hundred distinct terms tens of thousands of times. The caches are exact
+because these maps are k-linear, and each belongs to its algebra or
+contraction. Products of operators read each pair of words' normal form from
+one table (`superops._word_product`), and lambda of a tuple sums all its
+splits into one term dict (`superops.multiply_into`).
+
+The transfer visits only the tuples whose lambda can be nonzero: a tuple of
+arity k >= 2 is visited only if it is L + R with h(lambda(L)) and
+h(lambda(R)) both nonzero (every single index counts). lambda(args) is the
+sum over splits of +-h(lambda(left)) h(lambda(right)), so a tuple with
+lambda != 0 has a split with both factors nonzero and, by induction on the
+arity, is visited; `transfer_minimal_model` gives the proof in full.
 
 Tree-sum signs follow the bar-construction shift: in the shifted world the
 two-leaf product is b2(a, b) = (-1)^|a| a b, the recursion carries no other
@@ -28,14 +38,12 @@ convention's signs are locked by regression tests only.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
-
 from .errors import PreconditionError, VerificationError
 from .exterior import merge_sorted, subsets_ordered
 from .fields import accumulate
 from .series import RingCtx, Series
 from .stabilize import peel_witnesses
-from .superops import SuperOp, graded_commutator
+from .superops import SuperOp, graded_commutator, multiply_into
 
 
 class DgAlgebra:
@@ -65,9 +73,9 @@ def cached_linear(ctx: RingCtx, f):
 
     Each term's image f(t) is computed once and kept in a dict owned by the
     returned closure, so it dies with the algebra or contraction holding the
-    map. The cache is exact: d = [delta, -], the stage homotopies, and so h
-    and p built from them, are k-linear, so the sum of c f(t) over the terms
-    c t of a is f(a), and no value changes.
+    map. The cache is exact: d = [delta, -] and the stage homotopies are
+    k-linear, and so are the stage projections, h and p built from them, so
+    the sum of c f(t) over the terms c t of a is f(a), and no value changes.
     """
     field = ctx.field
     images: dict = {}
@@ -123,7 +131,8 @@ class ContractionData:
         def projection(h):
             return lambda a: a - d(h(a)) - h(d(a))
 
-        projections = [projection(h) for h in stages]
+        # the stage projections a - d h_i a - h_i d a are cached like h and p
+        self.stage_projections = projections = [cached_linear(ctx, projection(h)) for h in stages]
 
         def homotopy(a: SuperOp) -> SuperOp:
             total = SuperOp.zero(ctx)
@@ -149,10 +158,12 @@ class ContractionData:
                 raise VerificationError(f"projected generator {subset} lost its pure part")
 
     def iota(self, coords: dict) -> SuperOp:
-        out = SuperOp.zero(self.algebra.ctx)
+        field = self.algebra.ctx.field
+        out: dict = {}
         for idx, c in coords.items():
-            out = out + self.basis_elements[idx].scale(c)
-        return out
+            for key, v in self.basis_elements[idx].terms.items():
+                accumulate(out, key, field.mul(c, v), field)
+        return SuperOp(self.algebra.ctx, out)
 
     def coords(self, x: SuperOp) -> dict:
         """Coordinates of an element of the image in the projected basis.
@@ -278,63 +289,83 @@ class AInfStructure:
 
 
 class _Transfer:
+    """lambda and h(lambda) of argument tuples, kept arity by arity.
+
+    lambda(args) is the sum over splits of +-hlam(left) hlam(right), where
+    hlam of a single index is its basis element and hlam(args) = h(lambda(args)).
+    `keep` records the nonzero hlam of one tuple; a tuple never kept reads
+    zero. So `lam(args)` is exact once every shorter tuple with nonzero
+    hlam has been kept.
+    """
+
     def __init__(self, contraction: ContractionData):
         self.C = contraction
-        self.zero = SuperOp.zero(contraction.algebra.ctx)
-        self._lam: dict = {}
-        self._hlam: dict = {}
-        self.base_par = [len(s) % 2 for s in contraction.labels]
+        self.ctx = contraction.algebra.ctx
+        self._hlam = {(i,): elt for i, elt in enumerate(contraction.basis_elements)}
+        self.parities = contraction.parities
 
-    def vpar(self, args) -> int:
-        # parity in the algebra of h(lam(args)), closed form over any split
-        return (sum(self.base_par[a] for a in args) + len(args) - 1) % 2
-
-    def hlam(self, args):
-        if len(args) == 1:
-            return self.C.basis_elements[args[0]]
-        got = self._hlam.get(args)
-        if got is None:
-            lam = self.lam(args)
-            got = self.zero if lam.is_zero() else self.C.h(lam)
-            self._hlam[args] = got
-        return got
-
-    def lam(self, args):
-        got = self._lam.get(args)
-        if got is not None:
-            return got
-        total = self.zero
+    def lam(self, args) -> SuperOp:
+        out: dict = {}
+        hlam = self._hlam
+        # parity in the algebra of hlam(args[:j]): the base parities of
+        # args[:j] plus j - 1, one per product in the tree
+        odd = 1
         for j in range(1, len(args)):
-            left = self.hlam(args[:j])
-            if left.is_zero():
+            odd ^= self.parities[args[j - 1]] ^ 1
+            left = hlam.get(args[:j])
+            if left is None:
                 continue
-            right = self.hlam(args[j:])
-            if right.is_zero():
-                continue
-            prod = left * right
-            if self.vpar(args[:j]):
-                prod = -prod
-            total = total + prod
-        self._lam[args] = total
-        return total
+            right = hlam.get(args[j:])
+            if right is not None:
+                multiply_into(out, left, right, -1 if odd else 1)
+        return SuperOp(self.ctx, out)
+
+    def keep(self, args, lam: SuperOp) -> bool:
+        """Record hlam(args) = h(lam) for lam = lambda(args); True iff nonzero."""
+        if lam.is_zero():
+            return False
+        image = self.C.h(lam)
+        if image.is_zero():
+            return False
+        self._hlam[args] = image
+        return True
 
 
 def transfer_minimal_model(w: Series, max_arity: int) -> AInfStructure:
-    """Transferred products m_2..m_max_arity on the projected generators."""
+    """Transferred products m_2..m_max_arity on the projected generators.
+
+    Arity k visits only the tuples L + R with L, R kept at lower arities
+    (`_Transfer.keep`), in sorted order. This finds every tuple with
+    lambda != 0, by induction on k. Every index is kept at arity 1. At
+    arity k, lambda(args) is a sum over splits args = L + R of
+    +-hlam(L) hlam(R); if it is nonzero, some split has hlam(L) != 0 and
+    hlam(R) != 0, so by induction L and R were visited and kept, and args
+    is visited. A tuple that is not visited has lambda = 0, so it has no
+    product and hlam = 0. Sorted order is the lexicographic order of
+    `itertools.product`, so each table keeps the order a walk over every
+    tuple gives. Tuples of the top arity enter no later lambda, so their
+    hlam is never computed.
+    """
     if max_arity < 2:
         raise PreconditionError("max_arity must be at least 2")
     contraction = build_contraction(w)
     tr = _Transfer(contraction)
-    dim = len(contraction.labels)
     field = w.ctx.field
     products: dict = {}
     parities = contraction.parities
+    live = {1: [(i,) for i in range(len(contraction.labels))]}
     for k in range(2, max_arity + 1):
+        visit = sorted(
+            {left + right for j in range(1, k) for left in live[j] for right in live[k - j]}
+        )
+        live[k] = []
         table: dict = {}
-        for args in iter_product(range(dim), repeat=k):
+        for args in visit:
             lam = tr.lam(args)
             if lam.is_zero():
                 continue
+            if k < max_arity and tr.keep(args, lam):
+                live[k].append(args)
             vec = contraction.coords(contraction.p(lam))
             if not vec:
                 continue

@@ -75,6 +75,15 @@ def jacobian_report(w: Series) -> JacobianReport:
         raise PreconditionError("potential must be nonzero and lie in m^2")
     ctx = w.ctx
     partials = [w.partial_derivative(i) for i in range(ctx.n_vars)]
+    # by Krull's height theorem the n - 1 other partials cannot generate an
+    # m-primary ideal, so no quotient dimension would ever stabilize
+    for name, d in zip(ctx.names, partials):
+        if d.is_zero():
+            raise PreconditionError(
+                f"dw/d{name} vanishes identically in characteristic "
+                f"{ctx.field.characteristic}: the Jacobian ideal is not m-primary, "
+                "so the Jacobian and Koszul routes do not apply"
+            )
     milnor, standard, at = _stabilized_quotient(ctx, partials)
     tyurina, _, _ = _stabilized_quotient(ctx, partials + [w])
     return JacobianReport(milnor, tyurina, standard, at)

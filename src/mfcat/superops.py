@@ -3,16 +3,18 @@
 A term is (x-exponent, theta word, del word) with both words sorted strictly
 ascending and every theta written left of every del. Multiplication
 normal-orders via del_i theta_j + theta_j del_i = delta_ij with all Koszul
-signs tracked exactly.
+signs tracked exactly. Each pair of words is normal-ordered once
+(`_word_product`), and every product goes through one kernel that reads
+that table (`multiply_into`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add as _add_exponents
 
 from .errors import PreconditionError
 from .exterior import merge_sorted
-from .fields import accumulate
 from .series import LinearCombination, Series, _check_ctx
 
 
@@ -45,6 +47,52 @@ def _del_theta(dels: tuple, thetas: tuple):
         for (th, dl), s in _del_theta(head, reduced):
             add_sign((th, dl), s * sign_hit)
     return tuple(out.items())
+
+
+@lru_cache(maxsize=None)
+def _word_product(th1: tuple, dl1: tuple, th2: tuple, dl2: tuple):
+    """Normal form of theta_th1 del_dl1 * theta_th2 del_dl2.
+
+    Returns ((theta, del, sign), ...) with sign +1 or -1: `_del_theta` moves
+    del_dl1 past theta_th2, then theta_th1 and del_dl2 merge in. Each term of
+    `_del_theta(dl1, th2)` is theta_(th2 - S) del_(dl1 - S) for one S in
+    dl1 & th2, so the terms have distinct theta words, and so distinct
+    words after the merge with th1: no two terms combine.
+    """
+    out = []
+    for (th_mid, dl_mid), s_mid in _del_theta(dl1, th2):
+        left = merge_sorted(th1, th_mid)
+        if left is None:
+            continue
+        right = merge_sorted(dl_mid, dl2)
+        if right is None:
+            continue
+        out.append((left[1], right[1], s_mid * left[0] * right[0]))
+    return tuple(out)
+
+
+def multiply_into(out: dict, a, b, sign: int) -> None:
+    """Add sign * a b into the term dict `out`, for sign +1 or -1.
+
+    The product of two terms reads the normal-ordered words of their word
+    pair from `_word_product`; a sign -1 negates the coefficient. A sum that
+    cancels stays in `out` as a zero, which the `SuperOp` built from it drops.
+    """
+    field = a.ctx.field
+    add, mul, neg, zero = field.add, field.mul, field.neg, field.zero
+    b_terms = b.terms.items()
+    for (e1, th1, dl1), c1 in a.terms.items():
+        if sign < 0:
+            c1 = neg(c1)
+        for (e2, th2, dl2), c2 in b_terms:
+            words = _word_product(th1, dl1, th2, dl2)
+            if not words:
+                continue
+            exp = tuple(map(_add_exponents, e1, e2))
+            c = mul(c1, c2)
+            for th, dl, s in words:
+                key = (exp, th, dl)
+                out[key] = add(out.get(key, zero), c if s > 0 else neg(c))
 
 
 class SuperOp(LinearCombination):
@@ -99,23 +147,8 @@ class SuperOp(LinearCombination):
 
     def __mul__(self, other):
         _check_ctx(self, other)
-        field = self.ctx.field
         out: dict = {}
-        for (e1, th1, dl1), c1 in self.terms.items():
-            for (e2, th2, dl2), c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c12 = field.mul(c1, c2)
-                for (th_mid, dl_mid), s_mid in _del_theta(dl1, th2):
-                    left = merge_sorted(th1, th_mid)
-                    if left is None:
-                        continue
-                    s_th, th = left
-                    right = merge_sorted(dl_mid, dl2)
-                    if right is None:
-                        continue
-                    s_dl, dl = right
-                    sign = s_mid * s_th * s_dl
-                    accumulate(out, (exp, th, dl), field.mul(c12, field.of(sign)), field)
+        multiply_into(out, self, other, 1)
         return SuperOp(self.ctx, out)
 
     def __repr__(self):
@@ -133,16 +166,14 @@ class SuperOp(LinearCombination):
 
 def graded_commutator(a: SuperOp, b: SuperOp) -> SuperOp:
     """[a, b] = ab - (-1)^(|a||b|) ba on parity-homogeneous pieces."""
-    out = SuperOp.zero(a.ctx)
-    ae, ao = a.parity_parts()
-    be, bo = b.parity_parts()
-    for x, px in ((ae, 0), (ao, 1)):
+    _check_ctx(a, b)
+    out: dict = {}
+    for x, px in zip(a.parity_parts(), (0, 1)):
         if x.is_zero():
             continue
-        for y, py in ((be, 0), (bo, 1)):
+        for y, py in zip(b.parity_parts(), (0, 1)):
             if y.is_zero():
                 continue
-            prod = x * y
-            back = y * x
-            out = out + (prod + back if px * py else prod - back)
-    return out
+            multiply_into(out, x, y, 1)
+            multiply_into(out, y, x, 1 if px * py else -1)
+    return SuperOp(a.ctx, out)

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from itertools import product as iter_product
 
 import pytest
 
 from mfcat.ainfinity import (
     DgAlgebra,
+    _shift_sign,
     _stage_homotopy,
+    _Transfer,
     build_contraction,
     clifford_check,
     clifford_product,
@@ -99,7 +102,7 @@ def uncached_maps(C):
             total = total + mid
         return total
 
-    return d, h, projection(h)
+    return d, h, projection(h), projections
 
 
 @pytest.mark.parametrize(
@@ -113,7 +116,7 @@ def uncached_maps(C):
 def test_cached_maps_match_uncached_on_combinations(names, text, field, coeffs):
     ctx = RingCtx(tuple(names), field)
     C = build_contraction(parse_potential_text(ctx, text))
-    d, h, p = uncached_maps(C)
+    d, h, p, projections = uncached_maps(C)
     rng = random.Random(0)
     # a pool of ten words: later combinations reuse terms whose images are cached
     pool = rng.sample(spanning_set(ctx, 2), 10)
@@ -125,7 +128,53 @@ def test_cached_maps_match_uncached_on_combinations(names, text, field, coeffs):
         assert C.algebra.d(a) == d(a)
         assert C.h(a) == h(a)
         assert C.p(a) == p(a)
+        for cached, plain in zip(C.stage_projections, projections, strict=True):
+            assert cached(a) == plain(a)
         assert C.check_identity(a)
+
+
+def every_tuple_products(w, max_arity):
+    """The product tables from a walk over every tuple of every arity, in
+    `itertools.product` order, through `_Transfer` and coords(p(lambda))."""
+    C = build_contraction(w)
+    tr = _Transfer(C)
+    field = w.ctx.field
+    products = {}
+    for k in range(2, max_arity + 1):
+        table = {}
+        for args in iter_product(range(len(C.labels)), repeat=k):
+            lam = tr.lam(args)
+            tr.keep(args, lam)
+            vec = C.coords(C.p(lam))
+            if vec:
+                if _shift_sign(C.parities, args) < 0:
+                    vec = {i: field.neg(c) for i, c in vec.items()}
+                table[args] = vec
+        if table:
+            products[k] = table
+    return products
+
+
+@pytest.mark.parametrize(
+    "names, text, field, max_arity",
+    [
+        ("xyz", "x^3 + y^3 + z^3", QQ, 4),
+        ("xy", "x^2*y + y^3", QQ, 6),
+        ("xy", "x^4 + y^5 + x^2*y^3", QQ, 5),
+        ("x", "x^2 + x^3 + x^5", QQ, 7),
+        ("xy", "x^3 + y^3", PrimeField(7), 5),
+    ],
+    ids=["fermat3", "D4", "W12", "A-x2x3x5", "cusp-GF7"],
+)
+def test_live_tuples_give_the_every_tuple_tables(names, text, field, max_arity):
+    w = parse_potential_text(RingCtx(tuple(names), field), text)
+    model = transfer_minimal_model(w, max_arity)
+    expected = every_tuple_products(w, max_arity)
+    assert expected
+    # equal tables, with the same keys in the same insertion order
+    assert list(model.products) == list(expected)
+    for k, table in expected.items():
+        assert list(model.products[k].items()) == list(table.items())
 
 
 def test_one_variable_contraction():

@@ -98,6 +98,14 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
     assert code == 5 and "stabilization" in err
 
 
+@pytest.mark.parametrize("text, ring", [("x^7", "x;prime(7)"), ("x^7+y^2", "x,y;prime(7)")])
+def test_hh_vanishing_partial_is_a_precondition(capsys, text, ring):
+    # dw/dx = 7x^6 = 0 in characteristic 7: the Jacobian ideal is not m-primary
+    code, out, err = run(capsys, "hh", "--inline", text, "--ring", ring)
+    assert code == 3 and out == ""
+    assert "dw/dx vanishes identically in characteristic 7" in err
+
+
 @pytest.mark.parametrize(
     "ring, env, term, ring_obj",
     [

@@ -22,6 +22,7 @@ POTENTIALS = {
     "D4-GF7": ("x,y;prime(7)", "x^2*y + y^3"),
     "quadric3": ("x,y,z", "x^2 + y^2 + z^2"),
     "fermat3": ("x,y,z", "x^3 + y^3 + z^3"),
+    "W12": ("x,y", "x^4 + y^5 + x^2*y^3"),
 }
 
 # (case id, potential, command before the potential flags, trailing arguments)
@@ -39,6 +40,9 @@ INLINE_CASES = [
     ("D4-GF7-minimal-model", "D4-GF7", "minimal-model", ["--max-arity", "4"]),
     ("quadric3-minimal-model", "quadric3", "minimal-model", ["--max-arity", "3"]),
     ("fermat3-minimal-model", "fermat3", "minimal-model", ["--max-arity", "4"]),
+    # W12 is not quasi-homogeneous; D4 at arity 7 visits the fewest of all tuples
+    ("W12-minimal-model-6", "W12", "minimal-model", ["--max-arity", "6"]),
+    ("D4-minimal-model-7", "D4", "minimal-model", ["--max-arity", "7"]),
 ]
 
 GOLDEN = {
@@ -55,6 +59,8 @@ GOLDEN = {
     "D4-GF7-minimal-model": "74f27b05448f2a57459f4ba396ba7abefafd33d401277f5fe0b4e47d82b2aa7c",
     "quadric3-minimal-model": "1d023a7ffe2d010df5e031daa712730462b11e39b7f4a50c8858a2f5123844cf",
     "fermat3-minimal-model": "c5f3efd57c523c10559e2a1d409b6f1a2f7fc350d5f67a9b7e4e1fdb8c7e1a91",
+    "W12-minimal-model-6": "eeca78a19b056f9eba44c3da8ed7247f88851d43329eefb404b9b9820074caa8",
+    "D4-minimal-model-7": "17d9a38e8322ad87362c3ba77c7e8710ab0f9b000ee1f051826246df67f85a59",
     "A3-endomorphisms": "285017a02c649a094aff252898b469c13c73fd856908ed26720a057f365e68f7",
     "D4-endomorphisms": "801f4766252f6f6857307261681917297dd59ba82b993eee2c7ca362b3026669",
     "quad-transform": "6d285ba2f69a9093c9c37413600e5d5dadd112f3e140756eae0e5a93fb154dc8",

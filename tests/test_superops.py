@@ -1,14 +1,16 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from mfcat.ainfinity import DgAlgebra
 from mfcat.errors import ContextMismatchError, PreconditionError
-from mfcat.fields import QQ
+from mfcat.exterior import merge_sorted
+from mfcat.fields import QQ, PrimeField, accumulate
 from mfcat.series import RingCtx, Series, monomial_basis
 from mfcat.serialize import parse_potential_text
-from mfcat.superops import SuperOp, graded_commutator
+from mfcat.superops import SuperOp, _del_theta, graded_commutator, multiply_into
 
 
 def ctx_n(n):
@@ -126,3 +128,72 @@ def test_context_mismatch_raises():
         a + b
     with pytest.raises(ContextMismatchError):
         a * b
+
+
+def reference_product(a, b):
+    """The product term pair by term pair: `_del_theta`, then two
+    `merge_sorted` calls, with the sign brought in through `field.of`."""
+    field = a.ctx.field
+    out = {}
+    for (e1, th1, dl1), c1 in a.terms.items():
+        for (e2, th2, dl2), c2 in b.terms.items():
+            exp = tuple(u + v for u, v in zip(e1, e2))
+            c12 = field.mul(c1, c2)
+            for (th_mid, dl_mid), s_mid in _del_theta(dl1, th2):
+                left = merge_sorted(th1, th_mid)
+                if left is None:
+                    continue
+                s_th, th = left
+                right = merge_sorted(dl_mid, dl2)
+                if right is None:
+                    continue
+                s_dl, dl = right
+                sign = s_mid * s_th * s_dl
+                accumulate(out, (exp, th, dl), field.mul(c12, field.of(sign)), field)
+    return SuperOp(a.ctx, out)
+
+
+def rand_op_over(rng, c, coeffs, density):
+    n = c.n_vars
+    words = [
+        (th, dl)
+        for kt in range(n + 1)
+        for th in combinations(range(n), kt)
+        for kd in range(n + 1)
+        for dl in combinations(range(n), kd)
+    ]
+    terms = {}
+    for deg in (0, 1):
+        for exp in monomial_basis(c, deg):
+            for th, dl in words:
+                if rng.random() < density:
+                    terms[(exp, th, dl)] = c.field.of(rng.choice(coeffs))
+    return SuperOp(c, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "field, coeffs",
+    [
+        (QQ, [Fraction(-3, 2), Fraction(5, 7), Fraction(1, 3), 2, -1]),
+        (PrimeField(7), [1, 2, 3, 5, 6]),
+    ],
+    ids=["QQ", "GF7"],
+)
+def test_product_kernel_matches_term_pair_reference(n, field, coeffs):
+    c = RingCtx(n, field)
+    rng = random.Random(100 + n)
+    density = {1: 0.7, 2: 0.35, 3: 0.12}[n]
+    for _ in range(8):
+        a, b = rand_op_over(rng, c, coeffs, density), rand_op_over(rng, c, coeffs, density)
+        assert len(a.terms) > 1 and len(b.terms) > 1
+        ab = reference_product(a, b)
+        assert a * b == ab
+        ae, ao = a.parity_parts()
+        be, bo = b.parity_parts()
+        bracket = ab - reference_product(be, a) - reference_product(bo, ae) + reference_product(bo, ao)
+        assert graded_commutator(a, b) == bracket
+        # the kernel adds into what the dict already holds, with either sign
+        out = dict(ab.terms)
+        multiply_into(out, b, a, -1)
+        assert SuperOp(c, out) == ab - reference_product(b, a)
