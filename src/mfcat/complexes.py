@@ -38,7 +38,7 @@ from operator import add
 
 from .errors import InputParseError, PreconditionError, StabilizationError, VerificationError
 from .factorization import MatrixFactorization, MFMorphism, RMatrix, _tensor_blocks, cone, dual
-from .linalg import rank_dense, rank_sparse
+from .linalg import rank_sparse
 from .series import Series, monomial_basis, monomials_of_degree
 
 DEFAULT_STABILIZATION_CAP = 64
@@ -70,7 +70,10 @@ def cohomology_mod_k(mf: MatrixFactorization):
                     acc = field.add(acc, field.mul(a, right[k][j]))
                 if acc != field.zero:
                     raise VerificationError("reduction is not a complex")
-    r = rank_dense(d_eo, field) + rank_dense(d_oe, field)
+    r = sum(
+        rank_sparse([{j: a for j, a in enumerate(row) if a != field.zero} for row in d], field)
+        for d in (d_eo, d_oe)
+    )
     return (mf.rank - r, mf.rank - r)
 
 
@@ -463,8 +466,15 @@ def _certified_top_degree(gens):
     if len(gens) != ctx.n_vars or min(degrees) < 1:
         return None
     top = sum(e - 1 for e in degrees)
-    target = monomials_of_degree(ctx.n_vars, top + 1)
-    index = {(0, m): i for i, m in enumerate(target)}
     src = [(i, m) for i, e in enumerate(degrees) for m in monomials_of_degree(ctx.n_vars, top + 1 - e)]
+    return top if _quotient_dim(gens, src, monomials_of_degree(ctx.n_vars, top + 1)) == 0 else None
+
+
+def _quotient_dim(gens, src, target):
+    """dim of R/(gens) on the monomial window `target`: len(target) minus the
+    rank of the products m * gens[i], (i, m) in src, with the terms outside
+    the window dropped."""
+    ctx = gens[0].ctx
+    index = {(0, m): i for i, m in enumerate(target)}
     rows = _truncated_operator_rows(_column_terms(RMatrix(ctx, [list(gens)])), src, index)
-    return top if rank_sparse(rows, ctx.field) == len(target) else None
+    return len(target) - rank_sparse(rows, ctx.field)

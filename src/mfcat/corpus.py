@@ -152,8 +152,9 @@ def _bruteforce_quotient_dim(w: Series, cap: int) -> int:
     """dim R/(partials) in R/m^(cap+1) by dense elimination.
 
     The multiplication rows are built here on purpose instead of through
-    hochschild._quotient_data or complexes._truncated_operator_rows: this is
-    the independent oracle those engines are checked against.
+    complexes._quotient_dim or complexes._truncated_operator_rows, and
+    eliminated densely: this is the independent oracle those engines are
+    checked against.
     """
     ctx = w.ctx
     gens = [w.partial_derivative(i) for i in range(ctx.n_vars)]

@@ -1,27 +1,28 @@
 """Hochschild invariants via the folded Koszul complex of the partials.
 
-The Milnor/Tyurina dimensions come from exact linear algebra in truncated
-quotients; that computation is sound because the truncated dimensions are
-monotone and a repeat value certifies stabilization (graded Nakayama).
+The Milnor/Tyurina dimensions are those of R/(gens + m^(N+1)) at levels
+N = 1, 2, ..., each len(monomials of degree <= N) minus one sparse rank
+(`complexes._quotient_dim`). The first repeated dimension is the answer:
+the dimensions never decrease, and equality at N and N + 1 means
+m^(N+1) lies in (gens) + m^(N+2), so m^(N+1) lies in (gens) by Nakayama's
+lemma and every later level has the same dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import partial
 
 from .complexes import (
     _certified_top_degree,
-    _column_terms,
-    _truncated_operator_rows,
+    _quotient_dim,
     cohomology_mod_k,
     cohomology_over_R,
     hom_cohomology,
     stabilization_cap,
 )
 from .errors import PreconditionError, StabilizationError, VerificationError
-from .factorization import MatrixFactorization, RMatrix, dual, shift_power
-from .linalg import rref_dense
+from .factorization import MatrixFactorization, dual, shift_power
 from .series import Series, monomial_basis
 from .stabilize import KoszulData, make_koszul_mf, stabilized_diagonal
 
@@ -30,41 +31,20 @@ from .stabilize import KoszulData, make_koszul_mf, stabilized_diagonal
 class JacobianReport:
     milnor_number: int
     tyurina_number: int
-    monomial_basis: list = dc_field(default_factory=list)
     stabilized_at: int = 0
 
 
-def _quotient_data(ctx, gens, cap):
-    """dim and standard monomials of R/(gens) worked in R/m^(N+1), N = cap."""
-    monos = monomial_basis(ctx, cap)
-    field = ctx.field
-    # the ideal is spanned by the rows of g_i * alpha: one operator row per
-    # (generator, monomial) pair, for the 1 x len(gens) matrix of generators
-    index = {(0, m): i for i, m in enumerate(monos)}
-    src = [(i, alpha) for i in range(len(gens)) for alpha in monos]
-    rows = []
-    for vec in _truncated_operator_rows(_column_terms(RMatrix(ctx, [list(gens)])), src, index):
-        if vec:
-            row = [field.zero] * len(monos)
-            for col, c in vec.items():
-                row[col] = c
-            rows.append(row)
-    reduced, pivots = rref_dense(rows, field)
-    pivot_set = set(pivots)
-    standard = [monos[i] for i in range(len(monos)) if i not in pivot_set]
-    return len(standard), standard
-
-
 def _stabilized_quotient(ctx, gens):
+    """(dim R/(gens), N): the dimension of R/(gens + m^(N+1)) at the first
+    level N whose dimension repeats at N + 1."""
     cap = stabilization_cap()
     prev = None
-    n = 1
-    while n <= cap:
-        dim, standard = _quotient_data(ctx, gens, n)
-        if prev is not None and prev[0] == dim:
-            return dim, prev[1], n - 1
-        prev = (dim, standard)
-        n += 1
+    for n in range(1, cap + 1):
+        monos = monomial_basis(ctx, n)
+        dim = _quotient_dim(gens, [(i, m) for i in range(len(gens)) for m in monos], monos)
+        if dim == prev:
+            return dim, n - 1
+        prev = dim
     raise StabilizationError(
         "quotient dimension does not stabilize: not isolated (or cap too low)"
     )
@@ -84,9 +64,9 @@ def jacobian_report(w: Series) -> JacobianReport:
                 f"{ctx.field.characteristic}: the Jacobian ideal is not m-primary, "
                 "so the Jacobian and Koszul routes do not apply"
             )
-    milnor, standard, at = _stabilized_quotient(ctx, partials)
-    tyurina, _, _ = _stabilized_quotient(ctx, partials + [w])
-    return JacobianReport(milnor, tyurina, standard, at)
+    milnor, at = _stabilized_quotient(ctx, partials)
+    tyurina, _ = _stabilized_quotient(ctx, partials + [w])
+    return JacobianReport(milnor, tyurina, at)
 
 
 def folded_koszul_complex(gens) -> MatrixFactorization:

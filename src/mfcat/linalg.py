@@ -1,17 +1,20 @@
 """Exact linear algebra over an exact field.
 
-Two elimination cores. The dense one, `rref_dense`, takes lists of row lists
-and runs Gauss-Jordan; it serves the Jacobian quotient and the ranks of
-k-reductions (`rank_dense`). `nullspace_dense` reads its result too; no
-cohomology route calls it, and it is kept as the tests' reference kernel.
-The sparse one, `rank_sparse`, takes rows as {column: coefficient} dicts,
-turns them into integer rows and eliminates exactly, with no Fraction per
-entry. Over QQ a row whose entries are all ints is taken as it is, up to
-its content; only rows holding a Fraction have their denominators cleared.
-Over GF(p) the residues are the integers. A column index lets each pivot
-touch only the rows holding its column, and the pivots are picked to limit
-fill-in, which is what makes the strand-wise cohomology ranks cheap. It
-consumes its input list and may mutate the dicts in it.
+One elimination core serves production code: `rank_sparse` takes rows as
+{column: coefficient} dicts, turns them into integer rows and eliminates
+exactly, with no Fraction per entry. Over QQ a row whose entries are all
+ints is taken as it is, up to its content; only rows holding a Fraction
+have their denominators cleared. Over GF(p) the residues are the integers.
+A column index lets each pivot touch only the rows holding its column, and
+the pivots are picked to limit fill-in. It consumes its input list and may
+mutate the dicts in it. Every rank the engines take comes from it: strands,
+two-cap levels, quotient dimensions and k-reductions.
+
+The dense Gauss-Jordan `rref_dense`, with `rank_dense` and
+`nullspace_dense` on top of it, is kept as a reference only: the corpus
+oracle (`corpus._bruteforce_quotient_dim`) uses it so that it shares no
+elimination with the engines it checks, the tests compare against it, and
+the benchmark's tracer binds all four names.
 """
 
 from __future__ import annotations

@@ -259,6 +259,23 @@ def test_hh_ends_at_the_jacobian_top_degree(capsys, monkeypatch):
     assert code == 0 and (json.loads(out)["hh_even"], json.loads(out)["hh_odd"]) == (39, 0)
 
 
+@pytest.mark.parametrize("text, ring, mu", [("x^8+y^8+z^8", "x,y,z", 343), ("x^4+y^4+z^4+w^4", "x,y,z,w", 81)])
+def test_hh_of_large_jacobian_algebras(capsys, monkeypatch, text, ring, mu):
+    monkeypatch.delenv("MFCAT_NMAX", raising=False)
+    code, out, _ = run(capsys, "hh", "--inline", text, "--ring", ring)
+    report = json.loads(out)
+    assert code == 0 and (report["hh_even"], report["hh_odd"]) == (mu, 0)
+    assert report["milnor"] == report["tyurina"] == mu
+
+
+@pytest.mark.parametrize("text, ring", [("x^2*y", "x,y"), ("x^2*y+y^3", "x,y;prime(3)")])
+def test_hh_non_isolated_exits_at_the_default_cap(capsys, monkeypatch, text, ring):
+    # x^2*y is singular along a line; over GF(3) the partials 2xy and x^2 are not m-primary
+    monkeypatch.delenv("MFCAT_NMAX", raising=False)
+    code, out, err = run(capsys, "hh", "--inline", text, "--ring", ring)
+    assert code == 5 and out == "" and "stabiliz" in err
+
+
 @pytest.mark.parametrize(
     "ring, text, graded, dims",
     [("x,y", "1/2*x^2*y + 1/3*y^3", True, (2, 2)), ("x", "x^12 + 1/2*x^13", False, (1, 1))],

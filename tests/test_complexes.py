@@ -32,6 +32,7 @@ from mfcat.factorization import (
 )
 from mfcat.fields import QQ, field_from_name
 from mfcat.hochschild import _koszul_stop, folded_koszul_complex, hochschild_cohomology
+from mfcat.linalg import rank_dense
 from mfcat.series import RingCtx, Series, monomial_basis, monomials_of_degree
 from mfcat.serialize import parse_potential_text
 from mfcat.stabilize import stabilize_residue_field, stabilized_diagonal
@@ -226,6 +227,37 @@ def test_hom_complex_matches_sign_convention_reference():
                 d_eo, d_oe = _hom_reference(x, y)
                 assert H.psi == d_eo
                 assert H.phi == d_oe
+
+
+def _mod_k_grid():
+    """The objects of `_hom_grid`, and over QQ the same kinds of objects with
+    residues 1/2 and 1/3: the trivial (1/3, 3w) and the cone of 1/2 id on K."""
+    yield from _hom_grid()
+    for names, text in (("x", "1/2*x^3"), ("x,y", "1/2*x^2*y + 1/3*y^3")):
+        ctx = RingCtx(tuple(names.split(",")), QQ)
+        w = parse_potential_text(ctx, text)
+        K = stabilize_residue_field(w)
+        T = MatrixFactorization(
+            ctx, w, RMatrix(ctx, [[Series.constant(ctx, "1/3")]]), RMatrix(ctx, [[w.scale(3)]])
+        )
+        half_id = MFMorphism.scalar(K, Series.constant(ctx, "1/2"))
+        yield [K, shift(K), T, direct_sum(K, T), cone(half_id)]
+
+
+def _mod_k_reference(mf):
+    """(even, odd) k-dims of k (x) X from dense ranks of the residue matrices."""
+    field = mf.ctx.field
+    r = rank_dense(mf.psi.residue_matrix(), field) + rank_dense(mf.phi.residue_matrix(), field)
+    return (mf.rank - r, mf.rank - r)
+
+
+def test_cohomology_mod_k_matches_dense_ranks():
+    for objects in _mod_k_grid():
+        for x in objects:
+            assert cohomology_mod_k(x) == _mod_k_reference(x)
+            for y in objects:
+                H = hom_complex(x, y)
+                assert cohomology_mod_k(H) == _mod_k_reference(H)
 
 
 def test_scalar_action_nullhomotopy():

@@ -1,9 +1,10 @@
 import pytest
 
+from mfcat.complexes import _column_terms, _quotient_dim, _truncated_operator_rows
 from mfcat.corpus import oracle_milnor
 from mfcat.errors import PreconditionError, StabilizationError
-from mfcat.factorization import verify_mf
-from mfcat.fields import QQ
+from mfcat.factorization import RMatrix, verify_mf
+from mfcat.fields import QQ, field_from_name
 from mfcat.hochschild import (
     calabi_yau_parity_check,
     diagonal_hh_crosscheck,
@@ -13,7 +14,8 @@ from mfcat.hochschild import (
     hochschild_homology,
     jacobian_report,
 )
-from mfcat.series import RingCtx
+from mfcat.linalg import rref_dense
+from mfcat.series import RingCtx, monomial_basis
 from mfcat.serialize import parse_potential_text
 
 
@@ -26,12 +28,9 @@ def test_milnor_numbers():
         rep = jacobian_report(potential("x", f"x^{n}"))
         assert rep.milnor_number == n - 1
         assert rep.tyurina_number == n - 1
-        assert len(rep.monomial_basis) == n - 1
     assert jacobian_report(potential("xyz", "x^2 + y^2 + z^2")).milnor_number == 1
     assert jacobian_report(potential("xy", "x^3 + y^3")).milnor_number == 4
-    rep = jacobian_report(potential("xy", "x^2*y + y^3"))
-    assert rep.milnor_number == 4
-    assert set(rep.monomial_basis) == {(0, 0), (1, 0), (0, 1), (0, 2)}
+    assert jacobian_report(potential("xy", "x^2*y + y^3")).milnor_number == 4
 
 
 def test_milnor_oracle_agrees():
@@ -43,6 +42,93 @@ def test_milnor_oracle_agrees():
     ):
         w = potential(names, text)
         assert oracle_milnor(w) == mu == jacobian_report(w).milnor_number
+
+
+def _dense_quotient_data(ctx, gens, cap):
+    """Reference: dim and standard monomials of R/(gens) in R/m^(N+1), N = cap,
+    by Gauss-Jordan over dense rows."""
+    monos = monomial_basis(ctx, cap)
+    field = ctx.field
+    index = {(0, m): i for i, m in enumerate(monos)}
+    src = [(i, alpha) for i in range(len(gens)) for alpha in monos]
+    rows = []
+    for vec in _truncated_operator_rows(_column_terms(RMatrix(ctx, [list(gens)])), src, index):
+        if vec:
+            row = [field.zero] * len(monos)
+            for col, c in vec.items():
+                row[col] = c
+            rows.append(row)
+    pivots = set(rref_dense(rows, field)[1])
+    standard = [m for i, m in enumerate(monos) if i not in pivots]
+    return len(standard), standard
+
+
+def _dense_stabilized_quotient(ctx, gens):
+    """Reference: (dim, standard monomials, level) at the first level whose
+    dimension repeats at the next, with the dimension at every level visited."""
+    prev, levels = None, []
+    for n in range(1, 30):
+        dim, standard = _dense_quotient_data(ctx, gens, n)
+        levels.append(dim)
+        if prev is not None and prev[0] == dim:
+            return prev[0], prev[1], n - 1, levels
+        prev = (dim, standard)
+    raise AssertionError("reference loop did not stabilize")
+
+
+JACOBIAN_CASES = [
+    ("x", "x^2", None),
+    ("x", "x^5", None),
+    ("xy", "x^2 + y^2", None),
+    ("xy", "x^3 + y^3", None),
+    ("xy", "x^2*y + y^3", None),
+    ("xy", "x^3 + y^4", None),
+    ("xy", "x^3 + x*y^3", None),
+    ("xy", "x^3 + y^5", None),
+    ("xy", "x^2*y + y^4", None),
+    # not quasi-homogeneous: W12 with tau = 11, x^5 + y^5 + x^2 y^2 with tau = 10
+    ("xy", "x^4 + y^5 + x^2*y^3", None),
+    ("xy", "x^5 + y^5 + x^2*y^2", None),
+    ("xy", "x^2 + 3*x*y + 2*y^3 - 5*x^2*y^2", None),
+    ("xy", "1/2*x^2 + 1/3*y^3", None),
+    ("xy", "1/3*x^3 + 1/2*x^2*y + y^4", None),
+    ("xy", "x^3 + y^3 + 1/2*x^2*y^2", None),
+    ("xyz", "x^3 + y^3 + z^3", None),
+    ("xyz", "x^2*y + y^3 + z^2", None),
+    ("x", "x^3", "prime:7"),
+    ("xy", "x^2*y + y^4", "prime:7"),
+    ("xy", "x^4 + y^5 + x^2*y^3", "prime:7"),
+    ("xy", "x^3 + y^4", "prime:5"),
+    ("xy", "x^2*y + y^3", "prime:5"),
+]
+
+
+@pytest.mark.parametrize("names,text,field", JACOBIAN_CASES)
+def test_jacobian_report_matches_dense_reference(names, text, field):
+    """mu, tau and the level from sparse ranks equal those of the dense
+    reference loop, level by level, and mu equals the corpus oracle."""
+    ctx = RingCtx(tuple(names), field_from_name(field) if field else QQ)
+    w = parse_potential_text(ctx, text)
+    partials = [w.partial_derivative(i) for i in range(ctx.n_vars)]
+    rep = jacobian_report(w)
+    mu, standard, at, levels = _dense_stabilized_quotient(ctx, partials)
+    tau, _, _, _ = _dense_stabilized_quotient(ctx, partials + [w])
+    assert (rep.milnor_number, rep.tyurina_number, rep.stabilized_at) == (mu, tau, at)
+    assert len(standard) == mu == oracle_milnor(w)
+    for n, dim in enumerate(levels, start=1):
+        monos = monomial_basis(ctx, n)
+        src = [(i, m) for i in range(len(partials)) for m in monos]
+        assert _quotient_dim(partials, src, monos) == dim
+
+
+def test_d4_standard_monomials():
+    """The D4 standard set of the dense reference is {1, x, y, y^2}, one
+    monomial per unit of the Milnor number."""
+    w = potential("xy", "x^2*y + y^3")
+    partials = [w.partial_derivative(i) for i in range(2)]
+    mu, standard, _, _ = _dense_stabilized_quotient(w.ctx, partials)
+    assert set(standard) == {(0, 0), (1, 0), (0, 1), (0, 2)}
+    assert len(standard) == mu == jacobian_report(w).milnor_number
 
 
 def test_thom_sebastiani_shadow():
@@ -58,7 +144,7 @@ def test_milnor_bounds_invariant():
 
 
 def test_non_isolated_detected(monkeypatch):
-    monkeypatch.setenv("MFCAT_NMAX", "12")
+    monkeypatch.delenv("MFCAT_NMAX", raising=False)
     w = potential("xy", "x^2*y")  # singular along a line
     with pytest.raises(StabilizationError):
         jacobian_report(w)
