@@ -236,9 +236,22 @@ def build_parser():
     return parser
 
 
+def _attach_inline_values(argv):
+    """argv with `--inline EXPR` written `--inline=EXPR` when EXPR starts with a
+    single '-': argparse reads such a value as an option, so `--inline -x^3+y^4`
+    would exit 2 with "expected one argument"."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--inline" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = "--inline=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_inline_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except InputParseError as exc:

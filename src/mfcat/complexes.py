@@ -9,31 +9,38 @@ complexes, folded Koszul complexes and kernel-action complexes are all
 Two exact routes compute k-dimensions of cohomology over the local ring:
 
   * strand route: when the differential is homogeneous for some internal
-    grading (detected automatically), the complex splits into finite
-    strands and each contributes an exact rank computation;
+    grading (`detect_grading`), the complex splits into finite strands and
+    each contributes an exact rank computation. Shifts, step and strands are
+    `int`s, which they always are for factorizations of w != 0;
   * projective-limit route: otherwise the dimensions are recovered as the
     dimension of the image of H(C/m^(2n+1)) in H(C/m^(n+1)), which kills
     the spurious classes a single truncation would manufacture at its
     boundary; per parity and level it is three sparse ranks of the level
     differentials (`_two_cap_dims`).
 
-Both stay below the configurable cap (env MFCAT_NMAX, default 64). The strand
-scan of a morphism complex Hom(X, Y) (`hom_cohomology`) has a proven end when
-the potential w is homogeneous of the grading's step delta and certified
-isolated by (R/(dw))_{n(delta-2)+1} = 0: graded Serre duality puts every class
-at or below the strand u_max + n(delta - 2) (`_serre_stop`). The folded Koszul
-complex of the partials has a proven end too (`hochschild._koszul_stop`).
-Every other stop is assumed, not proven: the strand scan of any other graded
-complex, such as the kernel-action complex of `transform`, or of a Hom whose
-potential fails the preconditions, ends after a long run of empty strands;
-and the two-cap route ends when levels n and n+1 agree.
+Both stay below the configurable cap (env MFCAT_NMAX, default 64). A morphism
+complex Hom(X, Y) (`hom_cohomology`) is graded from gradings of X and Y,
+u_ij = b_i - a_j (`_hom_grading`), not by grading its own basis. Its strand
+scan has a proven end when the potential w is homogeneous of the grading's
+step delta and certified isolated by (R/(dw))_{n(delta-2)+1} = 0: graded Serre
+duality puts every class at or below the strand u_max + n(delta - 2)
+(`_serre_stop`). Under the same conditions End(X) is scanned only up to its
+center n(delta - 2)/2, and each strand below the center is counted again for
+its mirror (`_end_cohomology`); Hom(X, Y) with X != Y is scanned in full. The
+folded Koszul complex of the partials has a proven end too
+(`hochschild._koszul_stop`). Every other stop is assumed, not proven: the
+strand scan of any other graded complex, such as the kernel-action complex of
+`transform`, or of a Hom whose potential fails the preconditions, ends after a
+long run of empty strands; and the two-cap route ends when levels n and n+1
+agree.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import partial
+from heapq import merge
+from itertools import count
 from operator import add
 
 from .errors import InputParseError, PreconditionError, StabilizationError, VerificationError
@@ -127,13 +134,22 @@ def scalar_action_nullhomotopy(x: MatrixFactorization, y: MatrixFactorization, k
 def detect_grading(c: MatrixFactorization):
     """Internal degrees making d homogeneous, or None.
 
-    Returns (u_even, u_odd, delta): Fractions such that a basis vector i
-    carrying a ring monomial of degree g sits in strand 2g + u_i, and the
-    differential raises the strand by delta. Entry degrees are read from the
-    `_column_terms` of d; None as soon as an entry mixes two degrees.
+    Returns (u_even, u_odd, delta) such that a basis vector i carrying a ring
+    monomial of degree g sits in strand 2g + u_i, and the differential raises
+    the strand by delta. Entry degrees are read from the `_column_terms` of d;
+    None as soon as an entry mixes two degrees. `c` may be any factorization,
+    not only a complex.
+
+    The shifts and the step are `int`s whenever the step is. That always holds
+    for a factorization of w != 0: d^2 = w id puts every basis vector on a
+    2-cycle i -> j -> i of entry degrees g1 and g2, which forces
+    delta = g1 + g2. A `Fraction` step is left only where a cycle forces a
+    non-integral one, which can happen only in a complex of 0. Each component
+    of the basis graph has its first node at 0, and a step that no cycle
+    forces is 0.
     """
     n_e = c.rank
-    # nodes: 0..n_e-1 even, n_e..2n_e-1 odd; value = a + b*delta
+    # nodes: 0..n_e-1 even, n_e..2n_e-1 odd; value = a + b*delta with int a, b
     total = 2 * n_e
     assign: list = [None] * total
     adj: dict = {}
@@ -156,6 +172,8 @@ def detect_grading(c: MatrixFactorization):
         if b1 == b2:
             return a1 == a2
         d = Fraction(a2 - a1, b1 - b2)
+        if d.denominator == 1:
+            d = d.numerator
         if delta is None:
             delta = d
             return True
@@ -164,7 +182,7 @@ def detect_grading(c: MatrixFactorization):
     for start in range(total):
         if assign[start] is not None or start not in adj:
             continue
-        assign[start] = (Fraction(0), Fraction(0))
+        assign[start] = (0, 0)
         stack = [start]
         while stack:
             node = stack.pop()
@@ -179,9 +197,30 @@ def detect_grading(c: MatrixFactorization):
                 elif not resolve(assign[other][0], assign[other][1], na, nb):
                     return None
     if delta is None:
-        delta = Fraction(0)
-    u = [Fraction(0) if ab is None else ab[0] + ab[1] * delta for ab in assign]
+        delta = 0
+    u = [0 if ab is None else ab[0] + ab[1] * delta for ab in assign]
     return u[:n_e], u[n_e:], delta
+
+
+def _hom_grading(x: MatrixFactorization, y: MatrixFactorization):
+    """Grading of `hom_complex(x, y)` from gradings of the objects, or None.
+
+    With X graded by shifts a and Y by shifts b, both with step delta, the
+    basis vector e_i (x) e_j^* of Hom(X, Y) gets the shift u_ij = b_i - a_j,
+    and D(f) = d_Y f -+ f d_X raises it by delta. The blocks follow
+    `hom_complex`'s basis order. If X or Y is ungraded, or their steps
+    differ, Hom is ungraded: every entry of d_X and of d_Y is an entry of
+    Hom's differential.
+    """
+    gx, gy = detect_grading(x), detect_grading(y)
+    if gx is None or gy is None or gx[2] != gy[2]:
+        return None
+    (a0, a1, delta), (b0, b1, _) = gx, gy
+
+    def block(b, a):
+        return [bi - aj for bi in b for aj in a]
+
+    return block(b0, a0) + block(b1, a1), block(b1, a0) + block(b0, a1), delta
 
 
 class _StrandRanks:
@@ -208,7 +247,7 @@ class _StrandRanks:
             g2 = s - u
             if g2 < 0 or g2 % 2 != 0:
                 continue
-            g = int(g2 / 2)
+            g = g2 // 2
             monos = self._monomials.get(g)
             if monos is None:
                 monos = self._monomials[g] = monomials_of_degree(self.n, g)
@@ -243,7 +282,9 @@ def _strand_dims(c: MatrixFactorization, u_even, u_odd, delta, cap, stop=None):
     With `stop`, exactly the strands s <= stop are visited; a stop past the
     cap's last strand 2*cap + u_max is a StabilizationError. Without one, the
     scan ends after a long run of empty strands past the largest shift, a rule
-    that is assumed, not proven.
+    that is assumed, not proven. The strands are u + 2t, t >= 0, for u a shift
+    or a shift -+ delta (the strands a differential reaches), produced lazily
+    in increasing order up to the last one visited.
     """
     all_u = list(u_even) + list(u_odd)
     if not all_u:
@@ -253,17 +294,20 @@ def _strand_dims(c: MatrixFactorization, u_even, u_odd, delta, cap, stop=None):
     # internal degrees before declaring the tail empty
     spread = int(max(all_u) - min(all_u))
     zero_run = max(12, 2 * int(abs(delta)) + 4, spread + 4)
-    # candidate strand values: u + 2t and their delta-translates
-    starts = sorted(set(all_u) | {u + delta for u in all_u} | {u - delta for u in all_u})
     u_max = max(all_u)
     s_cap = 2 * cap + u_max
     if stop is not None and stop > s_cap:
         raise StabilizationError(_UNSETTLED)
-    svals = sorted({u + 2 * t for u in starts for t in range(int((s_cap - u) / 2) + 1)})
+    # the lowest candidate of each class mod 2 starts that class's strands
+    first: dict = {}
+    for u in all_u:
+        for v in (u - delta, u, u + delta):
+            if first.get(v % 2, v) >= v:
+                first[v % 2] = v
     run = 0
-    for s in svals:
-        if stop is not None and s > stop:
-            return
+    for s in merge(*(count(v, 2) for v in first.values())):
+        if s > s_cap or (stop is not None and s > stop):
+            break
         he = len(ranks.stratum(0, s)) - ranks.rank(0, s) - ranks.rank(1, s - delta)
         ho = len(ranks.stratum(1, s)) - ranks.rank(1, s) - ranks.rank(0, s - delta)
         yield s, he, ho
@@ -391,18 +435,64 @@ def cohomology_over_R(c: MatrixFactorization, strand_stop=None):
         raise PreconditionError("cohomology over R requires a factorization of 0")
     cap = stabilization_cap()
     graded = detect_grading(c)
-    if graded is not None:
-        stop = None if strand_stop is None else strand_stop(*graded)
-        strands = list(_strand_dims(c, *graded, cap, stop))
-        return (sum(s[1] for s in strands), sum(s[2] for s in strands))
-    return _two_cap_cohomology(c, cap)
+    if graded is None:
+        return _two_cap_cohomology(c, cap)
+    return _strand_cohomology(c, graded, cap, None if strand_stop is None else strand_stop(*graded))
+
+
+def _strand_cohomology(c: MatrixFactorization, graded, cap, stop):
+    even = odd = 0
+    for _, he, ho in _strand_dims(c, *graded, cap, stop):
+        even += he
+        odd += ho
+    return even, odd
 
 
 def hom_cohomology(x: MatrixFactorization, y: MatrixFactorization):
-    """k-dimensions of (even, odd) H(Hom(X, Y)) over R: `cohomology_over_R`
-    of `hom_complex(x, y)`, with the strand scan ended by graded Serre
-    duality where it applies (`_serre_stop`)."""
-    return cohomology_over_R(hom_complex(x, y), partial(_serre_stop, x.potential))
+    """k-dimensions of (even, odd) H(Hom(X, Y)) over R, the cohomology of
+    `hom_complex(x, y)`.
+
+    Hom is graded from X and Y (`_hom_grading`), and takes the two-cap route
+    when they are not graded alike. Graded, its strand scan ends at the Serre
+    stop where that applies (`_serre_stop`), and then End(X) is read off the
+    lower half of its strands (`_end_cohomology`). Every other graded Hom is
+    scanned until the run of empty strands of `cohomology_over_R`.
+    """
+    c = hom_complex(x, y)
+    cap = stabilization_cap()
+    graded = _hom_grading(x, y)
+    if graded is None:
+        return _two_cap_cohomology(c, cap)
+    stop = _serre_stop(x.potential, *graded)
+    if stop is not None and x == y:
+        return _end_cohomology(c, graded, cap)
+    return _strand_cohomology(c, graded, cap, stop)
+
+
+def _end_cohomology(c: MatrixFactorization, graded, cap):
+    """(even, odd) dims of H(End(X)), c = Hom(X, X) graded by `_hom_grading`,
+    from its strands s <= n(delta - 2)/2 alone, where `_serre_stop` applies.
+
+    Proof. Write N = n(delta - 2) and h^p_t for the dimension of the parity-p
+    cohomology in strand t. The duality of `_serre_stop` with Y = X reads
+    H(End(X))_t = H(End(X))^dual_{N-t}, parity shifted by n: the grading of
+    Hom(Y, X) it uses is that of End(X) again, since both are a_i - a_j. So
+    h^p_t = h^(p+n)_(N-t), and t -> N - t maps the strands above N/2 onto
+    those below, whence
+        sum_t h^p_t = sum_(t<N/2) (h^p_t + h^(p+n)_t) + h^p_(N/2),
+    the last term only when N is even. Every strand that can carry a class
+    is some a_i - a_j + 2g, so the scan up to N/2 meets all the t <= N/2.
+    """
+    n = c.ctx.n_vars
+    top = n * (graded[2] - 2)
+    even = odd = 0
+    for s, he, ho in _strand_dims(c, *graded, cap, top // 2):
+        if 2 * s < top:
+            # counted again at its mirror top - s, with parity shifted by n
+            he, ho = (he + ho, ho + he) if n % 2 else (2 * he, 2 * ho)
+        even += he
+        odd += ho
+    return even, odd
 
 
 def _serre_stop(w: Series, u_even, u_odd, delta):
@@ -410,15 +500,15 @@ def _serre_stop(w: Series, u_even, u_odd, delta):
     or None when the proof below does not apply.
 
     It applies when w is homogeneous of degree delta >= 2 (the step of the
-    grading found) and (R/(dw))_{n(delta-2)+1} = 0, which certifies that w
-    has an isolated singularity (`_certified_top_degree`); n is the number of
+    grading) and (R/(dw))_{n(delta-2)+1} = 0, which certifies that w has an
+    isolated singularity (`_certified_top_degree`); n is the number of
     variables and u_max the largest shift of the grading.
 
-    Proof. A strand-s element m e_ij of Hom(X, Y), with monomial m of degree
-    g, is a map of degree s = u_ij + 2g between graded X and Y. First let X
-    and Y be graded (basis degrees a_j and b_i, d of degree delta, variables
-    of degree 2, w of degree 2 delta) and u_ij = b_i - a_j. Graded Serre
-    duality for the isolated hypersurface singularity (Auslander-Reiten
+    Proof. X and Y are graded (basis degrees a_j and b_i, d of degree delta,
+    variables of degree 2, w of degree 2 delta), and Hom(X, Y) has the shifts
+    u_ij = b_i - a_j (`_hom_grading`). A strand-s element m e_ij of Hom(X, Y),
+    with monomial m of degree g, is a map of degree s = u_ij + 2g. Graded
+    Serre duality for the isolated hypersurface singularity (Auslander-Reiten
     duality; Murfet, arXiv:0912.1629) gives
         H(Hom(X, Y))_t = H(Hom(Y, X))^dual_{n(delta-2)-t},
     with the parity shifted by n: the Kapustin-Li pairing
@@ -426,18 +516,8 @@ def _serre_stop(w: Series, u_even, u_odd, delta):
     each d_i d_X has degree delta - 2, and the residue is nonzero only in the
     Hessian degree 2n(delta - 2). Hom(Y, X) has its chains in strands
     2g - u_ij >= -u_max, so H(Hom(X, Y))_t = 0 for t > u_max + n(delta - 2).
-    In general `detect_grading` normalizes each component of the basis graph
-    of Hom(X, Y) on its own. X is the direct sum of the factorizations X_a
-    spanned by the components of its own basis graph (d_X has no entry
-    between two of them), likewise Y = sum Y_b, and every component of
-    Hom's graph is Hom(X_a, Y_b). Every entry of d_X and d_Y is an entry of
-    Hom's differential, so each is homogeneous (or no grading is found), and
-    the grading found, read along the X- and the Y-edges, grades X_a by some
-    a and Y_b by some b. On Hom(X_a, Y_b) it then differs from b_i - a_j by a
-    constant c, so it is the grading of Hom(X_a, Y_b + c) and the argument
-    applies to each component, whose largest shift is at most u_max. The bound
-    is sharp: End of the node (x^20, x^20) of x^40 has a class in strand
-    38 = u_max + n(delta - 2).
+    The bound is sharp: End of the node (x^20, x^20) of x^40 has a class in
+    strand 38 = u_max + n(delta - 2).
     """
     if w.is_zero() or delta < 2 or any(sum(exp) != delta for exp in w.terms):
         return None

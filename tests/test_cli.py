@@ -253,6 +253,19 @@ def test_endomorphisms_end_at_the_serre_stop(tmp_path, capsys, monkeypatch, comm
     assert json.loads(out) == {"mode": "endomorphisms-over-ring", "even": dims[0], "odd": dims[1]}
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [("hh", ()), ("stabilize", ()), ("stabilize", ("--koszul",)), ("diagonal", ()),
+     ("minimal-model", ("--max-arity", "3"))],
+)
+def test_inline_with_a_leading_minus(capsys, command, extra):
+    # argparse reads a value that starts with '-' as an option; both spellings
+    # must give the same bytes
+    spaced = run(capsys, command, "--inline", "-x^3+y^4", "--ring", "x,y", *extra)
+    joined = run(capsys, command, "--inline=-x^3+y^4", "--ring", "x,y", *extra)
+    assert spaced[0] == 0 and spaced == joined
+
+
 def test_hh_ends_at_the_jacobian_top_degree(capsys, monkeypatch):
     monkeypatch.delenv("MFCAT_NMAX", raising=False)
     code, out, _ = run(capsys, "hh", "--inline", "x^40", "--ring", "x")

@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from mfcat.complexes import (
     _certified_top_degree,
     _column_terms,
+    _hom_grading,
     _serre_stop,
     _strand_dims,
     _truncated_operator_rows,
@@ -135,6 +138,31 @@ def test_detect_grading_values():
         3,
     )
     assert detect_grading(_koszul_of("x", "x^2 + x^3")) is None
+
+
+def test_detect_grading_is_integral_on_the_corpus():
+    # d^2 = w id with w != 0 forces delta = g1 + g2 on every 2-cycle, so the
+    # shifts and the step of every corpus factorization and its End are ints
+    from mfcat.corpus import _EntryData, build_corpus
+
+    for entry in build_corpus():
+        data = _EntryData(entry)
+        for _, x in data.test_objects() + [("diagonal", data.diagonal())]:
+            for c in (x, hom_complex(x, x)):
+                u_even, u_odd, delta = detect_grading(c)
+                assert all(type(v) is int for v in u_even + u_odd + [delta])
+
+
+def test_detect_grading_keeps_a_fractional_step():
+    # a complex of 0 whose 4-cycle e0 -> o0 -> e1 -> o1 -> e0 has entry
+    # degrees 1, 1, 1, 2: 4 delta = 2 * 5, so delta = 5/2 (d^2 = 0 is not needed)
+    ctx = RingCtx(("x", "y"), QQ)
+    x, y, zero = Series.variable(ctx, 0), Series.variable(ctx, 1), Series.zero(ctx)
+    c = MatrixFactorization(ctx, zero, RMatrix(ctx, [[zero, x], [y ** 2, zero]]),
+                            RMatrix(ctx, [[x, zero], [zero, y]]))
+    u_even, u_odd, delta = detect_grading(c)
+    assert type(delta) is Fraction and delta == Fraction(5, 2)
+    assert (u_even, u_odd) == ([0, -1], [Fraction(1, 2), Fraction(-1, 2)])
 
 
 def test_cohomology_over_R_rejects_nonzero_potential():
@@ -585,13 +613,61 @@ def test_serre_stop_bounds_the_strand_scan(monkeypatch, names, text, left, right
     monkeypatch.setenv("MFCAT_NMAX", "200")
     x, y = _pair(names, text, left, right, field)
     C = hom_complex(x, y)
-    graded = detect_grading(C)
+    graded = _hom_grading(x, y)
     stop = _serre_stop(x.potential, *graded)
     assert stop is not None
     assert hom_cohomology(x, y) == cohomology_over_R(C)
     strands = _nonzero_strands(C, graded)
     assert all(s <= stop for s in strands)
     assert (bool(strands) and strands[-1] == stop) == sharp
+
+
+# End pairs of _HOM_PAIRS, direct sums, and fields whose characteristic
+# divides the Milnor number (3 | 3 for x^4, 2 | 4 for x^3 + y^3)
+_END_OBJECTS = [
+    (names, text, left, field) for names, text, left, right, field, _ in _HOM_PAIRS if left == right
+] + [
+    ("x", "x^5", ("K", "x^2|x^3"), QQ),
+    ("x", "x^5", ("K", "K[1]"), QQ),
+    ("x,y", "x^2+y^2", ("K", "K[1]"), QQ),
+    ("x", "x^4", "K", field_from_name("prime:3")),
+    ("x", "x^4", "Delta", field_from_name("prime:3")),
+    ("x,y", "x^3+y^3", "K", field_from_name("prime:2")),
+    ("x,y", "x^3+y^3", "Delta", field_from_name("prime:2")),
+]
+
+
+@pytest.mark.parametrize(
+    "names, text, label, field",
+    _END_OBJECTS,
+    ids=[f"{names}:{text}:{'+'.join(label) if isinstance(label, tuple) else label}:{field.name}"
+         for names, text, label, field in _END_OBJECTS],
+)
+def test_reflected_end_matches_the_full_scan(names, text, label, field):
+    # hom_cohomology scans End(X) only up to its center n(delta - 2)/2 and
+    # reflects; the reference scans every strand up to the Serre stop
+    if isinstance(label, tuple):
+        x = direct_sum(*_pair(names, text, *label, field))
+    else:
+        x, _ = _pair(names, text, label, label, field)
+    assert _serre_stop(x.potential, *_hom_grading(x, x)) is not None
+    full = cohomology_over_R(hom_complex(x, x), partial(_serre_stop, x.potential))
+    assert hom_cohomology(x, x) == full
+
+
+def test_hom_grading_makes_hom_homogeneous():
+    # every term of Hom's differential raises the object-graded strand by delta
+    for names, text, left, right, field, _ in _HOM_PAIRS:
+        x, y = _pair(names, text, left, right, field)
+        u_even, u_odd, delta = _hom_grading(x, y)
+        C = hom_complex(x, y)
+        for src, dst, mat in ((u_even, u_odd, C.psi), (u_odd, u_even, C.phi)):
+            for i, terms in enumerate(_column_terms(mat)):
+                for j, exp, _ in terms:
+                    assert dst[j] == src[i] + delta - 2 * sum(exp)
+    # an ungraded object makes Hom ungraded
+    x, y = _pair("x", "x^12+x^13", "K", "K")
+    assert _hom_grading(x, y) is None and detect_grading(hom_complex(x, y)) is None
 
 
 @pytest.mark.parametrize(
@@ -634,12 +710,24 @@ def test_stop_needs_homogeneous_isolated_potential():
 def test_stop_past_the_cap_raises(monkeypatch):
     from mfcat.errors import StabilizationError
 
-    x, _ = _pair("x", "x^40", "K", "K")
-    graded = detect_grading(hom_complex(x, x))
-    assert _serre_stop(x.potential, *graded) == max(graded[0] + graded[1]) + 38
-    # the last strand under the cap is 2 * 18 + u_max, two below the stop
+    # Hom(K, K[1]) of x^40 is scanned in full: K has the shifts (0, -38) and
+    # K[1] has (0, 38), so u_max = 76, the stop is 76 + 38 = 114, and the
+    # last strand under the cap is 2 * cap + 76
+    x, y = _pair("x", "x^40", "K", "K[1]")
+    graded = _hom_grading(x, y)
+    assert graded == ([0, 76], [38, 38], 40)
+    assert _serre_stop(x.potential, *graded) == 114
     monkeypatch.setenv("MFCAT_NMAX", "18")
     with pytest.raises(StabilizationError):
-        hom_cohomology(x, x)
+        hom_cohomology(x, y)
     monkeypatch.setenv("MFCAT_NMAX", "19")
-    assert hom_cohomology(x, x) == (1, 1)
+    assert hom_cohomology(x, y) == (1, 1)
+    # End of the node (x^20, x^20) has shifts 0 and is scanned to its center
+    # n(delta - 2)/2 = 19, past the last strand 2 * 9 under a cap of 9
+    node, _ = _pair("x", "x^40", "x^20|x^20", "x^20|x^20")
+    assert _hom_grading(node, node) == ([0, 0], [0, 0], 40)
+    monkeypatch.setenv("MFCAT_NMAX", "9")
+    with pytest.raises(StabilizationError):
+        hom_cohomology(node, node)
+    monkeypatch.setenv("MFCAT_NMAX", "10")
+    assert hom_cohomology(node, node) == (20, 20)
