@@ -46,6 +46,6 @@ from .stabilize import (
     stabilized_diagonal,
 )
 from .superops import SuperOp, graded_commutator
-from .transform import integral_transform, transform_mod_k_dims
+from .transform import transform_mod_k_dims
 
 __version__ = "0.1.0"

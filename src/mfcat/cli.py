@@ -7,6 +7,7 @@ failure, 5 stabilization cap exceeded. MFCAT_NMAX overrides the cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import serialize
@@ -24,7 +25,7 @@ from .corpus import run_acceptance
 from .factorization import verify_mf_report
 from .hochschild import hh_report
 from .stabilize import decompose_potential, stabilize_residue_field, stabilized_diagonal
-from .transform import integral_transform, transform_mod_k_dims
+from .transform import transform_mod_k_dims
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -135,15 +136,8 @@ def cmd_cohomology(args):
 def cmd_transform(args):
     x = _load_checked_mf(args.source)
     t = _load_checked_mf(args.kernel)
-    if args.dims_only:
-        even, odd = transform_mod_k_dims(x, t)
-        _emit({"even": even, "odd": odd})
-        return EXIT_OK
-    result = integral_transform(x, t, args.truncation)
-    obj = serialize.mf_to_obj(result.factorization)
-    obj["up_to_quasi_isomorphism"] = result.up_to_quasi_isomorphism
-    obj["inner_truncation"] = result.truncation
-    _emit(obj)
+    even, odd = transform_mod_k_dims(x, t)
+    _emit({"even": even, "odd": odd})
     return EXIT_OK
 
 
@@ -174,7 +168,9 @@ def cmd_corpus_run(args):
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFICATION
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="mfcat",
         description="Exact matrix-factorization computations for hypersurface singularities",
@@ -216,11 +212,11 @@ def build_parser():
     )
     p.set_defaults(fn=cmd_cohomology)
 
-    p = sub.add_parser("transform", help="integral transform of a factorization by a kernel")
+    p = sub.add_parser(
+        "transform", help="cohomology dims of a factorization's integral transform by a kernel"
+    )
     p.add_argument("source")
     p.add_argument("kernel")
-    p.add_argument("--truncation", type=int)
-    p.add_argument("--dims-only", action="store_true")
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("corpus-run", help="run the acceptance battery on the bundled corpus")
@@ -250,8 +246,7 @@ def _attach_inline_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_inline_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_attach_inline_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except InputParseError as exc:

@@ -2,9 +2,9 @@
 
 A 2-periodic complex is a factorization of 0: `psi` is d even->odd, `phi`
 is d odd->even, and `rank` is the rank of either parity. Morphism
-complexes, folded Koszul complexes and kernel-action complexes are all
-`MatrixFactorization`s over the zero potential, so one d^2 = w check
-(`verify_mf`) serves factorizations and complexes alike.
+complexes (an integral transform's too, see `transform`) and folded Koszul
+complexes are `MatrixFactorization`s over the zero potential, so one d^2 = w
+check (`verify_mf`) serves factorizations and complexes alike.
 
 Two exact routes compute k-dimensions of cohomology over the local ring:
 
@@ -29,10 +29,9 @@ center n(delta - 2)/2, and each strand below the center is counted again for
 its mirror (`_end_cohomology`); Hom(X, Y) with X != Y is scanned in full. The
 folded Koszul complex of the partials has a proven end too
 (`hochschild._koszul_stop`). Every other stop is assumed, not proven: the
-strand scan of any other graded complex, such as the kernel-action complex of
-`transform`, or of a Hom whose potential fails the preconditions, ends after a
-long run of empty strands; and the two-cap route ends when levels n and n+1
-agree.
+strand scan of any other graded complex, such as a Hom whose potential fails
+the preconditions, ends after a long run of empty strands; and the two-cap
+route ends when levels n and n+1 agree.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from .series import RingCtx, Series, monomial_basis
 from .serialize import parse_potential_text
 from .stabilize import KoszulData, make_koszul_mf, stabilize_residue_field, stabilized_diagonal
 from .superops import SuperOp
-from .transform import integral_transform, transform_mod_k_dims
+from .transform import transform_mod_k_dims
 
 
 @dataclass
@@ -286,9 +286,6 @@ def criterion_1(corpus, rng, quick=False) -> CriterionResult:
         }
         if ed.ctx.n_vars <= 2:
             produced["tensor"] = external_tensor(ed.kstab(), ed.kstab())
-            produced["transform"] = integral_transform(
-                ed.kstab(), ed.diagonal(), truncation=4 if ed.ctx.n_vars == 1 else 2
-            ).factorization
         for label, mf in produced.items():
             count += 1
             if not verify_mf(mf):

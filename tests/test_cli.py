@@ -315,12 +315,45 @@ def test_transform(tmp_path, capsys):
     w = Series.variable(ctx, 0) ** 2
     x_path = write_mf(tmp_path, stabilize_residue_field(w), "x.json")
     t_path = write_mf(tmp_path, stabilized_diagonal(w), "t.json")
-    code, out, _ = run(capsys, "transform", x_path, t_path, "--dims-only")
+    code, out, _ = run(capsys, "transform", x_path, t_path)
     assert code == 0 and json.loads(out) == {"even": 1, "odd": 1}
-    code, out, _ = run(capsys, "transform", x_path, t_path, "--truncation", "3")
-    obj = json.loads(out)
-    assert code == 0 and obj["up_to_quasi_isomorphism"] is True
-    assert obj["ring"]["variables"] == ["x'"]
+    for gone in (["--dims-only"], ["--truncation", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", x_path, t_path, *gone])
+        assert exc.value.code == 2
+
+
+def test_parser_is_built_once():
+    from mfcat.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def test_transform_of_k_by_its_diagonal_at_the_default_cap(tmp_path, capsys, monkeypatch):
+    # the scan of X (x) T0 ended by the run of empty strands and exited 5 here;
+    # as Hom(dual(T0), K) it ends at the Serre stop
+    monkeypatch.delenv("MFCAT_NMAX", raising=False)
+    paths = []
+    for command in ("stabilize", "diagonal"):
+        code, out, _ = run(capsys, command, "--inline", "x^32", "--ring", "x")
+        assert code == 0
+        paths.append(tmp_path / f"{command}.json")
+        paths[-1].write_text(out)
+    code, out, _ = run(capsys, "transform", *map(str, paths))
+    assert code == 0 and json.loads(out) == {"even": 1, "odd": 1}
+
+
+def test_transform_kernel_output_potential_with_constant_term(tmp_path, capsys):
+    from mfcat.factorization import trivial_mf
+
+    ctx = RingCtx(("x", "x'"), QQ)
+    x, y = Series.variable(ctx, 0), Series.variable(ctx, 1)
+    src = RingCtx(("x",), QQ)
+    k_path = write_mf(tmp_path, stabilize_residue_field(Series.variable(src, 0) ** 3))
+    t_path = write_mf(tmp_path, trivial_mf(ctx, y ** 3 - x ** 3 + Series.one(ctx)), "t.json")
+    code, out, err = run(capsys, "transform", k_path, t_path)
+    assert code == 3 and out == ""
+    assert "kernel output potential w'(y) has constant term 1" in err
 
 
 def test_corpus_run_filtered(capsys):
