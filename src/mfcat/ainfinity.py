@@ -14,13 +14,13 @@ spanning sets.
 The projection keeps the pure del-word coefficients, so they are the
 coordinates on its image, read off with no elimination (`coords`).
 
-d, h, p and the stage projections compute each single term's image once
-and extend linearly (`cached_linear`); the tree transfer applies them to a
-few hundred distinct terms tens of thousands of times. The caches are exact
-because these maps are k-linear, and each belongs to its algebra or
-contraction. Products of operators read each pair of words' normal form from
-one table (`superops._word_product`), and lambda of a tuple sums all its
-splits into one term dict (`superops.multiply_into`).
+The maps run on terms packed as ints (`superops.Packing`, `_Packed`). d,
+the stage projections, h, p and the coordinate map pi = coords o p compute
+each term's column once and extend linearly, which is exact as all are
+k-linear. Filling pi(t) checks p(t) = iota(pi(t)), so by linearity every
+product's coordinates are checked, each distinct term once. An exponent
+that reaches the guard bit of its field restarts the computation with the
+fields twice as wide (`DgAlgebra._exact`), so every result is exact.
 
 The transfer visits only the tuples whose lambda can be nonzero: a tuple of
 arity k >= 2 is visited only if it is L + R with h(lambda(L)) and
@@ -38,12 +38,133 @@ convention's signs are locked by regression tests only.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import PreconditionError, VerificationError
-from .exterior import merge_sorted, subsets_ordered
+from .exterior import subsets_ordered
 from .fields import accumulate
-from .series import RingCtx, Series
+from .series import Series
 from .stabilize import peel_witnesses
-from .superops import SuperOp, graded_commutator, multiply_into
+from .superops import ExponentOverflow, Packing, SuperOp, _mask
+
+
+def _nonzero(terms: dict) -> dict:
+    # field elements are ints or Fractions, false exactly when zero
+    return terms if all(terms.values()) else {t: c for t, c in terms.items() if c}
+
+
+def _linear(column):
+    """The k-linear map a -> sum of c column(self, t, *args) over the terms
+    c t of a. Each column is computed once, on first use, and kept in
+    self.cols under the plain function, so `_Packed` holds no cycle."""
+
+    def apply(self, a: dict, *args) -> dict:
+        cols = self.cols.setdefault((column, args), {})
+        add, mul = self.field.add, self.field.mul
+        out: dict = {}
+        for t, c in a.items():
+            col = cols.get(t)
+            if col is None:
+                col = cols[t] = column(self, t, *args)
+            for u, v in col.items():
+                v = mul(c, v)
+                out[u] = add(out[u], v) if u in out else v
+        return _nonzero(out)
+
+    return apply
+
+
+class _Packed(Packing):
+    """d and the contraction on packed terms: each map takes and returns a
+    dict from packed terms to coefficients, with no zeros."""
+
+    def __init__(self, delta: SuperOp, bits: int):
+        super().__init__(delta.ctx, bits)
+        self.delta = self.pack(delta)
+        # contract the last variable first: its witness is the only one
+        # allowed to involve every variable
+        self.stages = list(reversed(range(self.n)))
+        self.cols: dict = {}
+        self.pure = [_mask(s, self.n) for s in subsets_ordered(self.n)]
+        self.basis = [self.p({t: self.field.one}) for t in self.pure]
+
+    def combine(self, plus, minus=()) -> dict:
+        """The sum of the dicts in `plus` minus the sum of those in `minus`."""
+        add, sub, zero = self.field.add, self.field.sub, self.field.zero
+        out: dict = {}
+        for op, parts in ((add, plus), (sub, minus)):
+            for a in parts:
+                for u, c in a.items():
+                    out[u] = op(out.get(u, zero), c)
+        return _nonzero(out)
+
+    def stage(self, v: int, a: dict) -> dict:
+        """Division by x_v followed by left multiplication with theta_v."""
+        neg, unit, mask = self.field.neg, self.units[v], (1 << self.bits) - 1
+        out = {}
+        for t, c in a.items():
+            if t >> self.low + v * self.bits & mask and not t >> v & 1:
+                out[t - unit | 1 << v] = neg(c) if (t & (1 << v) - 1).bit_count() % 2 else c
+        return out
+
+    def _projected(self, t: int, s) -> dict:
+        """t - d s t - s d t for the homotopy s."""
+        single = {t: self.field.one}
+        return self.combine([single], [self.d(s(single)), s(self.d(single))])
+
+    @_linear
+    def d(self, t: int) -> dict:
+        # [delta, t] = delta t - (-1)^|t| t delta, as delta is odd
+        out: dict = {}
+        single = {t: self.field.one}
+        self.mul_into(out, self.delta, single, 1)
+        self.mul_into(out, single, self.delta, 1 if (t & self.word_mask).bit_count() % 2 else -1)
+        return _nonzero(out)
+
+    @_linear
+    def proj(self, t: int, i: int) -> dict:
+        return self._projected(t, partial(self.stage, self.stages[i]))
+
+    @_linear
+    def h(self, t: int) -> dict:
+        # the sum over stages i of P_0 .. P_(i-1) s_i P_(i-1) .. P_0 (t)
+        parts, pre = [], {t: self.field.one}
+        for i, v in enumerate(self.stages):
+            if i:
+                pre = self.proj(pre, i - 1)
+            mid = self.stage(v, pre)
+            for j in reversed(range(i)):
+                mid = self.proj(mid, j)
+            parts.append(mid)
+        return self.combine(parts)
+
+    @_linear
+    def p(self, t: int) -> dict:
+        return self._projected(t, self.h)
+
+    @_linear
+    def pi(self, t: int) -> dict:
+        # coords checks p(t) = iota(pi(t)) as the column is filled
+        return self.coords(self.p({t: self.field.one}))
+
+    @_linear
+    def iota(self, i: int) -> dict:
+        return self.basis[i]
+
+    def coords(self, a: dict) -> dict:
+        """Coordinates of an element of the image in the projected basis.
+
+        They are the coefficients of the pure del-words D_S. Every term of
+        delta has coefficient x_i or w_i, both in m because w is in m^2, so
+        each term of d(t) has positive x-degree; each stage homotopy appends
+        a theta. So neither h nor d outputs a pure word, and p = id - dh - hd
+        keeps the pure part: p(D_S) has coefficient [S = T] on D_T, and
+        coords(p(a)) is the pure part of a.
+        """
+        vec = {i: a[u] for i, u in enumerate(self.pure) if u in a}
+        if self.iota(vec) != a:
+            raise VerificationError("element is not in the image of the projection")
+        return vec
 
 
 class DgAlgebra:
@@ -63,56 +184,25 @@ class DgAlgebra:
             delta = delta + xi * SuperOp.del_theta(self.ctx, i)
             delta = delta + SuperOp.from_series(self.witnesses[i]) * SuperOp.theta(self.ctx, i)
         self.delta = delta
-        # graded_commutator is looked up at call time, so a wrapper bound to
-        # the module name sees every call
-        self.d = cached_linear(self.ctx, lambda t: graded_commutator(delta, t))
+        self._bits, self._ops = 8, None
 
+    def _exact(self, f, *args):
+        """f(ops, *args) on the packed contraction `ops`. On an overflow the
+        fields double and f starts again, so no inexact value escapes; a
+        field wider than every exponent's bit length ends the loop."""
+        while True:
+            try:
+                if self._ops is None:
+                    self._ops = _Packed(self.delta, self._bits)
+                return f(self._ops, *args)
+            except ExponentOverflow:
+                self._bits, self._ops = 2 * self._bits, None
 
-def cached_linear(ctx: RingCtx, f):
-    """The k-linear map that agrees with `f` on single terms.
+    def _map(self, a: SuperOp, name: str, *args) -> SuperOp:
+        return self._exact(lambda ops: ops.unpack(getattr(ops, name)(ops.pack(a), *args)))
 
-    Each term's image f(t) is computed once and kept in a dict owned by the
-    returned closure, so it dies with the algebra or contraction holding the
-    map. The cache is exact: d = [delta, -] and the stage homotopies are
-    k-linear, and so are the stage projections, h and p built from them, so
-    the sum of c f(t) over the terms c t of a is f(a), and no value changes.
-    """
-    field = ctx.field
-    images: dict = {}
-
-    def g(a: SuperOp) -> SuperOp:
-        out: dict = {}
-        for key, c in a.terms.items():
-            image = images.get(key)
-            if image is None:
-                image = images[key] = f(SuperOp(ctx, {key: field.one})).terms
-            for k, v in image.items():
-                accumulate(out, k, field.mul(c, v), field)
-        return SuperOp(ctx, out)
-
-    return g
-
-
-def _stage_homotopy(ctx: RingCtx, i: int):
-    """Division by x_i followed by left multiplication with theta_i."""
-
-    def h(a: SuperOp) -> SuperOp:
-        field = ctx.field
-        out: dict = {}
-        for (exp, th, dl), c in a.terms.items():
-            if exp[i] == 0:
-                continue
-            ins = merge_sorted((i,), th)
-            if ins is None:
-                continue
-            sign, th_new = ins
-            new_exp = list(exp)
-            new_exp[i] -= 1
-            val = c if sign > 0 else field.neg(c)
-            accumulate(out, (tuple(new_exp), th_new, dl), val, field)
-        return SuperOp(ctx, out)
-
-    return h
+    def d(self, a: SuperOp) -> SuperOp:
+        return self._map(a, "d")
 
 
 class ContractionData:
@@ -121,69 +211,21 @@ class ContractionData:
 
     def __init__(self, algebra: DgAlgebra):
         self.algebra = algebra
-        ctx = algebra.ctx
-        n = ctx.n_vars
-        d = algebra.d
-        # contract the last variable first: its witness is the only one
-        # allowed to involve every variable
-        stages = [_stage_homotopy(ctx, i) for i in reversed(range(n))]
-
-        def projection(h):
-            return lambda a: a - d(h(a)) - h(d(a))
-
-        # the stage projections a - d h_i a - h_i d a are cached like h and p
-        self.stage_projections = projections = [cached_linear(ctx, projection(h)) for h in stages]
-
-        def homotopy(a: SuperOp) -> SuperOp:
-            total = SuperOp.zero(ctx)
-            for i in range(n):
-                mid = a
-                for j in range(i):
-                    mid = projections[j](mid)
-                mid = stages[i](mid)
-                for j in reversed(range(i)):
-                    mid = projections[j](mid)
-                total = total + mid
-            return total
-
-        self.h = cached_linear(ctx, homotopy)
-        self.p = cached_linear(ctx, projection(self.h))
+        n = algebra.ctx.n_vars
+        self.h, self.p = (partial(algebra._map, name=name) for name in "hp")
+        self.stage_projections = [lambda a, i=i: algebra._map(a, "proj", i) for i in range(n)]
         self.labels = subsets_ordered(n)
-        self.basis_elements = [self.p(SuperOp.word(ctx, dels=subset)) for subset in self.labels]
+        self.basis_elements = algebra._exact(lambda ops: [ops.unpack(b) for b in ops.basis])
         self.parities = [len(s) % 2 for s in self.labels]
         for idx, (subset, elt) in enumerate(zip(self.labels, self.basis_elements)):
-            if not d(elt).is_zero():
+            if not algebra.d(elt).is_zero():
                 raise VerificationError(f"projected generator {subset} is not a cycle")
-            if self.coords(elt) != {idx: ctx.field.one}:
+            if self.coords(elt) != {idx: algebra.ctx.field.one}:
                 raise VerificationError(f"projected generator {subset} lost its pure part")
 
-    def iota(self, coords: dict) -> SuperOp:
-        field = self.algebra.ctx.field
-        out: dict = {}
-        for idx, c in coords.items():
-            for key, v in self.basis_elements[idx].terms.items():
-                accumulate(out, key, field.mul(c, v), field)
-        return SuperOp(self.algebra.ctx, out)
-
     def coords(self, x: SuperOp) -> dict:
-        """Coordinates of an element of the image in the projected basis.
-
-        They are the coefficients of the pure del-words D_S. Every term of
-        delta has coefficient x_i or w_i, both in m because w is in m^2, so
-        each term of d(t) has positive x-degree; each stage homotopy appends
-        a theta. So neither h nor d outputs a pure word, and p = id - dh - hd
-        keeps the pure part: p(D_S) has coefficient [S = T] on D_T, and
-        coords(p(a)) is the pure part of a.
-        """
-        zero = (0,) * self.algebra.ctx.n_vars
-        out = {}
-        for idx, subset in enumerate(self.labels):
-            c = x.terms.get((zero, (), subset))
-            if c is not None:
-                out[idx] = c
-        if x != self.iota(out):
-            raise VerificationError("element is not in the image of the projection")
-        return out
+        """Coordinates of x in the projected basis (`_Packed.coords`)."""
+        return self.algebra._exact(lambda ops: ops.coords(ops.pack(x)))
 
     def check_identity(self, a: SuperOp) -> bool:
         """d h + h d = id - iota p, with p landing in the basis span.
@@ -192,13 +234,16 @@ class ContractionData:
         substantive claim; the two-sided identity then certifies the
         contraction on this element.
         """
-        d = self.algebra.d
-        lhs = d(self.h(a)) + self.h(d(a))
-        try:
-            coords = self.coords(self.p(a))
-        except VerificationError:
-            return False
-        return lhs == a - self.iota(coords)
+
+        def check(ops):
+            x = ops.pack(a)
+            try:
+                vec = ops.coords(ops.p(x))
+            except VerificationError:
+                return False
+            return ops.combine([ops.d(ops.h(x)), ops.h(ops.d(x)), ops.iota(vec)]) == x
+
+        return self.algebra._exact(check)
 
 
 def build_contraction(w: Series) -> ContractionData:
@@ -288,94 +333,80 @@ class AInfStructure:
         return all(not self.stasheff_defect(m) for m in range(2, cap + 1))
 
 
-class _Transfer:
-    """lambda and h(lambda) of argument tuples, kept arity by arity.
-
-    lambda(args) is the sum over splits of +-hlam(left) hlam(right), where
-    hlam of a single index is its basis element and hlam(args) = h(lambda(args)).
-    `keep` records the nonzero hlam of one tuple; a tuple never kept reads
-    zero. So `lam(args)` is exact once every shorter tuple with nonzero
-    hlam has been kept.
-    """
-
-    def __init__(self, contraction: ContractionData):
-        self.C = contraction
-        self.ctx = contraction.algebra.ctx
-        self._hlam = {(i,): elt for i, elt in enumerate(contraction.basis_elements)}
-        self.parities = contraction.parities
-
-    def lam(self, args) -> SuperOp:
-        out: dict = {}
-        hlam = self._hlam
-        # parity in the algebra of hlam(args[:j]): the base parities of
-        # args[:j] plus j - 1, one per product in the tree
-        odd = 1
-        for j in range(1, len(args)):
-            odd ^= self.parities[args[j - 1]] ^ 1
-            left = hlam.get(args[:j])
-            if left is None:
+def _transfer_tables(ops: _Packed, parities, max_arity: int) -> dict:
+    """The product tables of `transfer_minimal_model`, on packed terms."""
+    neg = ops.field.neg
+    # hlam of a kept tuple and (-1)^|hlam| with |hlam| its parity in the
+    # algebra: the base parities plus j - 1 for arity j, one per product in
+    # the tree; b2(a, b) = (-1)^|a| a b
+    hlam = {(i,): (b, -1 if parities[i] else 1) for i, b in enumerate(ops.basis)}
+    live = {1: list(hlam)}
+    top = 1  # the highest arity with a kept tuple
+    products: dict = {}
+    for k in range(2, max_arity + 1):
+        if k > 2 * top:
+            break
+        cuts = range(max(1, k - top), min(k - 1, top) + 1)
+        visit = sorted({left + right for j in cuts for left in live[j] for right in live[k - j]})
+        live[k] = []
+        table: dict = {}
+        for args in visit:
+            lam: dict = {}
+            for j in cuts:
+                left = hlam.get(args[:j])
+                if left is not None:
+                    right = hlam.get(args[j:])
+                    if right is not None:
+                        ops.mul_into(lam, left[0], right[0], left[1])
+            lam = _nonzero(lam)
+            if not lam:
                 continue
-            right = hlam.get(args[j:])
-            if right is not None:
-                multiply_into(out, left, right, -1 if odd else 1)
-        return SuperOp(self.ctx, out)
-
-    def keep(self, args, lam: SuperOp) -> bool:
-        """Record hlam(args) = h(lam) for lam = lambda(args); True iff nonzero."""
-        if lam.is_zero():
-            return False
-        image = self.C.h(lam)
-        if image.is_zero():
-            return False
-        self._hlam[args] = image
-        return True
+            if k < max_arity:
+                image = ops.h(lam)
+                if image:
+                    hlam[args] = (image, -1 if (sum(parities[i] for i in args) + k - 1) % 2 else 1)
+                    live[k].append(args)
+                    top = k
+            vec = ops.pi(lam)
+            if not vec:
+                continue
+            # unshift: m_k = sign * q_k with the bar-shift Koszul factor
+            sign = _shift_sign(parities, args)
+            table[args] = {i: vec[i] if sign > 0 else neg(vec[i]) for i in sorted(vec)}
+        if table:
+            products[k] = table
+    return products
 
 
 def transfer_minimal_model(w: Series, max_arity: int) -> AInfStructure:
     """Transferred products m_2..m_max_arity on the projected generators.
 
-    Arity k visits only the tuples L + R with L, R kept at lower arities
-    (`_Transfer.keep`), in sorted order. This finds every tuple with
-    lambda != 0, by induction on k. Every index is kept at arity 1. At
-    arity k, lambda(args) is a sum over splits args = L + R of
-    +-hlam(L) hlam(R); if it is nonzero, some split has hlam(L) != 0 and
-    hlam(R) != 0, so by induction L and R were visited and kept, and args
-    is visited. A tuple that is not visited has lambda = 0, so it has no
-    product and hlam = 0. Sorted order is the lexicographic order of
-    `itertools.product`, so each table keeps the order a walk over every
-    tuple gives. Tuples of the top arity enter no later lambda, so their
-    hlam is never computed.
+    lambda(args) is the sum over splits args = L + R of +-hlam(L) hlam(R),
+    where hlam of a single index is its basis element and hlam(args) =
+    h(lambda(args)); a tuple is kept when its hlam is nonzero. Arity k
+    visits only the tuples L + R with L, R kept at lower arities, in sorted
+    order. This finds every tuple with lambda != 0, by induction on k. Every
+    index is kept at arity 1. At arity k, if lambda(args) is nonzero, some
+    split has hlam(L) != 0 and hlam(R) != 0, so by induction L and R were
+    visited and kept, and args is visited. A tuple that is not visited has
+    lambda = 0, so it has no product and hlam = 0. Sorted order is the
+    lexicographic order of `itertools.product`, so each table keeps the
+    order a walk over every tuple gives. Tuples of the top arity enter no
+    later lambda, so their hlam is never computed.
+
+    The walk stops after arity 2J, where J is the highest arity with a kept
+    tuple. For k > 2J every split of a k-tuple has a half of arity > J,
+    which is not kept, so no tuple is visited at k, none is kept, and J
+    stays the same; so no tuple is visited at any later arity either, and
+    every later table is empty. A huge `max_arity` therefore costs no more
+    than arity 2J.
     """
     if max_arity < 2:
         raise PreconditionError("max_arity must be at least 2")
     contraction = build_contraction(w)
-    tr = _Transfer(contraction)
-    field = w.ctx.field
-    products: dict = {}
     parities = contraction.parities
-    live = {1: [(i,) for i in range(len(contraction.labels))]}
-    for k in range(2, max_arity + 1):
-        visit = sorted(
-            {left + right for j in range(1, k) for left in live[j] for right in live[k - j]}
-        )
-        live[k] = []
-        table: dict = {}
-        for args in visit:
-            lam = tr.lam(args)
-            if lam.is_zero():
-                continue
-            if k < max_arity and tr.keep(args, lam):
-                live[k].append(args)
-            vec = contraction.coords(contraction.p(lam))
-            if not vec:
-                continue
-            # unshift: m_k = sign * q_k with the bar-shift Koszul factor
-            if _shift_sign(parities, args) < 0:
-                vec = {i: field.neg(c) for i, c in vec.items()}
-            table[args] = vec
-        if table:
-            products[k] = table
-    return AInfStructure(contraction.labels, parities, field, max_arity, products)
+    products = contraction.algebra._exact(_transfer_tables, parities, max_arity)
+    return AInfStructure(contraction.labels, parities, w.ctx.field, max_arity, products)
 
 
 def _diagonal_quadratic_coeffs(w: Series):

@@ -3,96 +3,135 @@
 A term is (x-exponent, theta word, del word) with both words sorted strictly
 ascending and every theta written left of every del. Multiplication
 normal-orders via del_i theta_j + theta_j del_i = delta_ij with all Koszul
-signs tracked exactly. Each pair of words is normal-ordered once
-(`_word_product`), and every product goes through one kernel that reads
-that table (`multiply_into`).
+signs tracked exactly. Every product runs on packed terms (`Packing`): a
+term is one int, its words masks in the low bits and its exponents in
+fields above them. Each pair of words is normal-ordered once, into one
+table (`Packing._pair`), and `Packing.mul_into` reads a term pair's words
+from it and adds the two exponent parts as one integer.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add as _add_exponents
 
 from .errors import PreconditionError
-from .exterior import merge_sorted
 from .series import LinearCombination, Series, _check_ctx
 
 
-@lru_cache(maxsize=None)
-def _del_theta(dels: tuple, thetas: tuple):
-    """Normal ordering of del_word * theta_word.
+def _inversions(x: int, y: int) -> int:
+    """The pairs i in mask x, j in mask y with i > j."""
+    return sum((y & (1 << i) - 1).bit_count() for i in range(x.bit_length()) if x >> i & 1)
 
-    Returns a tuple of ((theta_out, del_out), sign) using
-    del_b theta_C = (-1)^|C| theta_C del_b + [b in C] (-1)^pos theta_(C-b).
-    """
-    if not dels:
-        return (((thetas, ()), 1),)
-    b = dels[-1]
-    head = dels[:-1]
-    out: dict = {}
 
-    def add_sign(key, sign):
-        out[key] = out.get(key, 0) + sign
-        if out[key] == 0:
-            del out[key]
+class ExponentOverflow(ArithmeticError):
+    """A packed exponent reached the guard bit of its field."""
 
-    sign_pass = -1 if len(thetas) % 2 else 1
-    for (th, dl), s in _del_theta(head, thetas):
-        # b is the largest index in `dels`, so appending keeps dl sorted
-        add_sign((th, dl + (b,)), s * sign_pass)
-    if b in thetas:
-        pos = thetas.index(b)
-        reduced = thetas[:pos] + thetas[pos + 1 :]
-        sign_hit = -1 if pos % 2 else 1
-        for (th, dl), s in _del_theta(head, reduced):
-            add_sign((th, dl), s * sign_hit)
-    return tuple(out.items())
+
+def _mask(word, shift: int = 0) -> int:
+    return sum(1 << shift + i for i in word)
 
 
 @lru_cache(maxsize=None)
-def _word_product(th1: tuple, dl1: tuple, th2: tuple, dl2: tuple):
-    """Normal form of theta_th1 del_dl1 * theta_th2 del_dl2.
+def _tables(n: int) -> tuple:
+    """The word of each n-bit mask, and the table of word-pair normal forms
+    (`Packing._pair`), which does not depend on the field width."""
+    return [tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)], {}
 
-    Returns ((theta, del, sign), ...) with sign +1 or -1: `_del_theta` moves
-    del_dl1 past theta_th2, then theta_th1 and del_dl2 merge in. Each term of
-    `_del_theta(dl1, th2)` is theta_(th2 - S) del_(dl1 - S) for one S in
-    dl1 & th2, so the terms have distinct theta words, and so distinct
-    words after the merge with th1: no two terms combine.
+
+class Packing:
+    """Operator terms as ints, with `bits` bits for each exponent.
+
+    The theta word is a mask in bits 0..n-1, the del word a mask in bits
+    n..2n-1, and exponent i the field at bit 2n + i*bits. The top bit of each
+    field is a guard: while every exponent stays below 2^(bits-1), adding
+    two exponent parts as integers carries into no other field. `pack` and
+    `mul_into` raise `ExponentOverflow` on an exponent that reaches it.
     """
-    out = []
-    for (th_mid, dl_mid), s_mid in _del_theta(dl1, th2):
-        left = merge_sorted(th1, th_mid)
-        if left is None:
-            continue
-        right = merge_sorted(dl_mid, dl2)
-        if right is None:
-            continue
-        out.append((left[1], right[1], s_mid * left[0] * right[0]))
-    return tuple(out)
 
+    def __init__(self, ctx, bits: int):
+        n = self.n = ctx.n_vars
+        self.ctx, self.field, self.bits = ctx, ctx.field, bits
+        self.low, self.word_mask = 2 * n, (1 << 2 * n) - 1
+        self.units = [1 << 2 * n + i * bits for i in range(n)]
+        self.guard = sum(u << bits - 1 for u in self.units)
+        self.word_of, self.table = _tables(n)
 
-def multiply_into(out: dict, a, b, sign: int) -> None:
-    """Add sign * a b into the term dict `out`, for sign +1 or -1.
+    @staticmethod
+    def fitting(a, b) -> "Packing":
+        """A packing whose fields hold every exponent of a b."""
+        top = max((e for x in (a, b) for exp, _, _ in x.terms for e in exp), default=0)
+        return Packing(a.ctx, (2 * top).bit_length() + 1)
 
-    The product of two terms reads the normal-ordered words of their word
-    pair from `_word_product`; a sign -1 negates the coefficient. A sum that
-    cancels stays in `out` as a zero, which the `SuperOp` built from it drops.
-    """
-    field = a.ctx.field
-    add, mul, neg, zero = field.add, field.mul, field.neg, field.zero
-    b_terms = b.terms.items()
-    for (e1, th1, dl1), c1 in a.terms.items():
-        if sign < 0:
-            c1 = neg(c1)
-        for (e2, th2, dl2), c2 in b_terms:
-            words = _word_product(th1, dl1, th2, dl2)
-            if not words:
-                continue
-            exp = tuple(map(_add_exponents, e1, e2))
-            c = mul(c1, c2)
-            for th, dl, s in words:
-                key = (exp, th, dl)
-                out[key] = add(out.get(key, zero), c if s > 0 else neg(c))
+    def pack(self, a) -> dict:
+        out = {}
+        for (exp, th, dl), c in a.terms.items():
+            if max(exp) >> self.bits - 1:
+                raise ExponentOverflow
+            out[_mask(th) + _mask(dl, self.n) + sum(e * u for e, u in zip(exp, self.units))] = c
+        return out
+
+    def unpack(self, a: dict):
+        n, low, bits, words = self.n, self.low, self.bits, self.word_of
+        mask, word = (1 << bits) - 1, (1 << n) - 1
+        terms = {}
+        for t, c in a.items():
+            exp = tuple(t >> low + i * bits & mask for i in range(n))
+            terms[(exp, words[t & word], words[t >> n & word])] = c
+        return SuperOp(self.ctx, terms)
+
+    def _pair(self, index: int) -> tuple:
+        """theta_A del_B * theta_C del_D for index = (A | B << n) << 2n | C | D << n,
+        as (word, sign) pairs.
+
+        By Wick's theorem for del_i theta_j = -theta_j del_i + delta_ij,
+        del_B theta_C is the sum over S in B & C of theta_(C-S) del_(B-S)
+        times the sign of the permutation that takes the letters of
+        del_B theta_C to the pairs del_s theta_s (s in S, ascending), then
+        C - S, then B - S. Then theta_A and del_D merge in, with the sign of
+        re-sorting each merged word. The terms have distinct theta words, so
+        no two combine.
+        """
+        n = self.n
+        (b, a), (d, c) = divmod(index >> self.low, 1 << n), divmod(index & self.word_mask, 1 << n)
+        out, s = [], b & c
+        while True:
+            bs, cs, k = b ^ s, c ^ s, s.bit_count()
+            if not (a & cs or bs & d):
+                odd = _inversions(s, bs ^ cs) + k * (k - 1) // 2 + bs.bit_count() * (k + cs.bit_count())
+                odd += _inversions(a, cs) + _inversions(bs, d)
+                out.append((a | cs | (bs | d) << n, -1 if odd % 2 else 1))
+            if not s:
+                break
+            s = (s - 1) & b & c
+        out = self.table[index] = tuple(out)
+        return out
+
+    def mul_into(self, out: dict, a: dict, b: dict, sign: int) -> None:
+        """Add sign * a b into the packed term dict `out`, for sign +1 or -1;
+        a sum that cancels stays in `out` as a zero."""
+        field = self.field
+        add, mul, neg = field.add, field.mul, field.neg
+        low, words, guard, table = self.low, self.word_mask, self.guard, self.table
+        b_terms = b.items()
+        for t1, c1 in a.items():
+            if sign < 0:
+                c1 = neg(c1)
+            w1 = t1 & words
+            e1, w1 = t1 - w1, w1 << low
+            for t2, c2 in b_terms:
+                w2 = t2 & words
+                pairs = table.get(w1 | w2)
+                if pairs is None:
+                    pairs = self._pair(w1 | w2)
+                if not pairs:
+                    continue
+                e = e1 + t2 - w2
+                if e & guard:
+                    raise ExponentOverflow
+                c = mul(c1, c2)
+                for w, s in pairs:
+                    key, v = e | w, c if s > 0 else neg(c)
+                    out[key] = add(out[key], v) if key in out else v
 
 
 class SuperOp(LinearCombination):
@@ -147,9 +186,10 @@ class SuperOp(LinearCombination):
 
     def __mul__(self, other):
         _check_ctx(self, other)
+        pk = Packing.fitting(self, other)
         out: dict = {}
-        multiply_into(out, self, other, 1)
-        return SuperOp(self.ctx, out)
+        pk.mul_into(out, pk.pack(self), pk.pack(other), 1)
+        return pk.unpack(out)
 
     def __repr__(self):
         if not self.terms:
@@ -167,13 +207,11 @@ class SuperOp(LinearCombination):
 def graded_commutator(a: SuperOp, b: SuperOp) -> SuperOp:
     """[a, b] = ab - (-1)^(|a||b|) ba on parity-homogeneous pieces."""
     _check_ctx(a, b)
+    pk = Packing.fitting(a, b)
     out: dict = {}
     for x, px in zip(a.parity_parts(), (0, 1)):
-        if x.is_zero():
-            continue
         for y, py in zip(b.parity_parts(), (0, 1)):
-            if y.is_zero():
-                continue
-            multiply_into(out, x, y, 1)
-            multiply_into(out, y, x, 1 if px * py else -1)
-    return SuperOp(a.ctx, out)
+            x_terms, y_terms = pk.pack(x), pk.pack(y)
+            pk.mul_into(out, x_terms, y_terms, 1)
+            pk.mul_into(out, y_terms, x_terms, 1 if px * py else -1)
+    return pk.unpack(out)

@@ -4,19 +4,21 @@ from itertools import combinations
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfcat.ainfinity import (
     DgAlgebra,
     _shift_sign,
-    _stage_homotopy,
-    _Transfer,
+    _transfer_tables,
     build_contraction,
     clifford_check,
     clifford_product,
     transfer_minimal_model,
 )
 from mfcat.errors import PreconditionError, VerificationError
-from mfcat.fields import QQ, PrimeField
+from mfcat.exterior import merge_sorted
+from mfcat.fields import QQ, PrimeField, accumulate
 from mfcat.series import RingCtx, Series, monomial_basis
 from mfcat.serialize import parse_potential_text
 from mfcat.superops import SuperOp, graded_commutator
@@ -75,6 +77,27 @@ def test_coords_are_pure_del_coefficients(names, text, field, degree):
         C.coords(SuperOp.theta(ctx, 0))
 
 
+def stage_homotopy(ctx, i):
+    """Division by x_i followed by left multiplication with theta_i."""
+
+    def h(a):
+        field = ctx.field
+        out = {}
+        for (exp, th, dl), c in a.terms.items():
+            if exp[i] == 0:
+                continue
+            ins = merge_sorted((i,), th)
+            if ins is None:
+                continue
+            sign, th_new = ins
+            new_exp = list(exp)
+            new_exp[i] -= 1
+            accumulate(out, (tuple(new_exp), th_new, dl), c if sign > 0 else field.neg(c), field)
+        return SuperOp(ctx, out)
+
+    return h
+
+
 def uncached_maps(C):
     """d, h and p rebuilt with no cache: [delta, -] and the staged sandwich of
     the stage homotopies between the earlier stages' projections."""
@@ -87,7 +110,7 @@ def uncached_maps(C):
     def projection(h):
         return lambda a: a - d(h(a)) - h(d(a))
 
-    stages = [_stage_homotopy(ctx, i) for i in reversed(range(n))]
+    stages = [stage_homotopy(ctx, i) for i in reversed(range(n))]
     projections = [projection(h) for h in stages]
 
     def h(a):
@@ -133,19 +156,56 @@ def test_cached_maps_match_uncached_on_combinations(names, text, field, coeffs):
         assert C.check_identity(a)
 
 
+def termwise(ctx, f):
+    """f extended linearly from single terms, each image computed once: the
+    uncached maps memoized in plain SuperOps, so a walk over every tuple ends
+    in seconds."""
+    images = {}
+
+    def g(a):
+        total = SuperOp.zero(ctx)
+        for key, c in a.terms.items():
+            if key not in images:
+                images[key] = f(SuperOp(ctx, {key: ctx.field.one}))
+            total = total + images[key].scale(c)
+        return total
+
+    return g
+
+
 def every_tuple_products(w, max_arity):
     """The product tables from a walk over every tuple of every arity, in
-    `itertools.product` order, through `_Transfer` and coords(p(lambda))."""
+    `itertools.product` order. lambda, h(lambda) and coords(p(lambda)) come
+    from `SuperOp` products and `uncached_maps`; nothing runs on packed terms
+    or on the contraction's columns."""
     C = build_contraction(w)
-    tr = _Transfer(C)
-    field = w.ctx.field
+    ctx, field = w.ctx, w.ctx.field
+    _, h, p, _ = uncached_maps(C)
+    h, p = termwise(ctx, h), termwise(ctx, p)
+    basis = [p(SuperOp.word(ctx, dels=subset)) for subset in C.labels]
+    hlam = {(i,): elt for i, elt in enumerate(basis)}
     products = {}
     for k in range(2, max_arity + 1):
         table = {}
         for args in iter_product(range(len(C.labels)), repeat=k):
-            lam = tr.lam(args)
-            tr.keep(args, lam)
-            vec = C.coords(C.p(lam))
+            lam = SuperOp.zero(ctx)
+            odd = 1
+            for j in range(1, k):
+                odd ^= C.parities[args[j - 1]] ^ 1
+                if args[:j] in hlam and args[j:] in hlam:
+                    term = hlam[args[:j]] * hlam[args[j:]]
+                    lam = lam - term if odd else lam + term
+            if lam.is_zero():
+                continue
+            image = h(lam)
+            if not image.is_zero():
+                hlam[args] = image
+            projected = p(lam)
+            vec = pure_del_coefficients(C, projected)
+            spanned = SuperOp.zero(ctx)
+            for i, c in vec.items():
+                spanned = spanned + basis[i].scale(c)
+            assert projected == spanned
             if vec:
                 if _shift_sign(C.parities, args) < 0:
                     vec = {i: field.neg(c) for i, c in vec.items()}
@@ -153,6 +213,13 @@ def every_tuple_products(w, max_arity):
         if table:
             products[k] = table
     return products
+
+
+def assert_same_tables(model, expected):
+    # equal tables, with the same keys in the same insertion order
+    assert list(model.products) == list(expected)
+    for k, table in expected.items():
+        assert list(model.products[k].items()) == list(table.items())
 
 
 @pytest.mark.parametrize(
@@ -168,13 +235,73 @@ def every_tuple_products(w, max_arity):
 )
 def test_live_tuples_give_the_every_tuple_tables(names, text, field, max_arity):
     w = parse_potential_text(RingCtx(tuple(names), field), text)
-    model = transfer_minimal_model(w, max_arity)
     expected = every_tuple_products(w, max_arity)
     assert expected
-    # equal tables, with the same keys in the same insertion order
-    assert list(model.products) == list(expected)
-    for k, table in expected.items():
-        assert list(model.products[k].items()) == list(table.items())
+    assert_same_tables(transfer_minimal_model(w, max_arity), expected)
+
+
+@pytest.mark.parametrize(
+    "names, text, max_arity, bits",
+    [("x", "x^100", 4, 16), ("x", "x^40000", 4, 32), ("xy", "x^40000 + y^3", 3, 32)],
+)
+def test_exponent_fields_widen_until_every_exponent_fits(names, text, max_arity, bits):
+    # x^100 builds its contraction in 8-bit fields and overflows in a
+    # transfer product; 40000 >= 2^15 overflows delta in 8 and 16 bits
+    w = potential(names, text)
+    C = build_contraction(w)
+    C.algebra._exact(_transfer_tables, C.parities, max_arity)
+    assert C.algebra._bits == bits
+    assert_same_tables(transfer_minimal_model(w, max_arity), every_tuple_products(w, max_arity))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    field=st.sampled_from([QQ, PrimeField(7)]),
+    n=st.integers(1, 2),
+    terms=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+        min_size=1,
+        max_size=3,
+    ),
+    max_arity=st.integers(2, 4),
+)
+def test_random_potentials_give_the_reference_tables(field, n, terms, max_arity):
+    ctx = RingCtx("xy"[:n], field)
+    w = Series.zero(ctx)
+    for i, j, c in terms:
+        exp = (i, j)[:n]
+        if sum(exp) >= 2:
+            w = w + Series(ctx, {exp: field.of(c)})
+    if w.is_zero():
+        return
+    C = build_contraction(w)
+    ops = C.algebra._exact(lambda ops: ops)
+    for elt in C.basis_elements:
+        assert ops.unpack(ops.pack(elt)) == elt
+    assert_same_tables(transfer_minimal_model(w, max_arity), every_tuple_products(w, max_arity))
+
+
+def test_a_corrupted_column_or_basis_element_is_caught():
+    w = potential("xy", "x^2*y + y^3")
+    ctx, one = w.ctx, w.ctx.field.one
+    theta = SuperOp.theta(ctx, 0)
+    term = SuperOp.word(ctx, dels=(0,), exp=(1, 0))
+    # pi reads p(t): one extra theta term leaves the pure part, and so the
+    # coordinates, unchanged, and p(t) = iota(pi(t)) fails
+    ops = DgAlgebra(w)._exact(lambda ops: ops)
+    (t,) = ops.pack(term)
+    (extra,) = ops.pack(theta)
+    plain_p = ops.p
+    ops.p = lambda a: {**plain_p(a), extra: plain_p(a).get(extra, 0) + one}
+    with pytest.raises(VerificationError):
+        ops.pi({t: one})
+    ops.p = plain_p
+    assert ops.pi({t: one}) == pure_del_coefficients(build_contraction(w), term)
+    # a basis element scaled by 2 no longer rebuilds p of its own pure word
+    ops = DgAlgebra(w)._exact(lambda ops: ops)
+    ops.basis[1] = {u: 2 * c for u, c in ops.basis[1].items()}
+    with pytest.raises(VerificationError):
+        ops.pi({ops.pure[1]: one})
 
 
 def test_one_variable_contraction():

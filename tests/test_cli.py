@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -203,6 +206,20 @@ def test_minimal_model(capsys):
     assert len(cubic) == 1
     value = [QQ.of(v) for v in cubic[0]["value"]]
     assert abs(value[0]) == 1 and value[1] == 0
+
+
+def test_minimal_model_stops_after_the_last_kept_arity(capsys):
+    # x^3 keeps no tuple above arity 2, so the walk ends after arity 4 and a
+    # huge --max-arity gives the bytes of --max-arity 4; before the proven
+    # stop this command never ended
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "mfcat.cli", "minimal-model", "--inline", "x^3", "--ring", "x"]
+    huge = subprocess.run(
+        argv + ["--max-arity", "100000000000000000000"], capture_output=True, env=env, timeout=30
+    )
+    code, out, _ = run(capsys, *argv[3:], "--max-arity", "4")
+    assert huge.returncode == code == 0 and huge.stdout.decode() == out
 
 
 def test_quasi_iso(tmp_path, capsys):

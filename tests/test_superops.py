@@ -10,7 +10,7 @@ from mfcat.exterior import merge_sorted
 from mfcat.fields import QQ, PrimeField, accumulate
 from mfcat.series import RingCtx, Series, monomial_basis
 from mfcat.serialize import parse_potential_text
-from mfcat.superops import SuperOp, _del_theta, graded_commutator, multiply_into
+from mfcat.superops import ExponentOverflow, Packing, SuperOp, graded_commutator
 
 
 def ctx_n(n):
@@ -130,6 +130,36 @@ def test_context_mismatch_raises():
         a * b
 
 
+def _del_theta(dels: tuple, thetas: tuple):
+    """Normal ordering of del_word * theta_word, one del at a time.
+
+    Returns a tuple of ((theta_out, del_out), sign) using
+    del_b theta_C = (-1)^|C| theta_C del_b + [b in C] (-1)^pos theta_(C-b).
+    """
+    if not dels:
+        return (((thetas, ()), 1),)
+    b = dels[-1]
+    head = dels[:-1]
+    out: dict = {}
+
+    def add_sign(key, sign):
+        out[key] = out.get(key, 0) + sign
+        if out[key] == 0:
+            del out[key]
+
+    sign_pass = -1 if len(thetas) % 2 else 1
+    for (th, dl), s in _del_theta(head, thetas):
+        # b is the largest index in `dels`, so appending keeps dl sorted
+        add_sign((th, dl + (b,)), s * sign_pass)
+    if b in thetas:
+        pos = thetas.index(b)
+        reduced = thetas[:pos] + thetas[pos + 1 :]
+        sign_hit = -1 if pos % 2 else 1
+        for (th, dl), s in _del_theta(head, reduced):
+            add_sign((th, dl), s * sign_hit)
+    return tuple(out.items())
+
+
 def reference_product(a, b):
     """The product term pair by term pair: `_del_theta`, then two
     `merge_sorted` calls, with the sign brought in through `field.of`."""
@@ -194,6 +224,41 @@ def test_product_kernel_matches_term_pair_reference(n, field, coeffs):
         bracket = ab - reference_product(be, a) - reference_product(bo, ae) + reference_product(bo, ao)
         assert graded_commutator(a, b) == bracket
         # the kernel adds into what the dict already holds, with either sign
-        out = dict(ab.terms)
-        multiply_into(out, b, a, -1)
-        assert SuperOp(c, out) == ab - reference_product(b, a)
+        pk = Packing.fitting(a, b)
+        out = pk.pack(ab)
+        pk.mul_into(out, pk.pack(b), pk.pack(a), -1)
+        assert pk.unpack(out) == ab - reference_product(b, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_word_pair_table_matches_the_one_del_at_a_time_reference(n):
+    # every word pair theta_A del_B * theta_C del_D, against `_del_theta` and
+    # two `merge_sorted` calls
+    pk = Packing(ctx_n(n), 4)
+    words = [tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
+    for index in range(1 << 4 * n):
+        (b, a), (d, c) = divmod(index >> 2 * n, 1 << n), divmod(index & (1 << 2 * n) - 1, 1 << n)
+        expected = {}
+        for (th, dl), s in _del_theta(words[b], words[c]):
+            left, right = merge_sorted(words[a], th), merge_sorted(dl, words[d])
+            if left is not None and right is not None:
+                key = sum(1 << i for i in left[1]) + sum(1 << n + i for i in right[1])
+                expected[key] = s * left[0] * right[0]
+        assert dict(pk._pair(index)) == expected
+
+
+def test_packing_guards_every_exponent_field():
+    c = ctx_n(2)
+    pk = Packing(c, 4)  # exponents below 2^3 fit
+    a = SuperOp.word(c, thetas=(0,), exp=(7, 0))
+    assert pk.unpack(pk.pack(a)) == a
+    with pytest.raises(ExponentOverflow):
+        pk.pack(SuperOp.word(c, exp=(0, 8)))
+    out = {}
+    pk.mul_into(out, pk.pack(a), pk.pack(SuperOp.word(c, exp=(0, 7))), 1)
+    assert pk.unpack(out) == a * SuperOp.word(c, exp=(0, 7))
+    with pytest.raises(ExponentOverflow):
+        pk.mul_into({}, pk.pack(a), pk.pack(SuperOp.word(c, exp=(1, 0))), 1)
+    # a product sized by `fitting` never reaches the guard
+    big = SuperOp.word(c, dels=(1,), exp=(40000, 3))
+    assert (big * big).is_zero() and (big * a).terms
