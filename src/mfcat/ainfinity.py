@@ -14,13 +14,16 @@ spanning sets.
 The projection keeps the pure del-word coefficients, so they are the
 coordinates on its image, read off with no elimination (`coords`).
 
-The maps run on terms packed as ints (`superops.Packing`, `_Packed`). d,
-the stage projections, h, p and the coordinate map pi = coords o p compute
-each term's column once and extend linearly, which is exact as all are
-k-linear. Filling pi(t) checks p(t) = iota(pi(t)), so by linearity every
-product's coordinates are checked, each distinct term once. An exponent
-that reaches the guard bit of its field restarts the computation with the
-fields twice as wide (`DgAlgebra._exact`), so every result is exact.
+The maps run on terms packed as ints (`superops.Packing`, `_Packed`), whose
+words are `exterior` masks. d, the stage projections, h, p and the
+coordinate map pi = coords o p compute each term's column once and extend
+linearly, which is exact as all are k-linear. Filling pi(t) checks
+p(t) = iota(pi(t)), so by linearity every product's coordinates are
+checked, each distinct term once. An exponent that reaches the guard bit of
+its field restarts the computation with the fields twice as wide
+(`Contraction._exact`), so every result is exact. `build_contraction`
+returns one `Contraction`: delta, the witnesses, the basis, and the maps on
+`SuperOp`s, which pack their argument and unpack a term result.
 
 The transfer visits only the tuples whose lambda can be nonzero: a tuple of
 arity k >= 2 is visited only if it is L + R with h(lambda(L)) and
@@ -38,14 +41,14 @@ convention's signs are locked by regression tests only.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, partialmethod
 
 from .errors import PreconditionError, VerificationError
-from .exterior import subsets_ordered
+from .exterior import mask_of, subsets_ordered
 from .fields import accumulate
 from .series import Series
 from .stabilize import peel_witnesses
-from .superops import ExponentOverflow, Packing, SuperOp, _mask
+from .superops import ExponentOverflow, Packing, SuperOp
 
 
 def _nonzero(terms: dict) -> dict:
@@ -85,8 +88,14 @@ class _Packed(Packing):
         # allowed to involve every variable
         self.stages = list(reversed(range(self.n)))
         self.cols: dict = {}
-        self.pure = [_mask(s, self.n) for s in subsets_ordered(self.n)]
-        self.basis = [self.p({t: self.field.one}) for t in self.pure]
+        one, labels = self.field.one, subsets_ordered(self.n)
+        self.pure = [mask_of(s, self.n) for s in labels]
+        self.basis = [self.p({t: one}) for t in self.pure]
+        for idx, (subset, elt) in enumerate(zip(labels, self.basis)):
+            if self.d(elt):
+                raise VerificationError(f"projected generator {subset} is not a cycle")
+            if {i: elt[u] for i, u in enumerate(self.pure) if u in elt} != {idx: one}:
+                raise VerificationError(f"projected generator {subset} lost its pure part")
 
     def combine(self, plus, minus=()) -> dict:
         """The sum of the dicts in `plus` minus the sum of those in `minus`."""
@@ -166,25 +175,41 @@ class _Packed(Packing):
             raise VerificationError("element is not in the image of the projection")
         return vec
 
+    def check_identity(self, a: dict) -> bool:
+        """d h + h d = id - iota p on a, with p landing in the basis span: the
+        factorization of p through the 2^n-dimensional image is the
+        substantive claim, and the two-sided identity certifies it on a."""
+        try:
+            vec = self.coords(self.p(a))
+        except VerificationError:
+            return False
+        return self.combine([self.d(self.h(a)), self.h(self.d(a)), self.iota(vec)]) == a
 
-class DgAlgebra:
-    """Operator algebra with differential [delta, -] for a decomposed potential."""
+
+class Contraction:
+    """The operator algebra with differential [delta, -] for a decomposed
+    potential, contracted onto 2^n cycles indexed by subsets of the del
+    generators. Its maps take `SuperOp`s and run on the packed contraction
+    `_Packed`, under `_exact`."""
 
     def __init__(self, w: Series):
         if not w.in_maximal_ideal_square() or w.is_zero():
             raise PreconditionError("potential must be nonzero and lie in m^2")
-        self.ctx = w.ctx
-        self.potential = w
+        ctx = self.ctx = w.ctx
+        n = ctx.n_vars
         # peel the last variable first: the staged contraction needs w_i
         # free of x_(i+1)..x_n, the opposite of the Koszul builder's peel
-        self.witnesses = peel_witnesses(w, reversed(range(self.ctx.n_vars)))
-        delta = SuperOp.zero(self.ctx)
-        for i in range(self.ctx.n_vars):
-            xi = SuperOp.from_series(Series.variable(self.ctx, i))
-            delta = delta + xi * SuperOp.del_theta(self.ctx, i)
-            delta = delta + SuperOp.from_series(self.witnesses[i]) * SuperOp.theta(self.ctx, i)
-        self.delta = delta
+        self.witnesses = peel_witnesses(w, reversed(range(n)))
+        # delta = sum x_i del_i + w_i theta_i: every term has its own word
+        terms = {}
+        for i, wit in enumerate(self.witnesses):
+            terms[(tuple(int(j == i) for j in range(n)), (), (i,))] = ctx.field.one
+            terms.update(((exp, (i,), ()), c) for exp, c in wit.terms.items())
+        self.delta = SuperOp(ctx, terms)
+        self.labels = subsets_ordered(n)
+        self.parities = [len(s) % 2 for s in self.labels]
         self._bits, self._ops = 8, None
+        self.basis_elements = self._exact(lambda ops: [ops.unpack(b) for b in ops.basis])
 
     def _exact(self, f, *args):
         """f(ops, *args) on the packed contraction `ops`. On an overflow the
@@ -198,56 +223,21 @@ class DgAlgebra:
             except ExponentOverflow:
                 self._bits, self._ops = 2 * self._bits, None
 
-    def _map(self, a: SuperOp, name: str, *args) -> SuperOp:
-        return self._exact(lambda ops: ops.unpack(getattr(ops, name)(ops.pack(a), *args)))
+    def _map(self, name: str, a: SuperOp, *args, unpack=True):
+        """The packed map `name` on a; a term dict comes back as a SuperOp."""
+        out = self._exact(lambda ops: getattr(ops, name)(ops.pack(a), *args))
+        return self._ops.unpack(out) if unpack else out
 
-    def d(self, a: SuperOp) -> SuperOp:
-        return self._map(a, "d")
-
-
-class ContractionData:
-    """Projection, inclusion, and homotopy contracting the algebra onto 2^n
-    independent cycles indexed by subsets of the del generators."""
-
-    def __init__(self, algebra: DgAlgebra):
-        self.algebra = algebra
-        n = algebra.ctx.n_vars
-        self.h, self.p = (partial(algebra._map, name=name) for name in "hp")
-        self.stage_projections = [lambda a, i=i: algebra._map(a, "proj", i) for i in range(n)]
-        self.labels = subsets_ordered(n)
-        self.basis_elements = algebra._exact(lambda ops: [ops.unpack(b) for b in ops.basis])
-        self.parities = [len(s) % 2 for s in self.labels]
-        for idx, (subset, elt) in enumerate(zip(self.labels, self.basis_elements)):
-            if not algebra.d(elt).is_zero():
-                raise VerificationError(f"projected generator {subset} is not a cycle")
-            if self.coords(elt) != {idx: algebra.ctx.field.one}:
-                raise VerificationError(f"projected generator {subset} lost its pure part")
-
-    def coords(self, x: SuperOp) -> dict:
-        """Coordinates of x in the projected basis (`_Packed.coords`)."""
-        return self.algebra._exact(lambda ops: ops.coords(ops.pack(x)))
-
-    def check_identity(self, a: SuperOp) -> bool:
-        """d h + h d = id - iota p, with p landing in the basis span.
-
-        The factorization of p through the 2^n-dimensional image is the
-        substantive claim; the two-sided identity then certifies the
-        contraction on this element.
-        """
-
-        def check(ops):
-            x = ops.pack(a)
-            try:
-                vec = ops.coords(ops.p(x))
-            except VerificationError:
-                return False
-            return ops.combine([ops.d(ops.h(x)), ops.h(ops.d(x)), ops.iota(vec)]) == x
-
-        return self.algebra._exact(check)
+    d = partialmethod(_map, "d")
+    h = partialmethod(_map, "h")
+    p = partialmethod(_map, "p")
+    proj = partialmethod(_map, "proj")  # proj(a, i): the projection of stage i
+    coords = partialmethod(_map, "coords", unpack=False)
+    check_identity = partialmethod(_map, "check_identity", unpack=False)
 
 
-def build_contraction(w: Series) -> ContractionData:
-    return ContractionData(DgAlgebra(w))
+def build_contraction(w: Series) -> Contraction:
+    return Contraction(w)
 
 
 def _label_text(subset) -> str:
@@ -405,7 +395,7 @@ def transfer_minimal_model(w: Series, max_arity: int) -> AInfStructure:
         raise PreconditionError("max_arity must be at least 2")
     contraction = build_contraction(w)
     parities = contraction.parities
-    products = contraction.algebra._exact(_transfer_tables, parities, max_arity)
+    products = contraction._exact(_transfer_tables, parities, max_arity)
     return AInfStructure(contraction.labels, parities, w.ctx.field, max_arity, products)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
 
 from .ainfinity import build_contraction, clifford_check, transfer_minimal_model
 from .complexes import (
@@ -20,6 +19,7 @@ from .complexes import (
     scalar_action_nullhomotopy,
 )
 from .errors import MfcatError
+from .exterior import subsets_ordered
 from .factorization import (
     MatrixFactorization,
     MFMorphism,
@@ -243,7 +243,7 @@ def _random_series(rng, ctx, max_degree, min_degree=1):
         if rng.random() < 0.5:
             c = rng.randint(-2, 2)
             if c:
-                terms[exp] = QQ.of(c)
+                terms[exp] = ctx.field.of(c)
     return Series(ctx, terms)
 
 
@@ -526,12 +526,7 @@ def criterion_13(corpus, rng) -> CriterionResult:
         bound = 2 if n >= 3 else ed.w.total_degree() + 1
         failures = 0
         checked = 0
-        words = []
-        for kt in range(n + 1):
-            for th in combinations(range(n), kt):
-                for kd in range(n + 1):
-                    for dl in combinations(range(n), kd):
-                        words.append((th, dl))
+        words = [(th, dl) for th in subsets_ordered(n) for dl in subsets_ordered(n)]
         for exp in monomial_basis(ed.ctx, bound):
             for th, dl in words:
                 elt = SuperOp.word(ed.ctx, thetas=th, dels=dl, exp=exp)

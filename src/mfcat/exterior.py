@@ -1,8 +1,12 @@
-"""Exterior-algebra bookkeeping shared by the Koszul-type constructions.
+"""The exterior-algebra word format shared by the Koszul builder and the
+operator algebra.
 
-Basis order is frozen: subsets of {0..m-1} sorted by (cardinality, lex),
-split into even/odd by cardinality mod 2. All signs come from the sorted
-wedge-word convention.
+A word is a product of distinct odd generators in ascending order, held as a
+bit mask: generator i is bit i. The basis order is frozen: the words on m
+letters sorted by (cardinality, lex), `subsets_ordered`, split into even and
+odd by cardinality mod 2. Re-sorting a concatenation of two words costs the
+sign (-1)^inversions (`inversions`), from which the Koszul builder and the
+operator product build their signs.
 """
 
 from __future__ import annotations
@@ -10,50 +14,16 @@ from __future__ import annotations
 from itertools import combinations
 
 
-def subsets_ordered(m: int):
-    out = []
-    for k in range(m + 1):
-        out.extend(tuple(c) for c in combinations(range(m), k))
-    return out
+def subsets_ordered(m: int) -> list:
+    return [c for k in range(m + 1) for c in combinations(range(m), k)]
 
 
-def parity_split(m: int):
-    """(even subsets, odd subsets), each in the frozen order."""
-    subs = subsets_ordered(m)
-    return [s for s in subs if len(s) % 2 == 0], [s for s in subs if len(s) % 2 == 1]
+def mask_of(word, shift: int = 0) -> int:
+    """The mask of the letters of `word`, each moved up by `shift` bits."""
+    return sum(1 << shift + i for i in word)
 
 
-def contraction_terms(subset):
-    """Contraction against generator i removes i with sign (-1)^position."""
-    out = []
-    for pos, i in enumerate(subset):
-        rest = subset[:pos] + subset[pos + 1 :]
-        out.append((i, rest, -1 if pos % 2 else 1))
-    return out
-
-
-def wedge_terms(subset, m: int):
-    """Left wedge by generator i inserts i with sign (-1)^#{j in subset: j < i}."""
-    out = []
-    for i in range(m):
-        merged = merge_sorted((i,), subset)
-        if merged is not None:
-            sign, word = merged
-            out.append((i, word, sign))
-    return out
-
-
-def merge_sorted(left: tuple, right: tuple):
-    """(sign, merged word) for concatenating sorted odd words, or None on overlap.
-
-    The sign is (-1)^inversions where inversions counts pairs i in left,
-    j in right with i > j, i.e. the transpositions needed to re-sort.
-    """
-    if not left:
-        return 1, right
-    if not right:
-        return 1, left
-    if set(left) & set(right):
-        return None
-    inversions = sum(1 for i in left for j in right if i > j)
-    return (-1 if inversions % 2 else 1), tuple(sorted(left + right))
+def inversions(x: int, y: int) -> int:
+    """The pairs i in mask x, j in mask y with i > j: the transpositions
+    that re-sort the word x followed by the word y."""
+    return sum((y & (1 << i) - 1).bit_count() for i in range(x.bit_length()) if x >> i & 1)

@@ -36,7 +36,10 @@ def ring_from_obj(obj) -> RingCtx:
         raise InputParseError(f"bad ring variables {names!r}: need a list of strings")
     if type(field) is not str:
         raise InputParseError(f"bad ring field {field!r}: need a string")
-    return RingCtx(tuple(names), field_from_name(field))
+    try:
+        return RingCtx(tuple(names), field_from_name(field))
+    except PreconditionError as exc:
+        raise InputParseError(str(exc)) from exc
 
 
 def series_to_obj(s: Series) -> list:
@@ -95,8 +98,8 @@ def mf_from_obj(obj) -> MatrixFactorization:
     except KeyError as exc:
         raise InputParseError(f"factorization object missing key {exc}") from exc
     mf = MatrixFactorization(ctx, potential, phi, psi)
-    if "rank" in obj and obj["rank"] != mf.rank:
-        raise InputParseError("declared rank does not match the matrices")
+    if "rank" in obj and (type(obj["rank"]) is not int or obj["rank"] != mf.rank):
+        raise InputParseError(f"declared rank {obj['rank']!r} is not the integer {mf.rank}")
     if mf.rank == 0:
         raise InputParseError("factorization has rank 0")
     return mf

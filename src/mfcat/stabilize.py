@@ -2,14 +2,16 @@
 
 The factorization attached to (f_1..f_m; w_1..w_m) with sum f_i w_i = w lives
 on the exterior algebra of R^m, with differential contraction-by-f plus
-wedge-by-w. Basis order and witness conventions are frozen here so outputs
-are bit-reproducible.
+wedge-by-w. Its words are `exterior` masks in the frozen `subsets_ordered`
+order, and generator i acts on a word by one signed toggle of bit i
+(`make_koszul_mf`). Basis order and witness conventions are frozen here so
+outputs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError, VerificationError
-from .exterior import contraction_terms, parity_split, wedge_terms
+from .exterior import inversions, mask_of, subsets_ordered
 from .factorization import MatrixFactorization, RMatrix
 from .series import RingCtx, Series, difference_quotient
 
@@ -45,37 +47,29 @@ class KoszulData:
 
 
 def make_koszul_mf(kd: KoszulData) -> MatrixFactorization:
-    """Factorization (wedge algebra, contraction + wedge) of the witness sum."""
-    m = kd.size
-    ctx = kd.ctx
-    even, odd = parity_split(m)
-    even_idx = {s: i for i, s in enumerate(even)}
-    odd_idx = {s: i for i, s in enumerate(odd)}
-    phi = RMatrix.zero(ctx, len(even), len(odd))
-    psi = RMatrix.zero(ctx, len(odd), len(even))
+    """Factorization (exterior algebra, contraction + wedge) of the witness sum.
 
-    def add_action(mat, idx_out, col, subset):
-        for i, rest, sign in contraction_terms(subset):
-            target = idx_out.get(rest)
-            if target is None:
-                continue
-            term = kd.generators[i] if sign > 0 else -kd.generators[i]
-            mat.entries[target][col] = mat.entries[target][col] + term
-        for i, merged, sign in wedge_terms(subset, m):
-            target = idx_out.get(merged)
-            if target is None:
-                continue
-            term = kd.witnesses[i] if sign > 0 else -kd.witnesses[i]
-            mat.entries[target][col] = mat.entries[target][col] + term
+    Generator i sends the word S to S ^ (1 << i): by contraction with f_i
+    when i is in S, by wedge with w_i when it is not. Either way the entry
+    is negated when an odd number of letters of S lie below i, the
+    inversions of the word i followed by S. Distinct generators send S to
+    distinct words, so each entry is one signed f_i or w_i.
+    """
+    ctx, zero = kd.ctx, Series.zero(kd.ctx)
+    words = [mask_of(s) for s in subsets_ordered(kd.size)]
+    even = [s for s in words if not s.bit_count() % 2]
+    odd = [s for s in words if s.bit_count() % 2]
+    row_of = {s: r for part in (even, odd) for r, s in enumerate(part)}
 
-    for col, subset in enumerate(odd):
-        add_action(phi, even_idx, col, subset)
-    for col, subset in enumerate(even):
-        add_action(psi, odd_idx, col, subset)
+    def differential(rows, cols):
+        entries = [[zero] * len(cols) for _ in rows]
+        for col, s in enumerate(cols):
+            for i in range(kd.size):
+                entry = (kd.generators if s >> i & 1 else kd.witnesses)[i]
+                entries[row_of[s ^ 1 << i]][col] = -entry if inversions(1 << i, s) % 2 else entry
+        return RMatrix(ctx, entries)
 
-    return MatrixFactorization(
-        ctx, kd.potential, RMatrix(ctx, phi.entries), RMatrix(ctx, psi.entries)
-    )
+    return MatrixFactorization(ctx, kd.potential, differential(even, odd), differential(odd, even))
 
 
 def peel_witnesses(w: Series, order) -> list:

@@ -4,8 +4,8 @@ A term is (x-exponent, theta word, del word) with both words sorted strictly
 ascending and every theta written left of every del. Multiplication
 normal-orders via del_i theta_j + theta_j del_i = delta_ij with all Koszul
 signs tracked exactly. Every product runs on packed terms (`Packing`): a
-term is one int, its words masks in the low bits and its exponents in
-fields above them. Each pair of words is normal-ordered once, into one
+term is one int, its words `exterior` masks in the low bits and its
+exponents in fields above them. Each pair of words is normal-ordered once, into one
 table (`Packing._pair`), and `Packing.mul_into` reads a term pair's words
 from it and adds the two exponent parts as one integer.
 """
@@ -15,20 +15,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import PreconditionError
+from .exterior import inversions, mask_of
 from .series import LinearCombination, Series, _check_ctx
-
-
-def _inversions(x: int, y: int) -> int:
-    """The pairs i in mask x, j in mask y with i > j."""
-    return sum((y & (1 << i) - 1).bit_count() for i in range(x.bit_length()) if x >> i & 1)
 
 
 class ExponentOverflow(ArithmeticError):
     """A packed exponent reached the guard bit of its field."""
-
-
-def _mask(word, shift: int = 0) -> int:
-    return sum(1 << shift + i for i in word)
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +59,7 @@ class Packing:
         for (exp, th, dl), c in a.terms.items():
             if max(exp) >> self.bits - 1:
                 raise ExponentOverflow
-            out[_mask(th) + _mask(dl, self.n) + sum(e * u for e, u in zip(exp, self.units))] = c
+            out[mask_of(th) + mask_of(dl, self.n) + sum(e * u for e, u in zip(exp, self.units))] = c
         return out
 
     def unpack(self, a: dict):
@@ -97,8 +89,8 @@ class Packing:
         while True:
             bs, cs, k = b ^ s, c ^ s, s.bit_count()
             if not (a & cs or bs & d):
-                odd = _inversions(s, bs ^ cs) + k * (k - 1) // 2 + bs.bit_count() * (k + cs.bit_count())
-                odd += _inversions(a, cs) + _inversions(bs, d)
+                odd = inversions(s, bs ^ cs) + k * (k - 1) // 2 + bs.bit_count() * (k + cs.bit_count())
+                odd += inversions(a, cs) + inversions(bs, d)
                 out.append((a | cs | (bs | d) << n, -1 if odd % 2 else 1))
             if not s:
                 break

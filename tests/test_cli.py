@@ -141,6 +141,9 @@ def test_hh_vanishing_partial_is_a_precondition(capsys, text, ring):
         (None, None, None, {"field": None}),
         (None, None, None, {"variables": "x"}),
         (None, None, None, {"variables": [1]}),
+        (None, None, None, {"variables": []}),
+        (None, None, None, {"variables": ["x", "x"]}),
+        (None, None, None, {"rank": True}),
     ],
     ids=[
         "composite-prime",
@@ -172,6 +175,9 @@ def test_hh_vanishing_partial_is_a_precondition(capsys, text, ring):
         "null-field",
         "string-variables",
         "integer-variable",
+        "empty-variables",
+        "duplicate-variables",
+        "boolean-rank",
     ],
 )
 def test_malformed_input_exit(tmp_path, capsys, monkeypatch, ring, env, term, ring_obj):
@@ -180,14 +186,15 @@ def test_malformed_input_exit(tmp_path, capsys, monkeypatch, ring, env, term, ri
     if ring is not None:
         argv = ["hh", "--inline", "x^3", "--ring", ring]
     else:
-        # K of x^4 (phi = x, psi = x^3) with the one term of phi or a key of
-        # the ring object replaced; a truncation of 2 would drop x^3 and x^4
+        # K of x^4 (phi = x, psi = x^3) with the one term of phi, a key of
+        # the ring object or the declared rank replaced; a truncation of 2
+        # would drop x^3 and x^4
         x = Series.variable(RingCtx(("x",), QQ), 0)
         obj = serialize.mf_to_obj(stabilize_residue_field(x ** 4))
         if term is not None:
             obj["phi"][0][0] = [term]
-        if ring_obj is not None:
-            obj["ring"].update(ring_obj)
+        for key, value in (ring_obj or {}).items():
+            (obj if key == "rank" else obj["ring"])[key] = value
         path = tmp_path / "mf.json"
         path.write_text(serialize.dumps_canonical(obj))
         argv = ["verify", str(path)]

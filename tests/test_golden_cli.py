@@ -23,6 +23,7 @@ POTENTIALS = {
     "quadric3": ("x,y,z", "x^2 + y^2 + z^2"),
     "fermat3": ("x,y,z", "x^3 + y^3 + z^3"),
     "W12": ("x,y", "x^4 + y^5 + x^2*y^3"),
+    "quartic4": ("x,y,z,w", "x^4 + y^4 + z^4 + w^4"),
 }
 
 # (case id, potential, command before the potential flags, trailing arguments)
@@ -35,6 +36,15 @@ INLINE_CASES = [
         ("diagonal", "diagonal", []),
         ("hh", "hh", []),
         ("minimal-model", "minimal-model", ["--max-arity", "4"]),
+    )
+] + [
+    # Koszul bytes on three and four generators
+    (f"{name}-{label}", name, command, extra)
+    for name in ("fermat3", "quartic4")
+    for label, command, extra in (
+        ("stabilize", "stabilize", []),
+        ("koszul", "stabilize", ["--koszul"]),
+        ("diagonal", "diagonal", []),
     )
 ] + [
     ("D4-GF7-minimal-model", "D4-GF7", "minimal-model", ["--max-arity", "4"]),
@@ -56,6 +66,12 @@ GOLDEN = {
     "D4-diagonal": "97d6c3b6bbd567c85ddf10d4aa1ac2e58e8bb94513d17f244a40b9e66cc9e20c",
     "D4-hh": "b9ba64cc957410f9290bb0aa0c6c645fe7a5a5c01bd9cc83a02b857b15b3cd3e",
     "D4-minimal-model": "968737dff2d937bd58ba9d66d75763c20160810e98098149d4a78f321469b551",
+    "fermat3-stabilize": "149a4ab05a897de379fd47674484b1bfd6a5ffe0923e3f6d7b737dc14998b58b",
+    "fermat3-koszul": "3fda68475e0cf0ce857fb8cf7eec3e926ade9a2dd61abe27173880b190d7b087",
+    "fermat3-diagonal": "e469a554583ea0e93ecdad6a89bbdadc6927eb906b37f05596e8a944f766deb1",
+    "quartic4-stabilize": "3981f1b95713a5fb2c41f05f8cd4408bcc106fabca3f80d02ed6c869126f7dd2",
+    "quartic4-koszul": "88c6e745af9036390dc40b458a6b7a2fe3cd7eaa9cefa8e73fcaa69f295abf68",
+    "quartic4-diagonal": "fa2fd37ded0dae4f516bd1e6042c4e2dede2fab872171e14884454303d120fa1",
     "D4-GF7-minimal-model": "74f27b05448f2a57459f4ba396ba7abefafd33d401277f5fe0b4e47d82b2aa7c",
     "quadric3-minimal-model": "1d023a7ffe2d010df5e031daa712730462b11e39b7f4a50c8858a2f5123844cf",
     "fermat3-minimal-model": "c5f3efd57c523c10559e2a1d409b6f1a2f7fc350d5f67a9b7e4e1fdb8c7e1a91",

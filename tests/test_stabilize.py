@@ -1,11 +1,14 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfcat.complexes import cohomology_mod_k, cohomology_over_R, hom_complex
 from mfcat.errors import PreconditionError, VerificationError
 from mfcat.factorization import RMatrix, dual, shift_power, verify_mf
-from mfcat.fields import QQ
+from mfcat.fields import QQ, PrimeField
 from mfcat.series import RingCtx, Series, monomial_basis
 from mfcat.serialize import parse_potential_text
 from mfcat.stabilize import (
@@ -15,6 +18,7 @@ from mfcat.stabilize import (
     stabilize_residue_field,
     stabilized_diagonal,
 )
+from sorted_words import merge_sorted
 
 
 def ring(*names):
@@ -111,6 +115,53 @@ def test_every_output_verifies_random():
             wits.append(Series.variable(ctx, rng.randrange(n)))
         mf = make_koszul_mf(KoszulData(ctx, gens, wits))
         assert verify_mf(mf)
+
+
+def reference_koszul_mf(kd):
+    """The Koszul factorization on sorted-tuple words: generator i contracts
+    (f_i) or wedges (w_i), with the `merge_sorted` sign of the word (i,)
+    followed by the word without i, added into zero matrices."""
+    ctx, m = kd.ctx, kd.size
+    words = [c for k in range(m + 1) for c in combinations(range(m), k)]
+    even, odd = [s for s in words if len(s) % 2 == 0], [s for s in words if len(s) % 2]
+    row_of = {s: r for part in (even, odd) for r, s in enumerate(part)}
+
+    def differential(rows, cols):
+        entries = [[Series.zero(ctx)] * len(cols) for _ in rows]
+        for col, s in enumerate(cols):
+            for i in range(m):
+                if i in s:
+                    rest = tuple(j for j in s if j != i)
+                    (sign, _), target, entry = merge_sorted((i,), rest), rest, kd.generators[i]
+                else:
+                    (sign, target), entry = merge_sorted((i,), s), kd.witnesses[i]
+                r = row_of[target]
+                entries[r][col] = entries[r][col] + (entry if sign > 0 else -entry)
+        return RMatrix(ctx, entries)
+
+    return differential(even, odd), differential(odd, even)
+
+
+@st.composite
+def koszul_data(draw):
+    field = draw(st.sampled_from([QQ, PrimeField(3), PrimeField(7)]))
+    ctx = RingCtx(draw(st.integers(1, 3)), field)
+    exps = monomial_basis(ctx, 2)
+    terms = st.dictionaries(st.sampled_from(exps), st.integers(-4, 4), max_size=3)
+
+    def series():
+        return Series(ctx, {e: field.of(c) for e, c in draw(terms).items()})
+
+    m = draw(st.integers(1, 5))
+    return KoszulData(ctx, [series() for _ in range(m)], [series() for _ in range(m)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kd=koszul_data())
+def test_toggle_builder_matches_the_tuple_reference(kd):
+    mf = make_koszul_mf(kd)
+    assert (mf.phi, mf.psi) == reference_koszul_mf(kd)
+    assert mf.potential == kd.potential
 
 
 def test_endomorphism_data_dims():

@@ -4,13 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from mfcat.ainfinity import DgAlgebra
+from mfcat.ainfinity import build_contraction
 from mfcat.errors import ContextMismatchError, PreconditionError
-from mfcat.exterior import merge_sorted
 from mfcat.fields import QQ, PrimeField, accumulate
 from mfcat.series import RingCtx, Series, monomial_basis
 from mfcat.serialize import parse_potential_text
 from mfcat.superops import ExponentOverflow, Packing, SuperOp, graded_commutator
+from sorted_words import merge_sorted
 
 
 def ctx_n(n):
@@ -71,7 +71,7 @@ def test_parity():
 def test_differential_on_generators():
     c = ctx_n(1)
     w = parse_potential_text(RingCtx(("x",), QQ), "x^3")
-    A = DgAlgebra(w)
+    A = build_contraction(w)
     x = SuperOp.from_series(Series.variable(A.ctx, 0))
     assert A.d(SuperOp.theta(A.ctx, 0)) == x
     assert A.d(SuperOp.del_theta(A.ctx, 0)) == x * x
@@ -85,7 +85,7 @@ def test_differential_squares_to_zero_and_leibniz():
     rng = random.Random(67)
     ctx = RingCtx(("x", "y"), QQ)
     w = parse_potential_text(ctx, "x^2*y + y^3")
-    A = DgAlgebra(w)
+    A = build_contraction(w)
     for _ in range(15):
         a = rand_op(rng, A.ctx)
         assert A.d(A.d(a)).is_zero()
