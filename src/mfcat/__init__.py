@@ -23,7 +23,6 @@ from .factorization import (
     direct_sum,
     dual,
     external_tensor,
-    parity_conjugate,
     shift,
     trivial_mf,
     verify_mf,

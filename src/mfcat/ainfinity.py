@@ -23,7 +23,8 @@ checked, each distinct term once. An exponent that reaches the guard bit of
 its field restarts the computation with the fields twice as wide
 (`Contraction._exact`), so every result is exact. `build_contraction`
 returns one `Contraction`: delta, the witnesses, the basis, and the maps on
-`SuperOp`s, which pack their argument and unpack a term result.
+`SuperOp`s. A `SuperOp` word is the low 2n bits of a packed term, so packing
+adds the exponent fields to it and unpacking splits them off again.
 
 The transfer visits only the tuples whose lambda can be nonzero: a tuple of
 arity k >= 2 is visited only if it is L + R with h(lambda(L)) and
@@ -203,18 +204,24 @@ class Contraction:
         # delta = sum x_i del_i + w_i theta_i: every term has its own word
         terms = {}
         for i, wit in enumerate(self.witnesses):
-            terms[(tuple(int(j == i) for j in range(n)), (), (i,))] = ctx.field.one
-            terms.update(((exp, (i,), ()), c) for exp, c in wit.terms.items())
+            terms[(tuple(int(j == i) for j in range(n)), 1 << n + i)] = ctx.field.one
+            terms.update(((exp, 1 << i), c) for exp, c in wit.terms.items())
         self.delta = SuperOp(ctx, terms)
         self.labels = subsets_ordered(n)
         self.parities = [len(s) % 2 for s in self.labels]
         self._bits, self._ops = 8, None
-        self.basis_elements = self._exact(lambda ops: [ops.unpack(b) for b in ops.basis])
+        self._exact(lambda ops: ops)  # build and check the packed contraction now
+
+    @property
+    def basis_elements(self) -> list:
+        """The 2^n projected generators, in the order of `labels`."""
+        return self._exact(lambda ops: [ops.unpack(b) for b in ops.basis])
 
     def _exact(self, f, *args):
         """f(ops, *args) on the packed contraction `ops`. On an overflow the
-        fields double and f starts again, so no inexact value escapes; a
-        field wider than every exponent's bit length ends the loop."""
+        fields double and f starts again, so no inexact value escapes. The
+        loop ends when every exponent is a non-negative int, as `SuperOp.word`
+        checks: a field wider than every exponent's bit length holds them."""
         while True:
             try:
                 if self._ops is None:

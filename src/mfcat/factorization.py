@@ -218,14 +218,6 @@ def dual(mf: MatrixFactorization) -> MatrixFactorization:
     )
 
 
-def parity_conjugate(mf: MatrixFactorization) -> MatrixFactorization:
-    """Conjugate by the involution that negates the odd summand.
-
-    This is the canonical identification under which dual(dual(X)) = X.
-    """
-    return MatrixFactorization(mf.ctx, mf.potential, -mf.phi, -mf.psi)
-
-
 def _block(ctx, tl, tr, bl, br) -> RMatrix:
     """The 2 x 2 block matrix [[tl, tr], [bl, br]]."""
     top = [r1 + r2 for r1, r2 in zip(tl.entries, tr.entries)]

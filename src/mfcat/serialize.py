@@ -135,17 +135,6 @@ def koszul_to_obj(kd: KoszulData) -> dict:
     }
 
 
-def koszul_from_obj(obj) -> KoszulData:
-    _expect_object(obj, "Koszul data")
-    try:
-        ctx = ring_from_obj(obj["ring"])
-        gens = [series_from_obj(ctx, g) for g in obj["generators"]]
-        wits = [series_from_obj(ctx, w) for w in obj["witnesses"]]
-    except KeyError as exc:
-        raise InputParseError(f"Koszul object missing key {exc}") from exc
-    return KoszulData(ctx, gens, wits)
-
-
 def ainf_to_obj(model) -> dict:
     field = model.field
     products = []

@@ -69,19 +69,20 @@ def _check_ctx(a, b):
 
 class LinearCombination:
     """Finite linear combination: `terms` maps hashable terms to nonzero
-    coefficients in the context's field. `Series` and `SuperOp` add their
-    products, constructors and views. Immutable."""
+    coefficients in the context's field, each reduced through `field.of` on
+    construction. `Series` and `SuperOp` add their products, constructors
+    and views. Immutable."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: RingCtx, terms: dict):
         # an explicit loop: before Python 3.12 a comprehension is a frame per call
-        zero = ctx.field.zero
+        of, zero = ctx.field.of, ctx.field.zero
         clean = {}
         for key, coeff in terms.items():
-            if coeff == zero:
-                continue
-            clean[key] = coeff
+            coeff = of(coeff)
+            if coeff != zero:
+                clean[key] = coeff
         self.ctx = ctx
         self.terms = clean
 

@@ -1,13 +1,14 @@
 """Normal-form algebra of polynomial differential operators on R<theta_1..theta_n>.
 
-A term is (x-exponent, theta word, del word) with both words sorted strictly
-ascending and every theta written left of every del. Multiplication
-normal-orders via del_i theta_j + theta_j del_i = delta_ij with all Koszul
-signs tracked exactly. Every product runs on packed terms (`Packing`): a
-term is one int, its words `exterior` masks in the low bits and its
-exponents in fields above them. Each pair of words is normal-ordered once, into one
-table (`Packing._pair`), and `Packing.mul_into` reads a term pair's words
-from it and adds the two exponent parts as one integer.
+A term is (x-exponent, word) with every theta written left of every del:
+the word is theta_mask | del_mask << n, two `exterior` masks, which are
+exactly the low 2n bits of a packed term. Multiplication normal-orders via
+del_i theta_j + theta_j del_i = delta_ij with all Koszul signs tracked
+exactly. Every product runs on packed terms (`Packing`): a term is one int,
+its word in the low bits and its exponents in fields above them. Each pair
+of words is normal-ordered once, into one table (`Packing._pair`), and
+`Packing.mul_into` reads a term pair's words from it and adds the two
+exponent parts as one integer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 from .errors import PreconditionError
 from .exterior import inversions, mask_of
-from .series import LinearCombination, Series, _check_ctx
+from .series import LinearCombination, _check_ctx
 
 
 class ExponentOverflow(ArithmeticError):
@@ -24,20 +25,21 @@ class ExponentOverflow(ArithmeticError):
 
 
 @lru_cache(maxsize=None)
-def _tables(n: int) -> tuple:
-    """The word of each n-bit mask, and the table of word-pair normal forms
-    (`Packing._pair`), which does not depend on the field width."""
-    return [tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)], {}
+def _pair_table(n: int) -> dict:
+    """The table of word-pair normal forms (`Packing._pair`) on n letters,
+    shared by every field width."""
+    return {}
 
 
 class Packing:
     """Operator terms as ints, with `bits` bits for each exponent.
 
-    The theta word is a mask in bits 0..n-1, the del word a mask in bits
-    n..2n-1, and exponent i the field at bit 2n + i*bits. The top bit of each
-    field is a guard: while every exponent stays below 2^(bits-1), adding
-    two exponent parts as integers carries into no other field. `pack` and
-    `mul_into` raise `ExponentOverflow` on an exponent that reaches it.
+    The word of a `SuperOp` term is bits 0..2n-1 (theta mask in bits
+    0..n-1, del mask in bits n..2n-1), and exponent i the field at bit
+    2n + i*bits. The top bit of each field is a guard: while every exponent
+    stays below 2^(bits-1), adding two exponent parts as integers carries
+    into no other field. `pack` and `mul_into` raise `ExponentOverflow` on
+    an exponent that reaches it.
     """
 
     def __init__(self, ctx, bits: int):
@@ -46,29 +48,27 @@ class Packing:
         self.low, self.word_mask = 2 * n, (1 << 2 * n) - 1
         self.units = [1 << 2 * n + i * bits for i in range(n)]
         self.guard = sum(u << bits - 1 for u in self.units)
-        self.word_of, self.table = _tables(n)
+        self.table = _pair_table(n)
 
     @staticmethod
     def fitting(a, b) -> "Packing":
         """A packing whose fields hold every exponent of a b."""
-        top = max((e for x in (a, b) for exp, _, _ in x.terms for e in exp), default=0)
+        top = max((e for x in (a, b) for exp, _ in x.terms for e in exp), default=0)
         return Packing(a.ctx, (2 * top).bit_length() + 1)
 
     def pack(self, a) -> dict:
         out = {}
-        for (exp, th, dl), c in a.terms.items():
+        for (exp, word), c in a.terms.items():
             if max(exp) >> self.bits - 1:
                 raise ExponentOverflow
-            out[mask_of(th) + mask_of(dl, self.n) + sum(e * u for e, u in zip(exp, self.units))] = c
+            out[word + sum(e * u for e, u in zip(exp, self.units))] = c
         return out
 
     def unpack(self, a: dict):
-        n, low, bits, words = self.n, self.low, self.bits, self.word_of
-        mask, word = (1 << bits) - 1, (1 << n) - 1
+        n, low, bits, mask = self.n, self.low, self.bits, (1 << self.bits) - 1
         terms = {}
         for t, c in a.items():
-            exp = tuple(t >> low + i * bits & mask for i in range(n))
-            terms[(exp, words[t & word], words[t >> n & word])] = c
+            terms[(tuple(t >> low + i * bits & mask for i in range(n)), t & self.word_mask)] = c
         return SuperOp(self.ctx, terms)
 
     def _pair(self, index: int) -> tuple:
@@ -127,54 +127,35 @@ class Packing:
 
 
 class SuperOp(LinearCombination):
-    """Element of the operator algebra, in normal form. Immutable."""
+    """Element of the operator algebra, in normal form. Immutable.
+
+    The product, `graded_commutator` and the `parity_parts` they use have no
+    caller in the package: the contraction multiplies packed terms directly.
+    They stay here because the benchmark's layer tracer binds `__mul__` and
+    `graded_commutator` by name, and the tests use them as the product API.
+    """
 
     __slots__ = ()
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def one(ctx):
-        return SuperOp(ctx, {((0,) * ctx.n_vars, (), ()): ctx.field.one})
-
-    @staticmethod
-    def from_series(s: Series):
-        return SuperOp(s.ctx, {(exp, (), ()): c for exp, c in s.terms.items()})
-
-    @staticmethod
-    def theta(ctx, i):
-        return SuperOp(ctx, {((0,) * ctx.n_vars, (i,), ()): ctx.field.one})
-
-    @staticmethod
-    def del_theta(ctx, i):
-        return SuperOp(ctx, {((0,) * ctx.n_vars, (), (i,)): ctx.field.one})
-
     @staticmethod
     def word(ctx, thetas=(), dels=(), coeff=1, exp=None):
-        if exp is None:
-            exp = (0,) * ctx.n_vars
-        thetas, dels = tuple(thetas), tuple(dels)
+        """coeff x^exp theta_thetas del_dels, from ascending letter words and
+        n non-negative exponents."""
+        n, thetas, dels = ctx.n_vars, tuple(thetas), tuple(dels)
+        exp = (0,) * n if exp is None else tuple(exp)
+        if len(exp) != n or any(type(e) is not int or e < 0 for e in exp):
+            raise PreconditionError(f"exponent {exp} is not {n} non-negative ints")
         for w in (thetas, dels):
-            if list(w) != sorted(set(w)) or any(not 0 <= i < ctx.n_vars for i in w):
+            if list(w) != sorted(set(w)) or any(not 0 <= i < n for i in w):
                 raise PreconditionError(f"generator word {w} is not strictly ascending")
-        return SuperOp(ctx, {(tuple(exp), thetas, dels): ctx.field.of(coeff)})
-
-    # -- structure ----------------------------------------------------------
+        return SuperOp(ctx, {(exp, mask_of(thetas) | mask_of(dels, n)): ctx.field.of(coeff)})
 
     def parity_parts(self):
-        """(even part, odd part) by (len thetas + len dels) mod 2."""
+        """(even part, odd part) by the number of letters mod 2."""
         even, odd = {}, {}
         for key, c in self.terms.items():
-            (even if (len(key[1]) + len(key[2])) % 2 == 0 else odd)[key] = c
+            (odd if key[1].bit_count() % 2 else even)[key] = c
         return SuperOp(self.ctx, even), SuperOp(self.ctx, odd)
-
-    def parity(self):
-        pars = {(len(k[1]) + len(k[2])) % 2 for k in self.terms}
-        if len(pars) > 1:
-            raise PreconditionError("element is not parity homogeneous")
-        return pars.pop() if pars else 0
-
-    # -- arithmetic -----------------------------------------------------------
 
     def __mul__(self, other):
         _check_ctx(self, other)
@@ -186,13 +167,14 @@ class SuperOp(LinearCombination):
     def __repr__(self):
         if not self.terms:
             return "SuperOp(0)"
-        bits = []
-        for (exp, th, dl), c in sorted(self.terms.items()):
+        n, bits = self.ctx.n_vars, []
+        for (exp, word), c in sorted(self.terms.items()):
             mono = "*".join(
-                f"{n}^{e}" if e > 1 else n for n, e in zip(self.ctx.names, exp) if e
+                f"{name}^{e}" if e > 1 else name for name, e in zip(self.ctx.names, exp) if e
             )
-            word = "".join([f"t{i}" for i in th] + [f"D{i}" for i in dl])
-            bits.append(f"{self.ctx.field.to_str(c)}:{mono or '1'}:{word or '1'}")
+            letters = [f"t{i}" for i in range(n) if word >> i & 1]
+            letters += [f"D{i}" for i in range(n) if word >> n + i & 1]
+            bits.append(f"{self.ctx.field.to_str(c)}:{mono or '1'}:{''.join(letters) or '1'}")
         return "SuperOp(" + " + ".join(bits) + ")"
 
 

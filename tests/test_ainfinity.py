@@ -20,7 +20,7 @@ from mfcat.fields import QQ, PrimeField, accumulate
 from mfcat.series import RingCtx, Series, monomial_basis
 from mfcat.serialize import parse_potential_text
 from mfcat.superops import SuperOp, graded_commutator
-from sorted_words import merge_sorted
+from sorted_words import as_superop, merge_sorted, tuple_terms, word_mask
 
 
 def potential(names, text):
@@ -53,8 +53,8 @@ def test_descending_witnesses():
 
 
 def pure_del_coefficients(C, a):
-    zero = (0,) * a.ctx.n_vars
-    keys = [(zero, (), subset) for subset in C.labels]
+    n = a.ctx.n_vars
+    keys = [((0,) * n, word_mask((), subset, n)) for subset in C.labels]
     return {i: a.terms[key] for i, key in enumerate(keys) if key in a.terms}
 
 
@@ -73,7 +73,7 @@ def test_coords_are_pure_del_coefficients(names, text, field, degree):
     for a in spanning_set(ctx, degree):
         assert C.coords(C.p(a)) == pure_del_coefficients(C, a)
     with pytest.raises(VerificationError):
-        C.coords(SuperOp.theta(ctx, 0))
+        C.coords(SuperOp.word(ctx, thetas=(0,)))
 
 
 def stage_homotopy(ctx, i):
@@ -82,7 +82,7 @@ def stage_homotopy(ctx, i):
     def h(a):
         field = ctx.field
         out = {}
-        for (exp, th, dl), c in a.terms.items():
+        for (exp, th, dl), c in tuple_terms(a).items():
             if exp[i] == 0:
                 continue
             ins = merge_sorted((i,), th)
@@ -92,7 +92,7 @@ def stage_homotopy(ctx, i):
             new_exp = list(exp)
             new_exp[i] -= 1
             accumulate(out, (tuple(new_exp), th_new, dl), c if sign > 0 else field.neg(c), field)
-        return SuperOp(ctx, out)
+        return as_superop(ctx, out)
 
     return h
 
@@ -283,7 +283,7 @@ def test_random_potentials_give_the_reference_tables(field, n, terms, max_arity)
 def test_a_corrupted_column_or_basis_element_is_caught():
     w = potential("xy", "x^2*y + y^3")
     ctx, one = w.ctx, w.ctx.field.one
-    theta = SuperOp.theta(ctx, 0)
+    theta = SuperOp.word(ctx, thetas=(0,))
     term = SuperOp.word(ctx, dels=(0,), exp=(1, 0))
     # pi reads p(t): one extra theta term leaves the pure part, and so the
     # coordinates, unchanged, and p(t) = iota(pi(t)) fails
@@ -307,12 +307,10 @@ def test_one_variable_contraction():
     w = potential("x", "x^3")
     C = build_contraction(w)
     ctx = w.ctx
-    x = Series.variable(ctx, 0)
-    de = SuperOp.del_theta(ctx, 0)
-    th = SuperOp.theta(ctx, 0)
+    de = SuperOp.word(ctx, dels=(0,))
     # the corrected generator is del - (w/x^2) theta
-    assert C.p(de) == de - SuperOp.from_series(x) * th
-    assert C.h(SuperOp.one(ctx)).is_zero()  # no divisible part
+    assert C.p(de) == de - SuperOp.word(ctx, exp=(1,)) * SuperOp.word(ctx, thetas=(0,))
+    assert C.h(SuperOp.word(ctx)).is_zero()  # no divisible part
     for elt in spanning_set(ctx, 5):
         assert C.check_identity(elt)
     # projection behaves like one
@@ -325,11 +323,11 @@ def test_two_variable_contraction_paper_corrections():
     w = potential("xy", "x^3 + x*y^2")
     C = build_contraction(w)
     ctx = w.ctx
-    x = Series.variable(ctx, 0)
-    t0, t1 = SuperOp.theta(ctx, 0), SuperOp.theta(ctx, 1)
-    d0, d1 = SuperOp.del_theta(ctx, 0), SuperOp.del_theta(ctx, 1)
-    assert C.basis_elements[C.labels.index((0,))] == d0 - SuperOp.from_series(x) * t0
-    assert C.basis_elements[C.labels.index((1,))] == d1 - SuperOp.from_series(x) * t1
+    x = SuperOp.word(ctx, exp=(1, 0))
+    t0, t1 = SuperOp.word(ctx, thetas=(0,)), SuperOp.word(ctx, thetas=(1,))
+    d0, d1 = SuperOp.word(ctx, dels=(0,)), SuperOp.word(ctx, dels=(1,))
+    assert C.basis_elements[C.labels.index((0,))] == d0 - x * t0
+    assert C.basis_elements[C.labels.index((1,))] == d1 - x * t1
     for elt in spanning_set(ctx, 3):
         assert C.check_identity(elt)
 
@@ -338,7 +336,7 @@ def test_quadratic_contraction_example():
     w = potential("xy", "x^2 + y^2")
     C = build_contraction(w)
     ctx = w.ctx
-    assert C.basis_elements[1] == SuperOp.del_theta(ctx, 0) - SuperOp.theta(ctx, 0)
+    assert C.basis_elements[1] == SuperOp.word(ctx, dels=(0,)) - SuperOp.word(ctx, thetas=(0,))
     for elt in spanning_set(ctx, 3):
         assert C.check_identity(elt)
 
@@ -506,10 +504,10 @@ def test_correction_with_nonzero_division_remainder():
     y = Series.variable(ctx, 1)
     assert wits == [x ** 2, x ** 2 + x * y]
     C = build_contraction(w)
-    xo = SuperOp.from_series(x)
+    xo = SuperOp.word(ctx, exp=(1, 0))
     expected = (
-        SuperOp.del_theta(ctx, 1)
-        - xo * SuperOp.theta(ctx, 1)
-        - xo * SuperOp.theta(ctx, 0)
+        SuperOp.word(ctx, dels=(1,))
+        - xo * SuperOp.word(ctx, thetas=(1,))
+        - xo * SuperOp.word(ctx, thetas=(0,))
     )
     assert C.basis_elements[C.labels.index((1,))] == expected

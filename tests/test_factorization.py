@@ -13,7 +13,6 @@ from mfcat.factorization import (
     direct_sum,
     dual,
     external_tensor,
-    parity_conjugate,
     shift,
     trivial_mf,
     verify_mf,
@@ -75,9 +74,9 @@ def test_dual():
     assert t.potential == -w and verify_mf(t)
     d = dual(cusp_node())
     assert d.potential == -w and verify_mf(d) and d.rank == 1
-    E = elliptic_factorization()
-    assert dual(dual(E)) == parity_conjugate(E)
-    assert dual(dual(cusp_node())) == parity_conjugate(cusp_node())
+    # dual(dual(X)) is X conjugated by the involution that negates the odd summand
+    for X in (elliptic_factorization(), cusp_node()):
+        assert dual(dual(X)) == MatrixFactorization(X.ctx, X.potential, -X.phi, -X.psi)
 
 
 def test_direct_sum():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mfcat.errors import ContextMismatchError, PreconditionError
+from mfcat.factorization import MatrixFactorization, RMatrix, verify_mf
 from mfcat.fields import QQ, PrimeField
 from mfcat.series import (
     RingCtx,
@@ -179,6 +180,20 @@ def test_prime_field_mode():
     assert (x.scale(4) * x.scale(2)) == x ** 2  # 8 = 1 mod 7
     with pytest.raises(ValueError):
         PrimeField(6)
+
+
+def test_prime_field_coefficients_are_reduced_at_construction():
+    F = PrimeField(3)
+    c = RingCtx(("x",), F)
+    assert Series(c, {(1,): 3}).is_zero()
+    assert Series(c, {(1,): 5}) == Series(c, {(1,): 2}) == var(c, 0).scale(2)
+    assert hash(Series(c, {(1,): 5})) == hash(Series(c, {(1,): 2}))
+    assert Series(c, {(1,): 5}).terms == {(1,): 2}
+    assert Series(c, {(1,): -1}) == -var(c, 0)
+    # (x, 2x) factors 2x^2, written with the unreduced coefficient 5
+    x = var(c, 0)
+    w = Series(c, {(2,): 5})
+    assert verify_mf(MatrixFactorization(c, w, RMatrix(c, [[x]]), RMatrix(c, [[x.scale(2)]])))
 
 
 def test_truncation_precondition():

@@ -7,10 +7,10 @@ import pytest
 from mfcat.ainfinity import build_contraction
 from mfcat.errors import ContextMismatchError, PreconditionError
 from mfcat.fields import QQ, PrimeField, accumulate
-from mfcat.series import RingCtx, Series, monomial_basis
+from mfcat.series import RingCtx, monomial_basis
 from mfcat.serialize import parse_potential_text
 from mfcat.superops import ExponentOverflow, Packing, SuperOp, graded_commutator
-from sorted_words import merge_sorted
+from sorted_words import as_superop, merge_sorted, tuple_terms, word_mask
 
 
 def ctx_n(n):
@@ -19,9 +19,9 @@ def ctx_n(n):
 
 def test_canonical_relations():
     c = ctx_n(2)
-    t0, t1 = SuperOp.theta(c, 0), SuperOp.theta(c, 1)
-    d0, d1 = SuperOp.del_theta(c, 0), SuperOp.del_theta(c, 1)
-    one = SuperOp.one(c)
+    t0, t1 = SuperOp.word(c, thetas=(0,)), SuperOp.word(c, thetas=(1,))
+    d0, d1 = SuperOp.word(c, dels=(0,)), SuperOp.word(c, dels=(1,))
+    one = SuperOp.word(c)
     assert d0 * t0 + t0 * d0 == one
     assert d0 * t1 + t1 * d0 == SuperOp.zero(c)
     assert t0 * t0 == SuperOp.zero(c)
@@ -46,7 +46,7 @@ def rand_op(rng, c, deg=1):
                 v = rng.randint(-2, 2)
                 if v:
                     terms[(exp, th, dl)] = QQ.of(v)
-    return SuperOp(c, terms)
+    return as_superop(c, terms)
 
 
 def test_associativity_random():
@@ -59,25 +59,22 @@ def test_associativity_random():
 
 def test_parity():
     c = ctx_n(2)
-    assert SuperOp.theta(c, 0).parity() == 1
-    assert (SuperOp.theta(c, 0) * SuperOp.del_theta(c, 1)).parity() == 0
-    mixed = SuperOp.one(c) + SuperOp.theta(c, 0)
-    with pytest.raises(PreconditionError):
-        mixed.parity()
-    even, odd = mixed.parity_parts()
-    assert even == SuperOp.one(c) and odd == SuperOp.theta(c, 0)
+    t0 = SuperOp.word(c, thetas=(0,))
+    even_part = SuperOp.word(c) + t0 * SuperOp.word(c, dels=(1,))
+    even, odd = (even_part + t0).parity_parts()
+    assert even == even_part and odd == t0
 
 
 def test_differential_on_generators():
     c = ctx_n(1)
     w = parse_potential_text(RingCtx(("x",), QQ), "x^3")
     A = build_contraction(w)
-    x = SuperOp.from_series(Series.variable(A.ctx, 0))
-    assert A.d(SuperOp.theta(A.ctx, 0)) == x
-    assert A.d(SuperOp.del_theta(A.ctx, 0)) == x * x
-    assert A.d(SuperOp.one(A.ctx)) == SuperOp.zero(A.ctx)
+    x = SuperOp.word(A.ctx, exp=(1,))
+    assert A.d(SuperOp.word(A.ctx, thetas=(0,))) == x
+    assert A.d(SuperOp.word(A.ctx, dels=(0,))) == x * x
+    assert A.d(SuperOp.word(A.ctx)) == SuperOp.zero(A.ctx)
     # [delta, delta] = 2 delta^2 = 2w, the square being central makes d^2 = 0
-    assert A.d(A.delta) == SuperOp.from_series(w).scale(2)
+    assert A.d(A.delta) == SuperOp.word(A.ctx, coeff=2, exp=(3,))
     assert A.d(A.d(A.delta)).is_zero()
 
 
@@ -119,11 +116,17 @@ def test_word_rejects_non_canonical():
         SuperOp.word(c, dels=(0, 0))
     with pytest.raises(PreconditionError):
         SuperOp.word(c, dels=(5,))
+    # an exponent must be n non-negative ints: with a negative one every
+    # packed width overflows, and the contraction's widening never ends
+    for exp in ((-1, 0), (1,), (1, 0, 0), (1.0, 0), (True, 0)):
+        with pytest.raises(PreconditionError):
+            SuperOp.word(c, dels=(0,), exp=exp)
+    assert SuperOp.word(c, thetas=(1,), dels=(0, 1)).terms == {((0, 0), 0b1110): 1}
 
 
 def test_context_mismatch_raises():
-    a = SuperOp.theta(ctx_n(1), 0)
-    b = SuperOp.theta(RingCtx(("y",), QQ), 0)
+    a = SuperOp.word(ctx_n(1), thetas=(0,))
+    b = SuperOp.word(RingCtx(("y",), QQ), thetas=(0,))
     with pytest.raises(ContextMismatchError):
         a + b
     with pytest.raises(ContextMismatchError):
@@ -161,12 +164,12 @@ def _del_theta(dels: tuple, thetas: tuple):
 
 
 def reference_product(a, b):
-    """The product term pair by term pair: `_del_theta`, then two
-    `merge_sorted` calls, with the sign brought in through `field.of`."""
+    """The product term pair by term pair on tuple words: `_del_theta`, then
+    two `merge_sorted` calls, with the sign brought in through `field.of`."""
     field = a.ctx.field
     out = {}
-    for (e1, th1, dl1), c1 in a.terms.items():
-        for (e2, th2, dl2), c2 in b.terms.items():
+    for (e1, th1, dl1), c1 in tuple_terms(a).items():
+        for (e2, th2, dl2), c2 in tuple_terms(b).items():
             exp = tuple(u + v for u, v in zip(e1, e2))
             c12 = field.mul(c1, c2)
             for (th_mid, dl_mid), s_mid in _del_theta(dl1, th2):
@@ -180,7 +183,7 @@ def reference_product(a, b):
                 s_dl, dl = right
                 sign = s_mid * s_th * s_dl
                 accumulate(out, (exp, th, dl), field.mul(c12, field.of(sign)), field)
-    return SuperOp(a.ctx, out)
+    return as_superop(a.ctx, out)
 
 
 def rand_op_over(rng, c, coeffs, density):
@@ -198,7 +201,7 @@ def rand_op_over(rng, c, coeffs, density):
             for th, dl in words:
                 if rng.random() < density:
                     terms[(exp, th, dl)] = c.field.of(rng.choice(coeffs))
-    return SuperOp(c, terms)
+    return as_superop(c, terms)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -242,8 +245,7 @@ def test_word_pair_table_matches_the_one_del_at_a_time_reference(n):
         for (th, dl), s in _del_theta(words[b], words[c]):
             left, right = merge_sorted(words[a], th), merge_sorted(dl, words[d])
             if left is not None and right is not None:
-                key = sum(1 << i for i in left[1]) + sum(1 << n + i for i in right[1])
-                expected[key] = s * left[0] * right[0]
+                expected[word_mask(left[1], right[1], n)] = s * left[0] * right[0]
         assert dict(pk._pair(index)) == expected
 
 
