@@ -5,7 +5,7 @@ from mfcat.errors import InputParseError
 from mfcat.factorization import MFMorphism
 from mfcat.fields import QQ, PrimeField
 from mfcat.series import RingCtx, Series
-from mfcat.stabilize import decompose_potential, stabilize_residue_field
+from mfcat.stabilize import KoszulData, decompose_potential, stabilize_residue_field
 
 
 def test_ring_round_trip():
@@ -44,16 +44,28 @@ def test_morphism_round_trip():
 
 
 def test_koszul_serialization():
+    ctx = RingCtx(("x", "y"), QQ)
+    kd = decompose_potential(serialize.parse_potential_text(ctx, "x^2*y + y^3"))
+    obj = serialize.koszul_to_obj(kd)
+    assert len(obj["generators"]) == 2 and len(obj["witnesses"]) == 2
+
+
+def test_koszul_round_trip():
     # the `stabilize --koszul` object: no command reads it back, so it is
     # read here with the ring and series readers it is written with
     ctx = RingCtx(("x", "y"), QQ)
     kd = decompose_potential(serialize.parse_potential_text(ctx, "x^2*y + y^3"))
     obj = serialize.koszul_to_obj(kd)
     assert sorted(obj) == ["generators", "ring", "witnesses"]
-    back = serialize.ring_from_obj(obj["ring"])
-    assert back == kd.ctx
-    assert [serialize.series_from_obj(back, g) for g in obj["generators"]] == kd.generators
-    assert [serialize.series_from_obj(back, w) for w in obj["witnesses"]] == kd.witnesses
+    ring = serialize.ring_from_obj(obj["ring"])
+    back = KoszulData(
+        ring,
+        [serialize.series_from_obj(ring, g) for g in obj["generators"]],
+        [serialize.series_from_obj(ring, w) for w in obj["witnesses"]],
+    )
+    assert back.ctx == kd.ctx
+    assert back.generators == kd.generators and back.witnesses == kd.witnesses
+    assert back.potential == kd.potential
 
 
 def test_byte_determinism():
