@@ -31,7 +31,6 @@ from .fields import QQ, PrimeField, RationalField
 from .hochschild import (
     JacobianReport,
     calabi_yau_parity_check,
-    diagonal_hh_crosscheck,
     hochschild_cohomology,
     hochschild_homology,
     jacobian_report,

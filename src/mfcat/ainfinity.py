@@ -220,8 +220,8 @@ class Contraction:
     def _exact(self, f, *args):
         """f(ops, *args) on the packed contraction `ops`. On an overflow the
         fields double and f starts again, so no inexact value escapes. The
-        loop ends when every exponent is a non-negative int, as `SuperOp.word`
-        checks: a field wider than every exponent's bit length holds them."""
+        loop ends: `Packing.pack` rejects a negative exponent, and a field
+        wider than every exponent's bit length holds the rest."""
         while True:
             try:
                 if self._ops is None:

@@ -18,16 +18,19 @@ Two exact routes compute k-dimensions of cohomology over the local ring:
     boundary; per parity and level it is three sparse ranks of the level
     differentials (`_two_cap_dims`).
 
-Both stay below the configurable cap (env MFCAT_NMAX, default 64). A morphism
-complex Hom(X, Y) (`hom_cohomology`) is graded from gradings of X and Y,
-u_ij = b_i - a_j (`_hom_grading`), not by grading its own basis. Its strand
-scan has a proven end when the potential w is homogeneous of the grading's
-step delta and certified isolated by (R/(dw))_{n(delta-2)+1} = 0: graded Serre
-duality puts every class at or below the strand u_max + n(delta - 2)
-(`_serre_stop`). Under the same conditions End(X) is scanned only up to its
-center n(delta - 2)/2, and each strand below the center is counted again for
-its mirror (`_end_cohomology`); Hom(X, Y) with X != Y is scanned in full. The
-folded Koszul complex of the partials has a proven end too
+Both stay below the configurable cap (env MFCAT_NMAX, default 64), and
+`_cohomology` is the one place where the route and the stop are chosen.
+Level 0 of the level rows (`_level_data`) is the reduction k (x) C, whose
+dimensions `cohomology_mod_k` gives. A morphism complex Hom(X, Y)
+(`hom_cohomology`) is graded from gradings of X and Y, u_ij = b_i - a_j
+(`_hom_grading`), not by grading its own basis. Its strand scan has a proven
+end when the potential w is homogeneous of the grading's step delta and
+certified isolated by (R/(dw))_{n(delta-2)+1} = 0: graded Serre duality puts
+every class at or below the strand u_max + n(delta - 2) (`_serre_stop`).
+Under the same conditions End(X) is scanned only up to its center
+n(delta - 2)/2, and each strand below the center is counted again for its
+mirror (proof in `hom_cohomology`); Hom(X, Y) with X != Y is scanned in full.
+The folded Koszul complex of the partials has a proven end too
 (`hochschild._koszul_stop`). Every other stop is assumed, not proven: the
 strand scan of any other graded complex, such as a Hom whose potential fails
 the preconditions, ends after a long run of empty strands; and the two-cap
@@ -38,12 +41,14 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cache, partial
 from heapq import merge
 from itertools import count
 from operator import add
 
 from .errors import InputParseError, PreconditionError, StabilizationError, VerificationError
 from .factorization import MatrixFactorization, MFMorphism, RMatrix, _tensor_blocks, cone, dual
+from .fields import accumulate
 from .linalg import rank_sparse
 from .series import Series, monomial_basis, monomials_of_degree
 
@@ -65,21 +70,21 @@ def stabilization_cap() -> int:
 
 def cohomology_mod_k(mf: MatrixFactorization):
     """k-dimensions of the (even, odd) cohomology of k (x) X, the
-    constant-term reduction, which is a complex iff w lies in m."""
+    constant-term reduction, which is a complex iff w lies in m. It is level 0
+    of `_level_data`, whose rows are the columns of d mod m, so composing the
+    rows of psi and phi both ways gives the transposes of phi psi and psi phi.
+    """
     field = mf.ctx.field
-    d_eo, d_oe = mf.psi.residue_matrix(), mf.phi.residue_matrix()
-    for left, right in ((d_oe, d_eo), (d_eo, d_oe)):
+    _, rows_eo, rows_oe = _level_data(mf, 0)
+    for left, right in ((rows_eo, rows_oe), (rows_oe, rows_eo)):
         for row in left:
-            for j in range(mf.rank):
-                acc = field.zero
-                for k, a in enumerate(row):
-                    acc = field.add(acc, field.mul(a, right[k][j]))
-                if acc != field.zero:
-                    raise VerificationError("reduction is not a complex")
-    r = sum(
-        rank_sparse([{j: a for j, a in enumerate(row) if a != field.zero} for row in d], field)
-        for d in (d_eo, d_oe)
-    )
+            acc: dict = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    accumulate(acc, j, field.mul(a, b), field)
+            if acc:
+                raise VerificationError("reduction is not a complex")
+    r = rank_sparse(rows_eo, field) + rank_sparse(rows_oe, field)
     return (mf.rank - r, mf.rank - r)
 
 
@@ -222,56 +227,6 @@ def _hom_grading(x: MatrixFactorization, y: MatrixFactorization):
     return block(b0, a0) + block(b1, a1), block(b1, a0) + block(b0, a1), delta
 
 
-class _StrandRanks:
-    """Ranks of the degree-restricted differentials, cached per strand."""
-
-    def __init__(self, c: MatrixFactorization, u_even, u_odd, delta):
-        self.u_even = u_even
-        self.u_odd = u_odd
-        self.delta = delta
-        self.n = c.ctx.n_vars
-        self.field = c.ctx.field
-        self._columns = (_column_terms(c.psi), _column_terms(c.phi))
-        self._monomials: dict = {}
-        self._rank_cache: dict = {}
-        self._dim_cache: dict = {}
-
-    def stratum(self, parity, s):
-        key = (parity, s)
-        if key in self._dim_cache:
-            return self._dim_cache[key]
-        us = self.u_even if parity == 0 else self.u_odd
-        basis = []
-        for i, u in enumerate(us):
-            g2 = s - u
-            if g2 < 0 or g2 % 2 != 0:
-                continue
-            g = g2 // 2
-            monos = self._monomials.get(g)
-            if monos is None:
-                monos = self._monomials[g] = monomials_of_degree(self.n, g)
-            for mono in monos:
-                basis.append((i, mono))
-        self._dim_cache[key] = basis
-        return basis
-
-    def rank(self, parity_src, s):
-        """Rank of d restricted to the (parity_src, s) stratum."""
-        key = (parity_src, s)
-        if key in self._rank_cache:
-            return self._rank_cache[key]
-        src = self.stratum(parity_src, s)
-        if not src:
-            self._rank_cache[key] = 0
-            return 0
-        tgt = self.stratum(1 - parity_src, s + self.delta)
-        tgt_index = {bv: idx for idx, bv in enumerate(tgt)}
-        columns = self._columns[parity_src]
-        r = rank_sparse(_truncated_operator_rows(columns, src, tgt_index), self.field)
-        self._rank_cache[key] = r
-        return r
-
-
 _UNSETTLED = "strand scan hit the degree cap without settling (non-isolated input or cap too low)"
 
 
@@ -288,7 +243,27 @@ def _strand_dims(c: MatrixFactorization, u_even, u_odd, delta, cap, stop=None):
     all_u = list(u_even) + list(u_odd)
     if not all_u:
         return
-    ranks = _StrandRanks(c, u_even, u_odd, delta)
+    field, shifts = c.ctx.field, (u_even, u_odd)
+    columns = (_column_terms(c.psi), _column_terms(c.phi))
+    monomials = cache(partial(monomials_of_degree, c.ctx.n_vars))
+
+    @cache
+    def stratum(parity, s):
+        """The basis (i, mono) of strand s of the parity: u_i + 2 deg mono = s."""
+        return [
+            (i, m) for i, u in enumerate(shifts[parity]) if s >= u and (s - u) % 2 == 0
+            for m in monomials((s - u) // 2)
+        ]
+
+    @cache
+    def rank(parity, s):
+        """Rank of d restricted to the (parity, s) stratum."""
+        src = stratum(parity, s)
+        if not src:
+            return 0
+        tgt_index = {bv: idx for idx, bv in enumerate(stratum(1 - parity, s + delta))}
+        return rank_sparse(_truncated_operator_rows(columns[parity], src, tgt_index), field)
+
     # conservative: cover the differential's step and the spread of the
     # internal degrees before declaring the tail empty
     spread = int(max(all_u) - min(all_u))
@@ -307,8 +282,8 @@ def _strand_dims(c: MatrixFactorization, u_even, u_odd, delta, cap, stop=None):
     for s in merge(*(count(v, 2) for v in first.values())):
         if s > s_cap or (stop is not None and s > stop):
             break
-        he = len(ranks.stratum(0, s)) - ranks.rank(0, s) - ranks.rank(1, s - delta)
-        ho = len(ranks.stratum(1, s)) - ranks.rank(1, s) - ranks.rank(0, s - delta)
+        he = len(stratum(0, s)) - rank(0, s) - rank(1, s - delta)
+        ho = len(stratum(1, s)) - rank(1, s) - rank(0, s - delta)
         yield s, he, ho
         if he or ho:
             run = 0
@@ -416,6 +391,33 @@ def _two_cap_cohomology(c: MatrixFactorization, cap):
     )
 
 
+def _cohomology(c: MatrixFactorization, graded, stop=None, mirror=False):
+    """(even, odd) k-dims of H(c) over R, c a factorization of 0 graded by
+    `graded` (u_even, u_odd, delta) or None: the one place where the route
+    and the stop are chosen.
+
+    Ungraded, the two-cap route. Graded, the strands of `_strand_dims` up to
+    `stop`; with `mirror` (End(X) under `_serre_stop`, proof in
+    `hom_cohomology`), up to the center n(delta - 2)/2, each strand below it
+    counted again for its mirror.
+    """
+    cap = stabilization_cap()
+    if graded is None:
+        return _two_cap_cohomology(c, cap)
+    n = c.ctx.n_vars
+    top = n * (graded[2] - 2)
+    if mirror:
+        stop = top // 2
+    even = odd = 0
+    for s, he, ho in _strand_dims(c, *graded, cap, stop):
+        if mirror and 2 * s < top:
+            # counted again at its mirror top - s, with parity shifted by n
+            he, ho = (he + ho, ho + he) if n % 2 else (2 * he, 2 * ho)
+        even += he
+        odd += ho
+    return even, odd
+
+
 def cohomology_over_R(c: MatrixFactorization, strand_stop=None):
     """k-dimensions of (even, odd) cohomology of a 2-periodic complex, i.e. of
     a factorization of 0.
@@ -432,19 +434,9 @@ def cohomology_over_R(c: MatrixFactorization, strand_stop=None):
     """
     if not c.potential.is_zero():
         raise PreconditionError("cohomology over R requires a factorization of 0")
-    cap = stabilization_cap()
     graded = detect_grading(c)
-    if graded is None:
-        return _two_cap_cohomology(c, cap)
-    return _strand_cohomology(c, graded, cap, None if strand_stop is None else strand_stop(*graded))
-
-
-def _strand_cohomology(c: MatrixFactorization, graded, cap, stop):
-    even = odd = 0
-    for _, he, ho in _strand_dims(c, *graded, cap, stop):
-        even += he
-        odd += ho
-    return even, odd
+    stop = None if graded is None or strand_stop is None else strand_stop(*graded)
+    return _cohomology(c, graded, stop)
 
 
 def hom_cohomology(x: MatrixFactorization, y: MatrixFactorization):
@@ -453,24 +445,10 @@ def hom_cohomology(x: MatrixFactorization, y: MatrixFactorization):
 
     Hom is graded from X and Y (`_hom_grading`), and takes the two-cap route
     when they are not graded alike. Graded, its strand scan ends at the Serre
-    stop where that applies (`_serre_stop`), and then End(X) is read off the
-    lower half of its strands (`_end_cohomology`). Every other graded Hom is
-    scanned until the run of empty strands of `cohomology_over_R`.
-    """
-    c = hom_complex(x, y)
-    cap = stabilization_cap()
-    graded = _hom_grading(x, y)
-    if graded is None:
-        return _two_cap_cohomology(c, cap)
-    stop = _serre_stop(x.potential, *graded)
-    if stop is not None and x == y:
-        return _end_cohomology(c, graded, cap)
-    return _strand_cohomology(c, graded, cap, stop)
-
-
-def _end_cohomology(c: MatrixFactorization, graded, cap):
-    """(even, odd) dims of H(End(X)), c = Hom(X, X) graded by `_hom_grading`,
-    from its strands s <= n(delta - 2)/2 alone, where `_serre_stop` applies.
+    stop where that applies (`_serre_stop`), and then End(X) is read off its
+    strands s <= n(delta - 2)/2 alone, each one below the center counted
+    again for its mirror. Every other graded Hom is scanned until the run of
+    empty strands of `cohomology_over_R`.
 
     Proof. Write N = n(delta - 2) and h^p_t for the dimension of the parity-p
     cohomology in strand t. The duality of `_serre_stop` with Y = X reads
@@ -482,16 +460,10 @@ def _end_cohomology(c: MatrixFactorization, graded, cap):
     the last term only when N is even. Every strand that can carry a class
     is some a_i - a_j + 2g, so the scan up to N/2 meets all the t <= N/2.
     """
-    n = c.ctx.n_vars
-    top = n * (graded[2] - 2)
-    even = odd = 0
-    for s, he, ho in _strand_dims(c, *graded, cap, top // 2):
-        if 2 * s < top:
-            # counted again at its mirror top - s, with parity shifted by n
-            he, ho = (he + ho, ho + he) if n % 2 else (2 * he, 2 * ho)
-        even += he
-        odd += ho
-    return even, odd
+    c = hom_complex(x, y)
+    graded = _hom_grading(x, y)
+    stop = None if graded is None else _serre_stop(x.potential, *graded)
+    return _cohomology(c, graded, stop, mirror=stop is not None and x == y)
 
 
 def _serre_stop(w: Series, u_even, u_odd, delta):

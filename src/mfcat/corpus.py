@@ -367,7 +367,7 @@ def criterion_5(corpus, rng) -> CriterionResult:
         if mu_oracle != expected:
             ok = False
             details.append(f"{entry.name}: oracle {mu_oracle} != recorded {expected}")
-        # diagonal_hh_crosscheck inlined, so hochschild_cohomology runs once per entry
+        # HH* two ways: the Koszul complex of the partials and End of the diagonal
         route1 = hochschild_cohomology(ed.w)
         diag = ed.diagonal()
         agree = route1 == hom_cohomology(diag, diag)

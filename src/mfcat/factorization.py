@@ -150,10 +150,6 @@ class RMatrix:
                 out.entries[j][i] = cof if (i + j) % 2 == 0 else -cof
         return RMatrix(self.ctx, out.entries)
 
-    def residue_matrix(self):
-        """Constant terms of all entries, as a list of field-scalar rows."""
-        return [[e.residue() for e in row] for row in self.entries]
-
 
 class MatrixFactorization:
     """A pair (phi, psi) of square matrices with phi psi = psi phi = w * id."""

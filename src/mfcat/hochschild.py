@@ -18,7 +18,6 @@ from .complexes import (
     _quotient_dim,
     cohomology_mod_k,
     cohomology_over_R,
-    hom_cohomology,
     stabilization_cap,
 )
 from .errors import PreconditionError, StabilizationError, VerificationError
@@ -120,15 +119,6 @@ def hochschild_homology(w: Series):
     if w.ctx.n_vars % 2:
         return (0, report.milnor_number)
     return (report.milnor_number, 0)
-
-
-def diagonal_hh_crosscheck(w: Series) -> bool:
-    """Two routes: folded Koszul of the partials vs endomorphisms of the
-    stabilized diagonal. True iff the dimension pairs agree."""
-    route1 = hochschild_cohomology(w)
-    diag = stabilized_diagonal(w)
-    route2 = hom_cohomology(diag, diag)
-    return route1 == route2
 
 
 def calabi_yau_parity_check(w: Series) -> bool:

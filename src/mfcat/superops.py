@@ -39,7 +39,8 @@ class Packing:
     2n + i*bits. The top bit of each field is a guard: while every exponent
     stays below 2^(bits-1), adding two exponent parts as integers carries
     into no other field. `pack` and `mul_into` raise `ExponentOverflow` on
-    an exponent that reaches it.
+    an exponent that reaches it, and `pack` rejects a negative exponent,
+    which no width holds.
     """
 
     def __init__(self, ctx, bits: int):
@@ -59,6 +60,8 @@ class Packing:
     def pack(self, a) -> dict:
         out = {}
         for (exp, word), c in a.terms.items():
+            if min(exp) < 0:
+                raise PreconditionError(f"exponent {exp} is negative")
             if max(exp) >> self.bits - 1:
                 raise ExponentOverflow
             out[word + sum(e * u for e, u in zip(exp, self.units))] = c

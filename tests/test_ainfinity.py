@@ -253,6 +253,17 @@ def test_exponent_fields_widen_until_every_exponent_fits(names, text, max_arity,
     assert_same_tables(transfer_minimal_model(w, max_arity), every_tuple_products(w, max_arity))
 
 
+def test_negative_exponent_is_rejected_not_widened_forever():
+    # -1 >> k is -1 at every width, so a widening loop that let it through
+    # would double the fields forever
+    w = potential("xy", "x^3 + y^3")
+    C = build_contraction(w)
+    bad = SuperOp(w.ctx, {((-1, 0), 1 << 2): QQ.one})
+    for f in (C.d, C.h, C.p, C.coords):
+        with pytest.raises(PreconditionError):
+            f(bad)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     field=st.sampled_from([QQ, PrimeField(7)]),

@@ -8,6 +8,7 @@ import pytest
 from mfcat import serialize
 from mfcat.cli import main
 from mfcat.corpus import elliptic_factorization
+from mfcat.factorization import MatrixFactorization, RMatrix
 from mfcat.fields import QQ
 from mfcat.series import RingCtx, Series
 from mfcat.stabilize import stabilize_residue_field
@@ -452,6 +453,17 @@ def test_malformed_factorization_exit(tmp_path, capsys, argv, fields, message):
     path.write_text(serialize.dumps_canonical(obj))
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert code == 2 and message in err and out == ""
+
+
+def test_cohomology_of_a_reduction_that_is_not_a_complex(tmp_path, capsys):
+    # (1, 1 + x) factors w = 1 + x, which is not in m, so d^2 = 1 mod m
+    ctx = RingCtx(("x",), QQ)
+    one, x = Series.one(ctx), Series.variable(ctx, 0)
+    mf = MatrixFactorization(ctx, one + x, RMatrix(ctx, [[one]]), RMatrix(ctx, [[one + x]]))
+    path = write_mf(tmp_path, mf)
+    code, out, err = run(capsys, "cohomology", path)
+    assert code == 4 and out == ""
+    assert "reduction is not a complex" in err
 
 
 def test_cohomology_and_transform_check_factorization(tmp_path, capsys):

@@ -87,6 +87,23 @@ def test_cohomology_mod_k_examples():
     )
 
 
+def test_cohomology_mod_k_rejects_a_reduction_that_is_not_a_complex():
+    ctx = ring1()
+    zero, one, x = Series.zero(ctx), Series.one(ctx), Series.variable(ctx, 0)
+    # d^2 = w holds, but w = 1 + x is not in m, so d^2 = 1 mod m
+    unit = MatrixFactorization(ctx, one + x, RMatrix(ctx, [[one]]), RMatrix(ctx, [[one + x]]))
+    assert verify_mf(unit)
+    # not a factorization of x^2 at all: d^2 = 1
+    unverified = MatrixFactorization(ctx, x ** 2, RMatrix(ctx, [[one]]), RMatrix(ctx, [[one]]))
+    # phi psi = 0 but psi phi != 0, and the other way round: both composites are checked
+    nil, idem = RMatrix(ctx, [[zero, one], [zero, zero]]), RMatrix(ctx, [[one, zero], [zero, zero]])
+    one_sided = [MatrixFactorization(ctx, zero, a, b) for a, b in ((nil, idem), (idem, nil))]
+    assert [m.phi * m.psi == RMatrix.zero(ctx, 2, 2) for m in one_sided] == [True, False]
+    for mf in [unit, unverified] + one_sided:
+        with pytest.raises(VerificationError, match="reduction is not a complex"):
+            cohomology_mod_k(mf)
+
+
 def test_cohomology_over_R_koszul_of_partial():
     ctx = ring1()
     w = parse_potential_text(ctx, "x^3")
@@ -275,7 +292,7 @@ def _mod_k_grid():
 def _mod_k_reference(mf):
     """(even, odd) k-dims of k (x) X from dense ranks of the residue matrices."""
     field = mf.ctx.field
-    r = rank_dense(mf.psi.residue_matrix(), field) + rank_dense(mf.phi.residue_matrix(), field)
+    r = sum(rank_dense([[e.residue() for e in row] for row in d.entries], field) for d in (mf.psi, mf.phi))
     return (mf.rank - r, mf.rank - r)
 
 
@@ -307,28 +324,31 @@ def test_partial_times_cycles_are_boundaries():
     # strand-level crosscheck of the annihilation statement for w = x^3:
     # multiplication by dw/dx maps every degree stratum's cycles into the
     # boundaries two strata up
-    from mfcat.complexes import detect_grading, _StrandRanks
     from mfcat.linalg import rank_sparse
+
+    def stratum(parity, s):
+        # the basis (i, x^g) of strand s in one variable: u_i + 2g = s, g >= 0
+        us = (u_even, u_odd)[parity]
+        return [(i, ((s - u) // 2,)) for i, u in enumerate(us) if s >= u and (s - u) % 2 == 0]
 
     ctx = ring1()
     w = parse_potential_text(ctx, "x^3")
     K = stabilize_residue_field(w)
     C = hom_complex(K, K)
     u_even, u_odd, delta = detect_grading(C)
-    ranks = _StrandRanks(C, u_even, u_odd, delta)
     dw = w.partial_derivative(0)
     (exp,), coef = next(iter(dw.terms.keys())), next(iter(dw.terms.values()))
     shift_deg = 2 * exp
     field = ctx.field
     for s_num in range(-8, 20):
         s = u_even[0] + s_num
-        src = ranks.stratum(0, s)
+        src = stratum(0, s)
         if not src:
             continue
-        tgt = ranks.stratum(0, s + shift_deg)
+        tgt = stratum(0, s + shift_deg)
         tgt_index = {bv: i for i, bv in enumerate(tgt)}
         # boundaries in the target stratum
-        b_src = ranks.stratum(1, s + shift_deg - delta)
+        b_src = stratum(1, s + shift_deg - delta)
         rows_b = []
         mat = C.phi
         for i, mono in b_src:
@@ -343,7 +363,7 @@ def test_partial_times_cycles_are_boundaries():
         rank_b = rank_sparse([dict(r) for r in rows_b], field)
         # cycles in the source stratum, multiplied by dw
         eo = C.psi
-        img_tgt = ranks.stratum(1, s + delta)
+        img_tgt = stratum(1, s + delta)
         img_index = {bv: i for i, bv in enumerate(img_tgt)}
         rows_z = []
         for i, mono in src:
