@@ -15,8 +15,9 @@ Two exact routes compute k-dimensions of cohomology over the local ring:
   * projective-limit route: otherwise the dimensions are recovered as the
     dimension of the image of H(C/m^(2n+1)) in H(C/m^(n+1)), which kills
     the spurious classes a single truncation would manufacture at its
-    boundary; per parity and level it is three sparse ranks of the level
-    differentials (`_two_cap_dims`).
+    boundary (`_two_cap_dims`). Its ranks for n and n + 1 are all blocks of
+    the level-(2n+2) differential, and one `echelon` per parity per doubling
+    step gives them all (`_level_profile`).
 
 Both stay below the configurable cap (env MFCAT_NMAX, default 64), and
 `_cohomology` is the one place where the route and the stop are chosen.
@@ -44,12 +45,13 @@ from fractions import Fraction
 from functools import cache, partial
 from heapq import merge
 from itertools import count
+from math import comb
 from operator import add
 
 from .errors import InputParseError, PreconditionError, StabilizationError, VerificationError
 from .factorization import MatrixFactorization, MFMorphism, RMatrix, _tensor_blocks, cone, dual
 from .fields import accumulate
-from .linalg import rank_sparse
+from .linalg import echelon, rank_sparse
 from .series import Series, monomial_basis, monomials_of_degree
 
 DEFAULT_STABILIZATION_CAP = 64
@@ -329,51 +331,95 @@ def _truncated_operator_rows(columns, src_basis, tgt_index):
     return rows
 
 
+def _level_basis(c: MatrixFactorization, cap):
+    """The basis (i, m), deg m <= cap, of C tensor R/m^(cap+1), shared by both
+    parities, and its index. It is degree-major: the vectors with deg m <= L
+    are its first rank * C(n + L, n), for every L <= cap."""
+    basis = [(i, m) for m in monomial_basis(c.ctx.n_vars, cap) for i in range(c.rank)]
+    return basis, {bv: k for k, bv in enumerate(basis)}
+
+
 def _level_data(c: MatrixFactorization, cap):
-    """Basis (shared by both parities) and truncated differentials of
-    C tensor R/m^(cap+1)."""
-    monos = monomial_basis(c.ctx.n_vars, cap)
-    basis = [(i, m) for i in range(c.rank) for m in monos]
-    index = {bv: i for i, bv in enumerate(basis)}
+    """Basis and truncated differentials of C tensor R/m^(cap+1)."""
+    basis, index = _level_basis(c, cap)
     rows_eo = _truncated_operator_rows(_column_terms(c.psi), basis, index)
     rows_oe = _truncated_operator_rows(_column_terms(c.phi), basis, index)
     return basis, rows_eo, rows_oe
 
 
-def _two_cap_dims(c: MatrixFactorization, n_lo):
-    """(even, odd) dims of the image of H(C/m^(2n+1)) in H(C/m^(n+1)), n = n_lo.
+def _level_profile(c: MatrixFactorization, top):
+    """What `_two_cap_dims` reads at every n with 2n <= top: the sizes N_L of
+    the levels L <= top (the vectors of degree <= L) and, per parity, the
+    `echelon` pivots (row, column) of the level-`top` differential D_top,
+    with its rows taken from the highest degree down and named by their
+    index in `_level_basis`.
+
+    The odd rows at the even pivot columns are left out (the clearing of
+    Chen-Kerber, "Persistent homology computation with a twist", 2011):
+    they would reduce to 0. Proof: the reduced even row with pivot i is D(s)
+    for some even chain s, so D(s) = a e_i + (vectors of index > i) with
+    a != 0. Since D D(s) = 0 (C/m^(top+1) is a complex), the odd row of e_i
+    is a combination of the odd rows of index > i, which come before it.
+    """
+    field = c.ctx.field
+    basis, index = _level_basis(c, top)
+    pivots, cleared = [], set()
+    for mat in (c.psi, c.phi):
+        ids = [k for k in range(len(basis) - 1, -1, -1) if k not in cleared]
+        rows = _truncated_operator_rows(_column_terms(mat), [basis[k] for k in ids], index)
+        pivots.append([(ids[r], col) for r, col in echelon(rows, field)])
+        cleared = {col for _, col in pivots[-1]}
+    n = c.ctx.n_vars
+    return [c.rank * comb(n + level, n) for level in range(top + 1)], pivots
+
+
+def _two_cap_dims(profile, n_lo):
+    """(even, odd) dims of the image of H(C/m^(2n+1)) in H(C/m^(n+1)), n = n_lo,
+    read off `profile`, the `_level_profile` of a level T >= 2n.
 
     Per parity, let D_hi be the differential out of level 2n, pi the
     truncation to level n ((i, m) -> (i, m) if deg m <= n, else 0), D_high
     the rows of D_hi on the basis vectors of degree > n (those vectors span
     ker pi), B_lo the image of the incoming differential at level n, and
-    N_lo the size of the level-n basis. The image is (pi(ker D_hi) + B_lo)/B_lo,
-    and
-        dim (pi(ker D_hi) + B_lo)/B_lo = N_lo - rank D_hi + rank D_high - rank B_lo.
+    N_L the number of basis vectors of degree <= L. The image is
+    (pi(ker D_hi) + B_lo)/B_lo, and
+        dim (pi(ker D_hi) + B_lo)/B_lo = N_n - rank D_hi + rank D_high - rank B_lo.
     Proof: ker D_hi & ker pi = ker D_high, so dim pi(ker D_hi) =
-    (N_hi - rank D_hi) - (N_high - rank D_high), and N_hi - N_high = N_lo.
-    B_lo lies in pi(ker D_hi): for a level-n chain b, let v be d b truncated
-    at level 2n. Since d never lowers degree and d^2 = 0, D_hi v is d^2 b
-    truncated at level 2n, which is 0, and pi v is b's image in B_lo.
-    """
-    field = c.ctx.field
-    basis_hi, eo_hi, oe_hi = _level_data(c, 2 * n_lo)
-    basis_lo, eo_lo, oe_lo = _level_data(c, n_lo)
+    (N_2n - rank D_hi) - (N_2n - N_n - rank D_high). B_lo lies in
+    pi(ker D_hi): for a level-n chain b, let v be d b truncated at level 2n.
+    Since d never lowers degree and d^2 = 0, D_hi v is d^2 b truncated at
+    level 2n, which is 0, and pi v is b's image in B_lo.
 
-    def image_dim(d_hi, b_lo):
-        # rank_sparse consumes its rows, so D_high gets copies
-        high = [dict(r) for (_, mono), r in zip(basis_hi, d_hi) if sum(mono) > n_lo]
+    Each rank is a block of D_T, the differential at level T. The basis is
+    degree-major, so as rows and as columns the vectors of degree <= L are
+    the first N_L. Multiplication never lowers degree, so a row of degree
+    > L is 0 on the first N_L columns. Hence D at level L is D_T on its
+    first N_L columns (the rows of degree > L add nothing there): D_hi is
+    D_T on the first N_2n columns, D_high is D_T on its rows of degree > n
+    and the first N_2n columns, and B_lo is the other parity's D_T on the
+    first N_n columns. `echelon` took the rows of D_T from the highest
+    degree down, so the rows of degree > n came first, and the rank of each
+    block is the number of pivots in it (a cleared row has none). So
+    rank D_hi - rank D_high is the number of pivots in rows of degree <= n
+    and columns of degree <= 2n.
+    """
+    sizes, pivots = profile
+    n_lo_size, n_hi_size = sizes[n_lo], sizes[2 * n_lo]
+
+    def image_dim(own, other):
         return (
-            len(basis_lo)
-            - rank_sparse(d_hi, field)
-            + rank_sparse(high, field)
-            - rank_sparse(b_lo, field)
+            n_lo_size
+            - sum(1 for r, col in own if r < n_lo_size and col < n_hi_size)
+            - sum(1 for _, col in other if col < n_lo_size)
         )
 
-    return (image_dim(eo_hi, oe_lo), image_dim(oe_hi, eo_lo))
+    return image_dim(pivots[0], pivots[1]), image_dim(pivots[1], pivots[0])
 
 
 def _two_cap_cohomology(c: MatrixFactorization, cap):
+    """The two-cap route: `_two_cap_dims` at n and n + 1, both read off one
+    level-(2n+2) profile, from n = max(2, 2(maxdeg + 1)) doubling until they
+    agree."""
     max_deg = 0
     for mat in (c.psi, c.phi):
         for row in mat.entries:
@@ -381,10 +427,10 @@ def _two_cap_cohomology(c: MatrixFactorization, cap):
                 max_deg = max(max_deg, e.total_degree())
     n = max(2, 2 * (max_deg + 1))
     while n <= cap:
-        d1 = _two_cap_dims(c, n)
-        d2 = _two_cap_dims(c, n + 1)
-        if d1 == d2:
-            return d1
+        profile = _level_profile(c, 2 * n + 2)
+        dims = _two_cap_dims(profile, n)
+        if dims == _two_cap_dims(profile, n + 1):
+            return dims
         n *= 2
     raise StabilizationError(
         "no stabilization before the cap (non-isolated input or cap too low)"

@@ -40,7 +40,8 @@ class Packing:
     stays below 2^(bits-1), adding two exponent parts as integers carries
     into no other field. `pack` and `mul_into` raise `ExponentOverflow` on
     an exponent that reaches it, and `pack` rejects a negative exponent,
-    which no width holds.
+    which no width holds, and one whose length is not n, which packing
+    would cut or pad with zeros.
     """
 
     def __init__(self, ctx, bits: int):
@@ -60,6 +61,8 @@ class Packing:
     def pack(self, a) -> dict:
         out = {}
         for (exp, word), c in a.terms.items():
+            if len(exp) != self.n:
+                raise PreconditionError(f"exponent {exp} does not have {self.n} entries")
             if min(exp) < 0:
                 raise PreconditionError(f"exponent {exp} is negative")
             if max(exp) >> self.bits - 1:

@@ -262,6 +262,13 @@ def test_negative_exponent_is_rejected_not_widened_forever():
     for f in (C.d, C.h, C.p, C.coords):
         with pytest.raises(PreconditionError):
             f(bad)
+    # (1,) and (1, 0, 5) would be padded or cut to (1, 0), with this image
+    assert C.d(SuperOp(w.ctx, {((1, 0), 1 << 2): QQ.one})) == SuperOp(w.ctx, {((3, 0), 0): QQ.one})
+    for exp in ((1,), (1, 0, 5)):
+        bad = SuperOp(w.ctx, {(exp, 1 << 2): QQ.one})
+        for f in (C.d, C.h, C.p, C.coords):
+            with pytest.raises(PreconditionError):
+                f(bad)
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,6 +8,7 @@ from mfcat.complexes import (
     _certified_top_degree,
     _column_terms,
     _hom_grading,
+    _level_profile,
     _serre_stop,
     _strand_dims,
     _truncated_operator_rows,
@@ -438,7 +439,7 @@ def test_engines_agree_two_variables():
     k = stabilize_residue_field(w)
     C = hom_complex(k, k)
     assert cohomology_over_R(C) == (2, 2)
-    assert _two_cap_dims(C, 3) == (2, 2)
+    assert _two_cap_dims(_level_profile(C, 6), 3) == (2, 2)
     # D5 has unequal weights, so the two-cap route answers End(K)
     w = parse_potential_text(ctx, "x^2*y + y^4")
     k = stabilize_residue_field(w)
@@ -507,9 +508,16 @@ def _end_k_of(names, text, field=QQ):
          "endK-D4", "endK-A12", "endK-A12-GF7"],
 )
 def test_two_cap_dims_match_kernel_basis_formula(build, levels):
+    # the n and n+1 dims are read off one shared level-(2n+2) profile, as the
+    # two-cap route reads them, and level 2n alone suffices for n
     C = build()
+    reference = {n: _two_cap_reference(C, n) for n in levels}
     for n in levels:
-        assert _two_cap_dims(C, n) == _two_cap_reference(C, n), n
+        profile = _level_profile(C, 2 * n + 2)
+        assert _two_cap_dims(profile, n) == reference[n], n
+        if n + 1 in reference:
+            assert _two_cap_dims(profile, n + 1) == reference[n + 1], n + 1
+        assert _two_cap_dims(_level_profile(C, 2 * n), n) == reference[n], n
 
 
 def _random_rmatrix(rng, ctx, rows, cols):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mfcat
 from mfcat.fields import QQ, PrimeField
-from mfcat.linalg import nullspace_dense, rank_dense, rank_sparse, rref_dense
+from mfcat.linalg import echelon, nullspace_dense, rank_dense, rank_sparse, rref_dense
 
 
 def rand_matrix(rng, rows, cols, density=0.6):
@@ -66,14 +66,17 @@ def test_sparse_non_unit_pivots():
 
 
 @st.composite
-def sparse_matrix(draw, field):
-    """(dense rows, sparse rows) of a random matrix of at most 15 x 15.
+def sparse_matrix(draw, field, ints=False):
+    """(dense rows, sparse rows) of a random matrix of at most 15 x 15, over QQ
+    with integer entries only if `ints`.
 
     Some rows are combinations of two others, so the rank is usually below
     both sizes and an inexact elimination step shows up as a rank change.
     """
     ncols = draw(st.integers(1, 15))
-    if field is QQ:
+    if field is QQ and ints:
+        values = st.integers(-4, 4).filter(bool)
+    elif field is QQ:
         values = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
     else:
         values = st.integers(1, field.characteristic - 1)
@@ -101,6 +104,48 @@ def test_sparse_rank_property(field, data):
     assert rank_sparse(sparse, field) == rank_dense(dense, field)
 
 
+def assert_prefix_ranks(dense, sparse, field):
+    """The rank of the first r rows on the first k columns is the number of
+    `echelon` pivots (i, c) with i < r and c < k, and the rows are left as
+    they were."""
+    before = [dict(r) for r in sparse]
+    profile = echelon(sparse, field)
+    assert sparse == before
+    for r in range(len(dense) + 1):
+        for k in range(len(dense[0]) + 1):
+            expected = rank_dense([row[:k] for row in dense[:r]], field)
+            assert sum(1 for i, c in profile if i < r and c < k) == expected, (r, k)
+
+
+@pytest.mark.parametrize(
+    "field, ints",
+    [(QQ, True), (QQ, False), (PrimeField(2), False), (PrimeField(3), False), (PrimeField(7), False)],
+    ids=["QQ-ints", "QQ-fractions", "GF(2)", "GF(3)", "GF(7)"],
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_echelon_counts_every_prefix_rank(field, ints, data):
+    assert_prefix_ranks(*data.draw(sparse_matrix(field, ints)), field)
+
+
+def test_echelon_non_unit_pivots():
+    # the rows of `test_sparse_non_unit_pivots`: no pivot over QQ is +-1, so
+    # each reduction takes the fraction-free step
+    m = [
+        [3, 3, 2, 0],
+        [3, 3, 2, 3],
+        [2, 2, 3, 0],
+        [15, 15, 10, 6],
+        [13, 13, 12, 9],
+        [12, 12, 13, 0],
+    ]
+    for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(7)):
+        dense = [[field.of(v) for v in row] for row in m]
+        assert_prefix_ranks(dense, [{j: v for j, v in enumerate(row) if v != field.zero} for row in dense], field)
+    assert echelon([{}, {2: 1}, {}], QQ) == [(1, 2)]
+    assert echelon([], QQ) == []
+
+
 def test_nullspace_is_kernel():
     rng = random.Random(31)
     for _ in range(25):
@@ -120,8 +165,8 @@ def test_rref_pivots():
 
 
 def test_dense_elimination_is_only_a_reference():
-    """Production code eliminates with `rank_sparse` alone: the dense trio is
-    named only where it is defined and in the corpus oracle."""
+    """Production code eliminates with `rank_sparse` and `echelon` alone: the
+    dense trio is named only where it is defined and in the corpus oracle."""
     dense = {"rref_dense", "rank_dense", "nullspace_dense"}
     users = set()
     for path in Path(mfcat.__file__).parent.glob("*.py"):
