@@ -48,7 +48,7 @@ from .errors import PreconditionError, VerificationError
 from .exterior import mask_of, subsets_ordered
 from .fields import accumulate
 from .series import Series
-from .stabilize import peel_witnesses
+from .stabilize import peel_witnesses, require_potential
 from .superops import ExponentOverflow, Packing, SuperOp
 
 
@@ -194,8 +194,7 @@ class Contraction:
     `_Packed`, under `_exact`."""
 
     def __init__(self, w: Series):
-        if not w.in_maximal_ideal_square() or w.is_zero():
-            raise PreconditionError("potential must be nonzero and lie in m^2")
+        require_potential(w)
         ctx = self.ctx = w.ctx
         n = ctx.n_vars
         # peel the last variable first: the staged contraction needs w_i

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property, wraps
 
 from .ainfinity import build_contraction, clifford_check, transfer_minimal_model
 from .complexes import (
@@ -60,11 +61,35 @@ class CorpusEntry:
     isolated: bool
     known: dict = dc_field(default_factory=dict)
 
+    # each derived object is built on first use and kept, so every criterion
+    # of one battery run shares the entry's K and diagonal
+
+    @cached_property
     def ctx(self) -> RingCtx:
         return RingCtx(self.ring_names, QQ)
 
-    def potential(self) -> Series:
-        return parse_potential_text(self.ctx(), self.text)
+    @cached_property
+    def w(self) -> Series:
+        return parse_potential_text(self.ctx, self.text)
+
+    @cached_property
+    def kstab(self) -> MatrixFactorization:
+        return stabilize_residue_field(self.w)
+
+    @cached_property
+    def diagonal(self) -> MatrixFactorization:
+        return stabilized_diagonal(self.w)
+
+    def test_objects(self):
+        """Factorizations this entry contributes to object-level criteria."""
+        objs = [("trivial", trivial_mf(self.ctx, self.w)), ("kstab", self.kstab)]
+        objs.append(("kstab-shift", shift(self.kstab)))
+        if self.ctx.n_vars == 1:
+            d = self.w.total_degree()
+            x = Series.variable(self.ctx, 0)
+            for k in range(1, d):
+                objs.append((f"node-{k}", _rank_one(self.ctx, self.w, x ** k, x ** (d - k))))
+        return objs
 
 
 def build_corpus():
@@ -179,8 +204,8 @@ def _bruteforce_quotient_dim(w: Series, cap: int) -> int:
 
 def elliptic_factorization():
     entry = next(e for e in build_corpus() if e.name == "elliptic-3x3")
-    ctx = entry.ctx()
-    w = entry.potential()
+    ctx = entry.ctx
+    w = entry.w
     x, y, z = (Series.variable(ctx, i) for i in range(3))
     phi = RMatrix(ctx, [[x, y, z], [z, x, y], [y, z, x]])
     psi = phi.adjugate()
@@ -198,36 +223,30 @@ class CriterionResult:
     details: list = dc_field(default_factory=list)
 
 
-class _EntryData:
-    """Per-entry cache of the derived objects the criteria share."""
+CRITERIA = []
 
-    def __init__(self, entry: CorpusEntry):
-        self.entry = entry
-        self.ctx = entry.ctx()
-        self.w = entry.potential()
-        self._cache: dict = {}
 
-    def kstab(self):
-        return self._memo("kstab", lambda: stabilize_residue_field(self.w))
+def _criterion(index, title):
+    """Turn a generator of (passed, detail line) pairs into the battery's
+    criterion `index` and append it to `CRITERIA`.
 
-    def diagonal(self):
-        return self._memo("diag", lambda: stabilized_diagonal(self.w))
+    The generator sees only the isolated entries of the corpus it is given.
+    The criterion passes when every pair does, and its details are the lines
+    in the order they were yielded.
+    """
 
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+    def wrap(checks):
+        @wraps(checks)
+        def run(corpus, rng, **options):
+            pairs = list(checks([e for e in corpus if e.isolated], rng, **options))
+            return CriterionResult(
+                index, title, all(ok for ok, _ in pairs), [line for _, line in pairs]
+            )
 
-    def test_objects(self):
-        """Factorizations this entry contributes to object-level criteria."""
-        objs = [("trivial", trivial_mf(self.ctx, self.w)), ("kstab", self.kstab())]
-        objs.append(("kstab-shift", shift(self.kstab())))
-        if self.ctx.n_vars == 1:
-            d = self.w.total_degree()
-            x = Series.variable(self.ctx, 0)
-            for k in range(1, d):
-                objs.append((f"node-{k}", _rank_one(self.ctx, self.w, x ** k, x ** (d - k))))
-        return objs
+        CRITERIA.append(run)
+        return run
+
+    return wrap
 
 
 def _rank_one(ctx, w, a, b):
@@ -250,9 +269,8 @@ def _swap(dims, eps):
     return (dims[1], dims[0]) if eps else dims
 
 
-def criterion_1(corpus, rng, quick=False) -> CriterionResult:
-    details = []
-    ok = True
+@_criterion(1, "factorization soundness")
+def criterion_1(corpus, rng, quick=False):
     trials = 40 if quick else 200
     for t in range(trials):
         n = rng.randint(1, 3)
@@ -267,139 +285,105 @@ def criterion_1(corpus, rng, quick=False) -> CriterionResult:
             wits.append(_random_series(rng, ctx, 2))
         kd = KoszulData(ctx, gens, wits)
         if not verify_mf(make_koszul_mf(kd)):
-            ok = False
-            details.append(f"random Koszul input {t} failed d^2 = w")
-    details.append(f"{trials} randomized Koszul inputs verified")
-    data = [_EntryData(e) for e in corpus]
+            yield False, f"random Koszul input {t} failed d^2 = w"
+    yield True, f"{trials} randomized Koszul inputs verified"
     count = 0
-    for ed in data:
-        if not ed.entry.isolated:
-            continue
+    for entry in corpus:
         produced = {
-            "kstab": ed.kstab(),
-            "diagonal": ed.diagonal(),
-            "dual": dual(ed.kstab()),
-            "shift": shift(ed.kstab()),
-            "sum": direct_sum(ed.kstab(), trivial_mf(ed.ctx, ed.w)),
-            "cone": cone(MFMorphism.scalar(ed.kstab(), Series.variable(ed.ctx, 0))),
+            "kstab": entry.kstab,
+            "diagonal": entry.diagonal,
+            "dual": dual(entry.kstab),
+            "shift": shift(entry.kstab),
+            "sum": direct_sum(entry.kstab, trivial_mf(entry.ctx, entry.w)),
+            "cone": cone(MFMorphism.scalar(entry.kstab, Series.variable(entry.ctx, 0))),
         }
-        if ed.ctx.n_vars <= 2:
-            produced["tensor"] = external_tensor(ed.kstab(), ed.kstab())
+        if entry.ctx.n_vars <= 2:
+            produced["tensor"] = external_tensor(entry.kstab, entry.kstab)
         for label, mf in produced.items():
             count += 1
             if not verify_mf(mf):
-                ok = False
-                details.append(f"{ed.entry.name}: constructor {label} failed")
-    details.append(f"{count} corpus constructor outputs verified")
+                yield False, f"{entry.name}: constructor {label} failed"
+    yield True, f"{count} corpus constructor outputs verified"
     ell = elliptic_factorization()
     if not verify_mf(ell):
-        ok = False
-        details.append("elliptic 3x3 failed")
-    return CriterionResult(1, "factorization soundness", ok, details)
+        yield False, "elliptic 3x3 failed"
 
 
-def criterion_2(corpus, rng) -> CriterionResult:
+@_criterion(2, "elliptic 3x3 example")
+def criterion_2(corpus, rng):
     mf = elliptic_factorization()
     det_ok = mf.phi.det() == mf.potential
+    yield det_ok, f"det(phi) = w: {det_ok}"
     ok = det_ok and verify_mf(mf)
-    return CriterionResult(
-        2,
-        "elliptic 3x3 example",
-        ok,
-        [f"det(phi) = w: {det_ok}", f"phi*adjugate verifies: {ok}"],
-    )
+    yield ok, f"phi*adjugate verifies: {ok}"
 
 
-def criterion_3(corpus, rng) -> CriterionResult:
+@_criterion(3, "parity-shift duality")
+def criterion_3(corpus, rng):
     # morphisms out of the generator compute the k-reduction of the target,
     # up to the parity of the variable count; the morphism-complex side is
     # its cohomology over the ring (the mod-k reduction of a hom complex
     # only counts ranks and satisfies no such identity)
-    details = []
-    ok = True
     for entry in corpus:
-        if not entry.isolated:
-            continue
-        ed = _EntryData(entry)
-        eps = ed.ctx.n_vars % 2
-        gen = ed.kstab()
-        for label, x in ed.test_objects():
-            lhs = hom_cohomology(gen, x)
+        eps = entry.ctx.n_vars % 2
+        for label, x in entry.test_objects():
+            lhs = hom_cohomology(entry.kstab, x)
             rhs = _swap(cohomology_mod_k(x), eps)
             if lhs != rhs:
-                ok = False
-                details.append(f"{entry.name}/{label}: {lhs} != swapped {rhs}")
-        details.append(f"{entry.name}: duality dims agree (eps={eps})")
-    return CriterionResult(3, "parity-shift duality", ok, details)
+                yield False, f"{entry.name}/{label}: {lhs} != swapped {rhs}"
+        yield True, f"{entry.name}: duality dims agree (eps={eps})"
 
 
-def criterion_4(corpus, rng) -> CriterionResult:
-    details = []
-    ok = True
+@_criterion(4, "Jacobian annihilation")
+def criterion_4(corpus, rng):
     for entry in corpus:
-        if not entry.isolated:
+        if entry.ctx.n_vars > 2:
             continue
-        ed = _EntryData(entry)
-        if ed.ctx.n_vars > 2:
-            continue
-        for label, x in ed.test_objects():
-            for k in range(ed.ctx.n_vars):
+        for label, x in entry.test_objects():
+            for k in range(entry.ctx.n_vars):
                 if not scalar_action_nullhomotopy(x, x, k):
-                    ok = False
-                    details.append(f"{entry.name}/{label}: partial {k} not null-homotopic")
-        details.append(f"{entry.name}: all partials act null-homotopically")
-    return CriterionResult(4, "Jacobian annihilation", ok, details)
+                    yield False, f"{entry.name}/{label}: partial {k} not null-homotopic"
+        yield True, f"{entry.name}: all partials act null-homotopically"
 
 
 _HH_CASES = ("A1-1var", "A2-1var", "A3-1var", "A4-1var", "A5-1var", "A6-1var",
              "quad-2var", "cusp-pair", "D4-plane")
 
 
-def criterion_5(corpus, rng) -> CriterionResult:
-    details = []
-    ok = True
+@_criterion(5, "Hochschild cohomology = Jacobian algebra")
+def criterion_5(corpus, rng):
     for entry in corpus:
         if entry.name not in _HH_CASES:
             continue
-        ed = _EntryData(entry)
-        mu_oracle = oracle_milnor(ed.w)
+        mu_oracle = oracle_milnor(entry.w)
         expected = entry.known["milnor"].value
         if mu_oracle != expected:
-            ok = False
-            details.append(f"{entry.name}: oracle {mu_oracle} != recorded {expected}")
+            yield False, f"{entry.name}: oracle {mu_oracle} != recorded {expected}"
         # HH* two ways: the Koszul complex of the partials and End of the diagonal
-        route1 = hochschild_cohomology(ed.w)
-        diag = ed.diagonal()
-        agree = route1 == hom_cohomology(diag, diag)
+        route1 = hochschild_cohomology(entry.w)
+        agree = route1 == hom_cohomology(entry.diagonal, entry.diagonal)
         if route1 != (mu_oracle, 0) or not agree:
-            ok = False
-            details.append(f"{entry.name}: routes disagree: {route1}, crosscheck={agree}")
+            yield False, f"{entry.name}: routes disagree: {route1}, crosscheck={agree}"
         else:
-            details.append(f"{entry.name}: both routes give ({mu_oracle}, 0)")
-    return CriterionResult(5, "Hochschild cohomology = Jacobian algebra", ok, details)
+            yield True, f"{entry.name}: both routes give ({mu_oracle}, 0)"
 
 
-def criterion_6(corpus, rng) -> CriterionResult:
-    details = []
-    ok = True
+@_criterion(6, "Hochschild homology parity")
+def criterion_6(corpus, rng):
     for entry in corpus:
         if entry.name not in _HH_CASES:
             continue
-        ed = _EntryData(entry)
         mu = entry.known["milnor"].value
-        hh = hochschild_homology(ed.w)
-        expected = (0, mu) if ed.ctx.n_vars % 2 else (mu, 0)
+        hh = hochschild_homology(entry.w)
+        expected = (0, mu) if entry.ctx.n_vars % 2 else (mu, 0)
         if hh != expected:
-            ok = False
-            details.append(f"{entry.name}: homology {hh} != {expected}")
+            yield False, f"{entry.name}: homology {hh} != {expected}"
         else:
-            details.append(f"{entry.name}: homology {hh} at parity {ed.ctx.n_vars % 2}")
-    return CriterionResult(6, "Hochschild homology parity", ok, details)
+            yield True, f"{entry.name}: homology {hh} at parity {entry.ctx.n_vars % 2}"
 
 
-def criterion_7(corpus, rng) -> CriterionResult:
-    details = []
-    ok = True
+@_criterion(7, "transferred coefficients recover the potential")
+def criterion_7(corpus, rng):
     ctx = RingCtx(("x",), QQ)
     w = parse_potential_text(ctx, "x^2 + x^3 + x^5")
     model = transfer_minimal_model(w, 5)
@@ -410,10 +394,9 @@ def criterion_7(corpus, rng) -> CriterionResult:
         got = abs(vec.get(unit, QQ.zero))
         rest = {k: v for k, v in vec.items() if k != unit}
         if got != coeff or rest:
-            ok = False
-            details.append(f"arity {arity}: value {vec}, wanted |{coeff}| scalar")
+            yield False, f"arity {arity}: value {vec}, wanted |{coeff}| scalar"
         else:
-            details.append(f"|m_{arity}(D,..,D)| = {coeff}")
+            yield True, f"|m_{arity}(D,..,D)| = {coeff}"
     ctx2 = RingCtx(("x", "y"), QQ)
     w2 = parse_potential_text(ctx2, "x^2*y + y^3")
     model2 = transfer_minimal_model(w2, 3)
@@ -423,84 +406,59 @@ def criterion_7(corpus, rng) -> CriterionResult:
     vec = model2.product((g1, g1, g2))
     got = abs(vec.get(unit2, QQ.zero))
     if got != 1:
-        ok = False
-        details.append(f"mixed arity-3 product gave {vec}, wanted |1|")
+        yield False, f"mixed arity-3 product gave {vec}, wanted |1|"
     else:
-        details.append("|m_3(D1,D1,D2)| = 1 for the plane-curve potential")
-    return CriterionResult(7, "transferred coefficients recover the potential", ok, details)
+        yield True, "|m_3(D1,D1,D2)| = 1 for the plane-curve potential"
 
 
-def criterion_8(corpus, rng) -> CriterionResult:
-    details = []
-    ok = True
+@_criterion(8, "Stasheff identities to arity 6")
+def criterion_8(corpus, rng):
     for entry in corpus:
-        if not entry.isolated:
-            continue
-        ed = _EntryData(entry)
-        model = transfer_minimal_model(ed.w, 6)
+        model = transfer_minimal_model(entry.w, 6)
         holds = model.stasheff_holds(6)
         if not holds:
-            ok = False
-            details.append(f"{entry.name}: associativity tower fails")
+            yield False, f"{entry.name}: associativity tower fails"
         else:
-            details.append(f"{entry.name}: identities hold up to arity 6, m_1 = 0")
-    return CriterionResult(8, "Stasheff identities to arity 6", ok, details)
+            yield True, f"{entry.name}: identities hold up to arity 6, m_1 = 0"
 
 
-def criterion_9(corpus, rng) -> CriterionResult:
-    details = []
-    ok = True
+@_criterion(9, "quadratic formality")
+def criterion_9(corpus, rng):
     quad_1var = CorpusEntry("quad-1var", ("x",), "x^2", True, {})
     for entry in [quad_1var] + [e for e in corpus if e.known.get("clifford")]:
-        ed = _EntryData(entry)
-        good = clifford_check(ed.w, 6)
+        good = clifford_check(entry.w, 6)
         if not good:
-            ok = False
-            details.append(f"{entry.name}: Clifford comparison failed")
+            yield False, f"{entry.name}: Clifford comparison failed"
         else:
-            details.append(f"{entry.name}: m_2 is the Clifford table, m_3..m_6 vanish")
-    return CriterionResult(9, "quadratic formality", ok, details)
+            yield True, f"{entry.name}: m_2 is the Clifford table, m_3..m_6 vanish"
 
 
-def criterion_10(corpus, rng) -> CriterionResult:
-    details = []
-    ok = True
+@_criterion(10, "identity kernel")
+def criterion_10(corpus, rng):
     for entry in corpus:
-        if not entry.isolated:
+        if entry.ctx.n_vars > 2:
             continue
-        ed = _EntryData(entry)
-        if ed.ctx.n_vars > 2:
-            continue
-        diag = ed.diagonal()
-        for label, x in ed.test_objects():
+        for label, x in entry.test_objects():
             if x.rank > 2:
                 continue
-            lhs = transform_mod_k_dims(x, diag)
+            lhs = transform_mod_k_dims(x, entry.diagonal)
             rhs = cohomology_mod_k(x)
             if lhs != rhs:
-                ok = False
-                details.append(f"{entry.name}/{label}: {lhs} != {rhs}")
-        details.append(f"{entry.name}: diagonal kernel acts as the identity on dims")
-    return CriterionResult(10, "identity kernel", ok, details)
+                yield False, f"{entry.name}/{label}: {lhs} != {rhs}"
+        yield True, f"{entry.name}: diagonal kernel acts as the identity on dims"
 
 
-def criterion_11(corpus, rng) -> CriterionResult:
-    details = []
-    ok = True
+@_criterion(11, "Calabi-Yau parity shadow")
+def criterion_11(corpus, rng):
     for entry in corpus:
-        if not entry.isolated:
-            continue
-        ed = _EntryData(entry)
-        if not calabi_yau_parity_check(ed.w):
-            ok = False
-            details.append(f"{entry.name}: dual/shift profiles differ")
+        if not calabi_yau_parity_check(entry.w):
+            yield False, f"{entry.name}: dual/shift profiles differ"
         else:
-            details.append(f"{entry.name}: dual diagonal matches shift^{ed.ctx.n_vars % 2}")
-    return CriterionResult(11, "Calabi-Yau parity shadow", ok, details)
+            yield True, f"{entry.name}: dual diagonal matches shift^{entry.ctx.n_vars % 2}"
 
 
-def criterion_12(corpus, rng) -> CriterionResult:
-    details = []
+@_criterion(12, "quasi-isomorphism tester")
+def criterion_12(corpus, rng):
     ctx = RingCtx(("x",), QQ)
     w = parse_potential_text(ctx, "x^3")
     k = stabilize_residue_field(w)
@@ -508,52 +466,28 @@ def criterion_12(corpus, rng) -> CriterionResult:
     zero = is_quasi_iso(MFMorphism.zero(k, k))
     total = direct_sum(k, trivial_mf(ctx, w))
     incl = is_quasi_iso(MFMorphism.inclusion_first(k, total))
-    ok = ident and not zero and incl
-    details.append(f"identity -> {ident}, zero -> {zero}, inclusion -> {incl}")
-    return CriterionResult(12, "quasi-isomorphism tester", ok, details)
+    line = f"identity -> {ident}, zero -> {zero}, inclusion -> {incl}"
+    yield ident and not zero and incl, line
 
 
-def criterion_13(corpus, rng) -> CriterionResult:
-    details = []
-    ok = True
+@_criterion(13, "contracting homotopy identity")
+def criterion_13(corpus, rng):
     for entry in corpus:
-        if not entry.isolated:
-            continue
-        ed = _EntryData(entry)
-        contraction = build_contraction(ed.w)
-        n = ed.ctx.n_vars
-        bound = 2 if n >= 3 else ed.w.total_degree() + 1
+        contraction = build_contraction(entry.w)
+        n = entry.ctx.n_vars
+        bound = 2 if n >= 3 else entry.w.total_degree() + 1
         failures = 0
         checked = 0
-        for exp in monomial_basis(ed.ctx, bound):
+        for exp in monomial_basis(entry.ctx, bound):
             for word in range(1 << 2 * n):
-                elt = SuperOp(ed.ctx, {(exp, word): ed.ctx.field.one})
+                elt = SuperOp(entry.ctx, {(exp, word): entry.ctx.field.one})
                 checked += 1
                 if not contraction.check_identity(elt):
                     failures += 1
         if failures:
-            ok = False
-            details.append(f"{entry.name}: {failures} spanning elements fail")
+            yield False, f"{entry.name}: {failures} spanning elements fail"
         else:
-            details.append(f"{entry.name}: identity holds on {checked} spanning elements")
-    return CriterionResult(13, "contracting homotopy identity", ok, details)
-
-
-CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-    criterion_13,
-]
+            yield True, f"{entry.name}: identity holds on {checked} spanning elements"
 
 
 def run_acceptance(filter_text=None, seed=20240801, quick=False):

@@ -23,7 +23,7 @@ from .complexes import (
 from .errors import PreconditionError, StabilizationError, VerificationError
 from .factorization import MatrixFactorization, dual, shift_power
 from .series import Series, monomial_basis
-from .stabilize import KoszulData, make_koszul_mf, stabilized_diagonal
+from .stabilize import KoszulData, make_koszul_mf, require_potential, stabilized_diagonal
 
 
 @dataclass
@@ -50,8 +50,7 @@ def _stabilized_quotient(ctx, gens):
 
 
 def jacobian_report(w: Series) -> JacobianReport:
-    if not w.in_maximal_ideal_square() or w.is_zero():
-        raise PreconditionError("potential must be nonzero and lie in m^2")
+    require_potential(w)
     ctx = w.ctx
     partials = [w.partial_derivative(i) for i in range(ctx.n_vars)]
     # by Krull's height theorem the n - 1 other partials cannot generate an

@@ -56,6 +56,8 @@ def series_from_obj(ctx: RingCtx, obj) -> Series:
         for exp, coeff in obj:
             if len(exp) != ctx.n_vars or any(type(e) is not int or e < 0 for e in exp):
                 raise InputParseError(f"bad exponent vector {exp}: need non-negative integers")
+            if tuple(exp) in terms:
+                raise InputParseError(f"repeated exponent vector {exp}")
             terms[tuple(exp)] = ctx.field.of(coeff)
     except (TypeError, ValueError) as exc:
         raise InputParseError(f"bad series object: {exc}") from exc

@@ -84,14 +84,19 @@ def peel_witnesses(w: Series, order) -> list:
     return witnesses
 
 
+def require_potential(w: Series) -> None:
+    """The precondition every construction from a potential shares."""
+    if w.is_zero() or not w.in_maximal_ideal_square():
+        raise PreconditionError("potential must be nonzero and lie in m^2")
+
+
 def decompose_potential(w: Series) -> KoszulData:
     """Write w = sum x_i w_i by peeling variables in index order.
 
     w_i involves only x_i..x_n. Other decompositions give homotopy
     equivalent but different matrices; this one is the frozen convention.
     """
-    if not w.in_maximal_ideal_square() or w.is_zero():
-        raise PreconditionError("potential must be nonzero and lie in m^2")
+    require_potential(w)
     ctx = w.ctx
     witnesses = peel_witnesses(w, range(ctx.n_vars))
     generators = [Series.variable(ctx, i) for i in range(ctx.n_vars)]
@@ -110,8 +115,7 @@ def stabilized_diagonal(w: Series) -> MatrixFactorization:
     signs are chosen so the identity sum(gen_i * wit_i) = -w(x) + w(x')
     holds exactly.
     """
-    if not w.in_maximal_ideal_square():
-        raise PreconditionError("potential must lie in m^2")
+    require_potential(w)
     ctx = w.ctx
     doubled = ctx.doubled()
     n = ctx.n_vars

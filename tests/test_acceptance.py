@@ -35,6 +35,25 @@ def test_criteria(fn, corpus):
     _report(fn(corpus, random.Random(20240801)))
 
 
+def test_entries_share_their_objects(monkeypatch):
+    # each entry builds K and the diagonal once for the whole battery; the
+    # only other K is criterion 12's own x^3
+    import mfcat.corpus as corpus_module
+
+    calls = {"stabilize_residue_field": 0, "stabilized_diagonal": 0}
+    for name in calls:
+        def counted(w, name=name, build=getattr(corpus_module, name)):
+            calls[name] += 1
+            return build(w)
+
+        monkeypatch.setattr(corpus_module, name, counted)
+    results = corpus_module.run_acceptance(quick=True)
+    assert all(r.passed for r in results)
+    entries = len(build_corpus())
+    assert calls["stabilize_residue_field"] <= entries + 1
+    assert calls["stabilized_diagonal"] <= entries
+
+
 def test_injected_wrong_value_is_reported(corpus):
     from mfcat.corpus import Known, criterion_5
 

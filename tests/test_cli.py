@@ -68,9 +68,13 @@ def test_stabilize_precondition_exit(capsys):
     assert code == 3 and "precondition" in err
 
 
-@pytest.mark.parametrize("text", ["x", "0"], ids=["unit-witness", "zero"])
-def test_stabilize_koszul_precondition_exit(capsys, text):
-    code, out, err = run(capsys, "stabilize", "--koszul", "--inline", text, "--ring", "x,y")
+@pytest.mark.parametrize(
+    "command, text",
+    [(["stabilize", "--koszul"], "x"), (["stabilize", "--koszul"], "0"), (["diagonal"], "0")],
+    ids=["unit-witness", "zero", "diagonal"],
+)
+def test_stabilize_koszul_precondition_exit(capsys, command, text):
+    code, out, err = run(capsys, *command, "--inline", text, "--ring", "x,y")
     assert code == 3 and out == ""
     assert "potential must be nonzero and lie in m^2" in err
 

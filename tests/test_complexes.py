@@ -161,11 +161,10 @@ def test_detect_grading_values():
 def test_detect_grading_is_integral_on_the_corpus():
     # d^2 = w id with w != 0 forces delta = g1 + g2 on every 2-cycle, so the
     # shifts and the step of every corpus factorization and its End are ints
-    from mfcat.corpus import _EntryData, build_corpus
+    from mfcat.corpus import build_corpus
 
     for entry in build_corpus():
-        data = _EntryData(entry)
-        for _, x in data.test_objects() + [("diagonal", data.diagonal())]:
+        for _, x in entry.test_objects() + [("diagonal", entry.diagonal)]:
             for c in (x, hom_complex(x, x)):
                 u_even, u_odd, delta = detect_grading(c)
                 assert all(type(v) is int for v in u_even + u_odd + [delta])

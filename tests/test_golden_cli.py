@@ -84,7 +84,16 @@ GOLDEN = {
     "D4-mod-k": "8840f0a288f4fb96f03d3ab353511781008bfbe212bdc67769bc4fb6d8c98d17",
     "D4-quasi-iso-identity": "e62eb14f953e41a206bd967c268904b7469746fa1ea26af4ebec1e6b9600bc08",
     "D4-quasi-iso-x": "d3d73ce6e0178f3d48c0a9c7490f951bdf1991926cf70100625ed38e33f45c4d",
+    "corpus-quick-verbose": "e017002478526878eda7ee773a4b86cb4ac0399af7a8e46cdad643d331fed205",
+    "corpus-quick-A2-json": "0e005e250cc1e723b116aab50b7f881f6b82616335739e64f10c410066f0a81c",
 }
+
+# the acceptance battery beside the full `corpus-run --json` pinned in CI:
+# the table path with every detail line, and one filtered entry
+CORPUS_CASES = [
+    ("corpus-quick-verbose", ["--quick", "--verbose"]),
+    ("corpus-quick-A2-json", ["--quick", "--filter", "A2", "--json"]),
+]
 
 
 def stdout_of(capsys, *argv, code=0):
@@ -147,3 +156,8 @@ def test_quasi_iso(tmp_path, capsys, case, code):
     path = tmp_path / f"{case}.json"
     path.write_text(serialize.dumps_canonical(serialize.morphism_to_obj(f)))
     assert digest(stdout_of(capsys, "quasi-iso", str(path), code=code)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case, extra", CORPUS_CASES, ids=[c[0] for c in CORPUS_CASES])
+def test_corpus_run(capsys, case, extra):
+    assert digest(stdout_of(capsys, "corpus-run", *extra)) == GOLDEN[case]

@@ -155,6 +155,9 @@ def test_potential_parser():
     for bad in ("x +", "z", "x ^ y", "2x"):
         with pytest.raises(InputParseError):
             serialize.parse_potential_text(ctx, bad)
+    # a repeated exponent is an error, not the last of its coefficients
+    with pytest.raises(InputParseError, match="repeated exponent"):
+        serialize.series_from_obj(ctx, [[[3, 0], "1"], [[3, 0], "-1"], [[2, 0], "1"]])
 
 
 def test_ainf_serialization():
