@@ -21,10 +21,14 @@ Two exact routes compute k-dimensions of cohomology over the local ring:
 
 Both stay below the configurable cap (env MFCAT_NMAX, default 64), and
 `_cohomology` is the one place where the route and the stop are chosen.
-Level 0 of the level rows (`_level_data`) is the reduction k (x) C, whose
-dimensions `cohomology_mod_k` gives. A morphism complex Hom(X, Y)
-(`hom_cohomology`) is graded from gradings of X and Y, u_ij = b_i - a_j
-(`_hom_grading`), not by grading its own basis. Its strand scan has a proven
+The engines read a complex as its column terms (`factorization._columns`),
+never as a matrix: `cohomology_over_R` and `cohomology_mod_k` convert their
+input once. Level 0 of the level rows (`_level_data`) is the reduction
+k (x) C, whose dimensions `cohomology_mod_k` gives. A morphism complex
+Hom(X, Y) (`hom_cohomology`) has its column terms placed from those of Y and
+dual(X) (`_hom_columns`), so no Hom-sized matrix is built, and it is graded
+from gradings of X and Y, u_ij = b_i - a_j (`_hom_grading`), not by grading
+its own basis. Its strand scan has a proven
 end when the potential w is homogeneous of the grading's step delta and
 certified isolated by (R/(dw))_{n(delta-2)+1} = 0: graded Serre duality puts
 every class at or below the strand u_max + n(delta - 2) (`_serre_stop`).
@@ -49,7 +53,17 @@ from math import comb
 from operator import add
 
 from .errors import InputParseError, PreconditionError, StabilizationError, VerificationError
-from .factorization import MatrixFactorization, MFMorphism, RMatrix, _tensor_blocks, cone, dual
+from .factorization import (
+    MatrixFactorization,
+    MFMorphism,
+    RMatrix,
+    _column_terms,
+    _columns,
+    _from_columns,
+    _tensor_columns,
+    cone,
+    dual,
+)
 from .fields import accumulate
 from .linalg import echelon, rank_sparse
 from .series import Series, monomial_basis, monomials_of_degree
@@ -77,7 +91,7 @@ def cohomology_mod_k(mf: MatrixFactorization):
     rows of psi and phi both ways gives the transposes of phi psi and psi phi.
     """
     field = mf.ctx.field
-    _, rows_eo, rows_oe = _level_data(mf, 0)
+    _, rows_eo, rows_oe = _level_data(mf.ctx, _columns(mf), 0)
     for left, right in ((rows_eo, rows_oe), (rows_oe, rows_eo)):
         for row in left:
             acc: dict = {}
@@ -106,13 +120,18 @@ def hom_complex(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFactori
     Even basis blocks: Hom(X0,Y0) ++ Hom(X1,Y1); odd: Hom(X0,Y1) ++ Hom(X1,Y0),
     each block row-major, which is the tensor basis order with Y first.
     """
+    psi, phi = (_from_columns(x.ctx, cols) for cols in _hom_columns(x, y))
+    return MatrixFactorization(x.ctx, Series.zero(x.ctx), phi, psi)
+
+
+def _hom_columns(x: MatrixFactorization, y: MatrixFactorization):
+    """The column terms of `hom_complex(x, y)`, placed from those of Y and
+    dual(X) without building Hom's matrices."""
     if x.ctx != y.ctx:
         raise PreconditionError("hom complex needs a shared context")
     if x.potential != y.potential:
         raise PreconditionError("hom complex needs a shared potential")
-    xd = dual(x)
-    phi, psi = _tensor_blocks(y.phi, y.psi, xd.phi, xd.psi, x.ctx, y.rank, x.rank)
-    return MatrixFactorization(x.ctx, Series.zero(x.ctx), phi, psi)
+    return _tensor_columns(_columns(y), _columns(dual(x)), y.rank, x.rank, x.ctx.field)
 
 
 def scalar_action_nullhomotopy(x: MatrixFactorization, y: MatrixFactorization, k: int) -> bool:
@@ -125,10 +144,11 @@ def scalar_action_nullhomotopy(x: MatrixFactorization, y: MatrixFactorization, k
     """
     c = hom_complex(x, y)
     ctx = x.ctx
-    dphi = y.phi.map_entries(lambda e: e.partial_derivative(k))
-    dpsi = y.psi.map_entries(lambda e: e.partial_derivative(k))
-    zero = RMatrix.zero(ctx, x.rank, x.rank)
-    hoe, heo = _tensor_blocks(dphi, dpsi, zero, zero, ctx, y.rank, x.rank)
+    derivative = lambda e: e.partial_derivative(k)
+    dy = tuple(_column_terms(m.map_entries(derivative)) for m in (y.psi, y.phi))
+    no_x = [[]] * x.rank
+    h = _tensor_columns(dy, (no_x, no_x), y.rank, x.rank, ctx.field)
+    heo, hoe = (_from_columns(ctx, cols) for cols in h)
     dw = x.potential.partial_derivative(k)
     dw_id = RMatrix.scalar(ctx, c.rank, dw)
     return c.phi * heo + hoe * c.psi == dw_id and c.psi * hoe + heo * c.phi == dw_id
@@ -232,7 +252,7 @@ def _hom_grading(x: MatrixFactorization, y: MatrixFactorization):
 _UNSETTLED = "strand scan hit the degree cap without settling (non-isolated input or cap too low)"
 
 
-def _strand_dims(c: MatrixFactorization, u_even, u_odd, delta, cap, stop=None):
+def _strand_dims(ctx, columns, u_even, u_odd, delta, cap, stop=None):
     """(s, even, odd): the cohomology dimensions of each strand s, in increasing s.
 
     With `stop`, exactly the strands s <= stop are visited; a stop past the
@@ -240,14 +260,14 @@ def _strand_dims(c: MatrixFactorization, u_even, u_odd, delta, cap, stop=None):
     scan ends after a long run of empty strands past the largest shift, a rule
     that is assumed, not proven. The strands are u + 2t, t >= 0, for u a shift
     or a shift -+ delta (the strands a differential reaches), produced lazily
-    in increasing order up to the last one visited.
+    in increasing order up to the last one visited. `columns` is the complex
+    over `ctx` as `_columns` gives it.
     """
     all_u = list(u_even) + list(u_odd)
     if not all_u:
         return
-    field, shifts = c.ctx.field, (u_even, u_odd)
-    columns = (_column_terms(c.psi), _column_terms(c.phi))
-    monomials = cache(partial(monomials_of_degree, c.ctx.n_vars))
+    field, shifts = ctx.field, (u_even, u_odd)
+    monomials = cache(partial(monomials_of_degree, ctx.n_vars))
 
     @cache
     def stratum(parity, s):
@@ -297,17 +317,6 @@ def _strand_dims(c: MatrixFactorization, u_even, u_odd, delta, cap, stop=None):
         raise StabilizationError(_UNSETTLED)
 
 
-def _column_terms(mat: RMatrix):
-    """Per column i of `mat`, the list of nonzero terms (j, exp, coeff): one
-    for each monomial x^exp with coefficient coeff in the entry mat[j][i]."""
-    columns = [[] for _ in range(mat.cols)]
-    for j, row in enumerate(mat.entries):
-        for i, entry in enumerate(row):
-            for exp, coeff in entry.terms.items():
-                columns[i].append((j, exp, coeff))
-    return columns
-
-
 def _truncated_operator_rows(columns, src_basis, tgt_index):
     """Rows of the multiplication operator of a matrix over R, one
     {target column: coefficient} dict per source basis vector.
@@ -331,23 +340,22 @@ def _truncated_operator_rows(columns, src_basis, tgt_index):
     return rows
 
 
-def _level_basis(c: MatrixFactorization, cap):
+def _level_basis(ctx, columns, cap):
     """The basis (i, m), deg m <= cap, of C tensor R/m^(cap+1), shared by both
     parities, and its index. It is degree-major: the vectors with deg m <= L
     are its first rank * C(n + L, n), for every L <= cap."""
-    basis = [(i, m) for m in monomial_basis(c.ctx.n_vars, cap) for i in range(c.rank)]
+    basis = [(i, m) for m in monomial_basis(ctx.n_vars, cap) for i in range(len(columns[0]))]
     return basis, {bv: k for k, bv in enumerate(basis)}
 
 
-def _level_data(c: MatrixFactorization, cap):
-    """Basis and truncated differentials of C tensor R/m^(cap+1)."""
-    basis, index = _level_basis(c, cap)
-    rows_eo = _truncated_operator_rows(_column_terms(c.psi), basis, index)
-    rows_oe = _truncated_operator_rows(_column_terms(c.phi), basis, index)
-    return basis, rows_eo, rows_oe
+def _level_data(ctx, columns, cap):
+    """Basis and truncated differentials (even->odd, odd->even) of
+    C tensor R/m^(cap+1), C given by its `_columns`."""
+    basis, index = _level_basis(ctx, columns, cap)
+    return (basis, *(_truncated_operator_rows(cols, basis, index) for cols in columns))
 
 
-def _level_profile(c: MatrixFactorization, top):
+def _level_profile(ctx, columns, top):
     """What `_two_cap_dims` reads at every n with 2n <= top: the sizes N_L of
     the levels L <= top (the vectors of degree <= L) and, per parity, the
     `echelon` pivots (row, column) of the level-`top` differential D_top,
@@ -361,16 +369,15 @@ def _level_profile(c: MatrixFactorization, top):
     a != 0. Since D D(s) = 0 (C/m^(top+1) is a complex), the odd row of e_i
     is a combination of the odd rows of index > i, which come before it.
     """
-    field = c.ctx.field
-    basis, index = _level_basis(c, top)
+    basis, index = _level_basis(ctx, columns, top)
     pivots, cleared = [], set()
-    for mat in (c.psi, c.phi):
+    for cols in columns:
         ids = [k for k in range(len(basis) - 1, -1, -1) if k not in cleared]
-        rows = _truncated_operator_rows(_column_terms(mat), [basis[k] for k in ids], index)
-        pivots.append([(ids[r], col) for r, col in echelon(rows, field)])
+        rows = _truncated_operator_rows(cols, [basis[k] for k in ids], index)
+        pivots.append([(ids[r], col) for r, col in echelon(rows, ctx.field)])
         cleared = {col for _, col in pivots[-1]}
-    n = c.ctx.n_vars
-    return [c.rank * comb(n + level, n) for level in range(top + 1)], pivots
+    n = ctx.n_vars
+    return [len(columns[0]) * comb(n + level, n) for level in range(top + 1)], pivots
 
 
 def _two_cap_dims(profile, n_lo):
@@ -416,18 +423,14 @@ def _two_cap_dims(profile, n_lo):
     return image_dim(pivots[0], pivots[1]), image_dim(pivots[1], pivots[0])
 
 
-def _two_cap_cohomology(c: MatrixFactorization, cap):
+def _two_cap_cohomology(ctx, columns, cap):
     """The two-cap route: `_two_cap_dims` at n and n + 1, both read off one
     level-(2n+2) profile, from n = max(2, 2(maxdeg + 1)) doubling until they
     agree."""
-    max_deg = 0
-    for mat in (c.psi, c.phi):
-        for row in mat.entries:
-            for e in row:
-                max_deg = max(max_deg, e.total_degree())
+    max_deg = max((sum(exp) for cols in columns for col in cols for _, exp, _ in col), default=0)
     n = max(2, 2 * (max_deg + 1))
     while n <= cap:
-        profile = _level_profile(c, 2 * n + 2)
+        profile = _level_profile(ctx, columns, 2 * n + 2)
         dims = _two_cap_dims(profile, n)
         if dims == _two_cap_dims(profile, n + 1):
             return dims
@@ -437,10 +440,10 @@ def _two_cap_cohomology(c: MatrixFactorization, cap):
     )
 
 
-def _cohomology(c: MatrixFactorization, graded, stop=None, mirror=False):
-    """(even, odd) k-dims of H(c) over R, c a factorization of 0 graded by
-    `graded` (u_even, u_odd, delta) or None: the one place where the route
-    and the stop are chosen.
+def _cohomology(ctx, columns, graded, stop=None, mirror=False):
+    """(even, odd) k-dims of H(C) over R, C a factorization of 0 over `ctx`
+    given by its `_columns` and graded by `graded` (u_even, u_odd, delta) or
+    None: the one place where the route and the stop are chosen.
 
     Ungraded, the two-cap route. Graded, the strands of `_strand_dims` up to
     `stop`; with `mirror` (End(X) under `_serre_stop`, proof in
@@ -449,13 +452,13 @@ def _cohomology(c: MatrixFactorization, graded, stop=None, mirror=False):
     """
     cap = stabilization_cap()
     if graded is None:
-        return _two_cap_cohomology(c, cap)
-    n = c.ctx.n_vars
+        return _two_cap_cohomology(ctx, columns, cap)
+    n = ctx.n_vars
     top = n * (graded[2] - 2)
     if mirror:
         stop = top // 2
     even = odd = 0
-    for s, he, ho in _strand_dims(c, *graded, cap, stop):
+    for s, he, ho in _strand_dims(ctx, columns, *graded, cap, stop):
         if mirror and 2 * s < top:
             # counted again at its mirror top - s, with parity shifted by n
             he, ho = (he + ho, ho + he) if n % 2 else (2 * he, 2 * ho)
@@ -482,7 +485,7 @@ def cohomology_over_R(c: MatrixFactorization, strand_stop=None):
         raise PreconditionError("cohomology over R requires a factorization of 0")
     graded = detect_grading(c)
     stop = None if graded is None or strand_stop is None else strand_stop(*graded)
-    return _cohomology(c, graded, stop)
+    return _cohomology(c.ctx, _columns(c), graded, stop)
 
 
 def hom_cohomology(x: MatrixFactorization, y: MatrixFactorization):
@@ -506,10 +509,10 @@ def hom_cohomology(x: MatrixFactorization, y: MatrixFactorization):
     the last term only when N is even. Every strand that can carry a class
     is some a_i - a_j + 2g, so the scan up to N/2 meets all the t <= N/2.
     """
-    c = hom_complex(x, y)
+    columns = _hom_columns(x, y)
     graded = _hom_grading(x, y)
     stop = None if graded is None else _serre_stop(x.potential, *graded)
-    return _cohomology(c, graded, stop, mirror=stop is not None and x == y)
+    return _cohomology(x.ctx, columns, graded, stop, mirror=stop is not None and x == y)
 
 
 def _serre_stop(w: Series, u_even, u_odd, delta):
@@ -571,7 +574,7 @@ def _quotient_dim(gens, src, target):
     """dim of R/(gens) on the monomial window `target`: len(target) minus the
     rank of the products m * gens[i], (i, m) in src, with the terms outside
     the window dropped."""
-    ctx = gens[0].ctx
     index = {(0, m): i for i, m in enumerate(target)}
-    rows = _truncated_operator_rows(_column_terms(RMatrix(ctx, [list(gens)])), src, index)
-    return len(target) - rank_sparse(rows, ctx.field)
+    columns = [[(0, exp, c) for exp, c in g.terms.items()] for g in gens]
+    rows = _truncated_operator_rows(columns, src, index)
+    return len(target) - rank_sparse(rows, gens[0].ctx.field)

@@ -161,10 +161,10 @@ def build_corpus():
 # -- independent oracle --------------------------------------------------------
 
 
-def oracle_milnor(w: Series, cap: int | None = None) -> int:
-    """Brute-force monomial reduction for dim R/(partials), with a
-    stability check at a strictly larger degree cap."""
-    base = cap if cap is not None else 2 * max(1, w.total_degree())
+def oracle_milnor(w: Series) -> int:
+    """Brute-force monomial reduction for dim R/(partials) at the degree cap
+    2 max(1, deg w), with a stability check at the cap + 2."""
+    base = 2 * max(1, w.total_degree())
     d1 = _bruteforce_quotient_dim(w, base)
     d2 = _bruteforce_quotient_dim(w, base + 2)
     if d1 != d2:
@@ -451,7 +451,7 @@ def criterion_10(corpus, rng):
 @_criterion(11, "Calabi-Yau parity shadow")
 def criterion_11(corpus, rng):
     for entry in corpus:
-        if not calabi_yau_parity_check(entry.w):
+        if not calabi_yau_parity_check(entry.diagonal):
             yield False, f"{entry.name}: dual/shift profiles differ"
         else:
             yield True, f"{entry.name}: dual diagonal matches shift^{entry.ctx.n_vars % 2}"

@@ -12,6 +12,15 @@ Sign conventions, frozen so every output is bit-reproducible:
     matrix read row-major;
   * a 2-periodic complex is a factorization of 0: `psi` is d even->odd and
     `phi` is d odd->even, so `verify_mf` is its d^2 = 0 check.
+
+This module owns the column-term format the cohomology engines read: per
+column i of a matrix, the terms (j, exp, coeff) of its entries (j, i)
+(`_column_terms`), and for a factorization the pair (psi's, phi's), indexed
+by source parity (`_columns`). `_tensor_columns` places each term of two
+factors straight into the tensor's columns, so a morphism complex is built
+in this format from its objects; `_from_columns` is the dense view for the
+callers that still want an `RMatrix` (`hom_complex`, `external_tensor`, the
+null-homotopy check).
 """
 
 from __future__ import annotations
@@ -326,54 +335,71 @@ def _combined_ctx(cx: RingCtx, cy: RingCtx) -> RingCtx:
     return RingCtx(tuple(names), cx.field)
 
 
-def _tensor_blocks(xphi, xpsi, yphi, ypsi, ctx, rx, ry):
-    """Blocks of the graded tensor differential in the frozen basis order."""
-    z = Series.zero(ctx)
+def _column_terms(mat: RMatrix):
+    """Per column i of `mat`, the list of nonzero terms (j, exp, coeff): one
+    for each monomial x^exp with coefficient coeff in the entry mat[j][i]."""
+    columns = [[] for _ in range(mat.cols)]
+    for j, row in enumerate(mat.entries):
+        for i, entry in enumerate(row):
+            for exp, coeff in entry.terms.items():
+                columns[i].append((j, exp, coeff))
+    return columns
 
-    def kron_eye(m, n, m_first, sign=1):
-        # m (x) I_n if m_first, else I_n (x) m; each entry of m copied or negated
-        out = [[z] * (m.cols * n) for _ in range(m.rows * n)]
-        for i, row in enumerate(m.entries):
-            for j, e in enumerate(row):
-                if e.is_zero():
-                    continue
-                if sign < 0:
-                    e = -e
-                for k in range(n):
-                    if m_first:
-                        out[i * n + k][j * n + k] = e
-                    else:
-                        out[k * m.rows + i][k * m.cols + j] = e
-        return RMatrix(ctx, out)
 
-    phi_xy = _block(
-        ctx,
-        kron_eye(xphi, ry, True),
-        kron_eye(yphi, rx, False),
-        kron_eye(ypsi, rx, False, sign=-1),
-        kron_eye(xpsi, ry, True),
-    )
-    psi_xy = _block(
-        ctx,
-        kron_eye(xpsi, ry, True),
-        kron_eye(yphi, rx, False, sign=-1),
-        kron_eye(ypsi, rx, False),
-        kron_eye(xphi, ry, True),
-    )
-    return phi_xy, psi_xy
+def _columns(mf: MatrixFactorization):
+    """The column terms of d by source parity: (psi's, phi's)."""
+    return _column_terms(mf.psi), _column_terms(mf.phi)
+
+
+def _from_columns(ctx: RingCtx, columns) -> RMatrix:
+    """The square `RMatrix` whose `_column_terms` are `columns`."""
+    terms = [[{} for _ in columns] for _ in columns]
+    for i, col in enumerate(columns):
+        for j, exp, coeff in col:
+            terms[j][i][exp] = coeff
+    return RMatrix(ctx, [[Series(ctx, t) for t in row] for row in terms])
+
+
+def _tensor_columns(x, y, rx, ry, field):
+    """Column terms (by source parity, as `_columns` gives them) of the graded
+    tensor differential of X and Y, given the same way, in the frozen basis
+    order.
+
+    The vector e_a (x) f_b with f_b of parity k sits at k * N + a * ry + b,
+    N = rx * ry, in its parity p. Its image d_X e_a (x) f_b + (-1)^|e_a|
+    e_a (x) d_Y f_b has the X terms in block k and the Y terms in block 1 - k
+    of parity 1 - p. Each term of X and Y is placed once per basis vector of
+    the other factor; nothing is summed, since the two kinds of term land in
+    different blocks.
+    """
+    n = rx * ry
+    out = ([], [])
+    for p in (0, 1):
+        for k in (0, 1):
+            x_cols, y_cols = x[p ^ k], y[k]
+            if p ^ k:
+                y_cols = [[(j, exp, field.neg(c)) for j, exp, c in col] for col in y_cols]
+            for a in range(rx):
+                for b in range(ry):
+                    out[p].append(
+                        [(k * n + j * ry + b, exp, c) for j, exp, c in x_cols[a]]
+                        + [((1 - k) * n + a * ry + j, exp, c) for j, exp, c in y_cols[b]]
+                    )
+    return out
 
 
 def external_tensor(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFactorization:
     """Graded tensor of factorizations, over the sum of the potentials."""
     ctx = _combined_ctx(x.ctx, y.ctx)
-    nx = x.ctx.n_vars
-    ny = y.ctx.n_vars
-    lift_x = lambda s: s.relabel(ctx, tuple(range(nx)))
-    lift_y = lambda s: s.relabel(ctx, tuple(range(nx, nx + ny)))
-    xphi = x.phi.map_entries(lift_x, ctx)
-    xpsi = x.psi.map_entries(lift_x, ctx)
-    yphi = y.phi.map_entries(lift_y, ctx)
-    ypsi = y.psi.map_entries(lift_y, ctx)
-    w = lift_x(x.potential) + lift_y(y.potential)
-    phi_xy, psi_xy = _tensor_blocks(xphi, xpsi, yphi, ypsi, ctx, x.rank, y.rank)
-    return MatrixFactorization(ctx, w, phi_xy, psi_xy)
+    nx, ny = x.ctx.n_vars, y.ctx.n_vars
+
+    def lifted(mf, before, after):
+        # the terms of mf in the combined ring: its variables sit after `before` others
+        pad, tail = (0,) * before, (0,) * after
+        lift = lambda cols: [[(j, pad + exp + tail, c) for j, exp, c in col] for col in cols]
+        return tuple(map(lift, _columns(mf)))
+
+    w = x.potential.relabel(ctx, range(nx)) + y.potential.relabel(ctx, range(nx, nx + ny))
+    columns = _tensor_columns(lifted(x, 0, ny), lifted(y, nx, 0), x.rank, y.rank, ctx.field)
+    psi, phi = (_from_columns(ctx, cols) for cols in columns)
+    return MatrixFactorization(ctx, w, phi, psi)

@@ -23,7 +23,7 @@ from .complexes import (
 from .errors import PreconditionError, StabilizationError, VerificationError
 from .factorization import MatrixFactorization, dual, shift_power
 from .series import Series, monomial_basis
-from .stabilize import KoszulData, make_koszul_mf, require_potential, stabilized_diagonal
+from .stabilize import KoszulData, make_koszul_mf, require_potential
 
 
 @dataclass
@@ -120,12 +120,12 @@ def hochschild_homology(w: Series):
     return (report.milnor_number, 0)
 
 
-def calabi_yau_parity_check(w: Series) -> bool:
-    """Dimension shadow of the duality: k-reduced cohomology of the dual
-    diagonal matches that of the diagonal shifted by n mod 2."""
-    diag = stabilized_diagonal(w)
+def calabi_yau_parity_check(diag: MatrixFactorization) -> bool:
+    """Dimension shadow of the duality: k-reduced cohomology of the dual of
+    the stabilized diagonal `diag` of w in n variables (a factorization over
+    2n) matches that of the diagonal shifted by n mod 2."""
     lhs = cohomology_mod_k(dual(diag))
-    rhs = cohomology_mod_k(shift_power(diag, w.ctx.n_vars % 2))
+    rhs = cohomology_mod_k(shift_power(diag, diag.ctx.n_vars // 2 % 2))
     return lhs == rhs
 
 

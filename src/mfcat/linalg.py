@@ -95,9 +95,12 @@ def rank_sparse(rows, field) -> int:
 
     Pivot choice: the sparsest live row (a heap of (length, row id) with
     lazy invalidation); in it, a column holding a +-1 entry first, then the
-    column held by the fewest live rows, then the lowest column. A column
-    index maps each column to the ids of the rows that may hold it (stale
-    ids are skipped), so a pivot touches only the rows holding its column.
+    column with the shortest index list, then the lowest column. The column
+    index maps each column to the ids of the rows that may hold it: every
+    row that gained the column was appended, and none is removed until the
+    column is a pivot, so the length of its list bounds the live rows that
+    hold it from above. A pivot touches only the rows on its column's list
+    (stale ids are skipped). The choice only steers the fill-in.
     Each step adds a multiple of the pivot row to a row; for a non-unit
     pivot over QQ the row is first scaled by a nonzero integer (Bareiss's
     fraction-free step) and its content divided out afterwards. Neither
@@ -114,7 +117,6 @@ def rank_sparse(rows, field) -> int:
     for rid, r in work.items():
         for c in r:
             index.setdefault(c, []).append(rid)
-    count = {c: len(ids) for c, ids in index.items()}
     heap = [(len(r), rid) for rid, r in work.items()]
     heapify(heap)
     rank = 0
@@ -125,10 +127,8 @@ def rank_sparse(rows, field) -> int:
             continue
         del work[rid]
         rank += 1
-        pcol = min(prow, key=lambda c: (prow[c] not in units, count[c], c))
+        pcol = min(prow, key=lambda c: (prow[c] not in units, len(index[c]), c))
         pv = prow.pop(pcol)
-        for c in prow:
-            count[c] -= 1
         if p:
             pinv = pow(pv, -1, p)
         fraction_free = not p and pv not in units
@@ -152,7 +152,6 @@ def rank_sparse(rows, field) -> int:
                 old = other.get(c)
                 if old is None:
                     other[c] = -f * v % p if p else -f * v
-                    count[c] += 1
                     index[c].append(oid)
                     continue
                 new = (old - f * v) % p if p else old - f * v
@@ -160,7 +159,6 @@ def rank_sparse(rows, field) -> int:
                     other[c] = new
                 else:
                     del other[c]
-                    count[c] -= 1
             if not other:
                 del work[oid]
                 continue
@@ -170,7 +168,6 @@ def rank_sparse(rows, field) -> int:
                     for c in other:
                         other[c] //= g
             heappush(heap, (len(other), oid))
-        del count[pcol]
     return rank
 
 

@@ -280,14 +280,15 @@ def monomial_sort_key(exp):
 
 
 def monomials_of_degree(n_vars: int, degree: int):
-    """All exponent vectors of total degree exactly `degree`, canonical order."""
+    """All exponent vectors of total degree exactly `degree`, canonical order:
+    the index multisets come in lex order, which puts the exponents of the
+    first variables in decreasing order, as `monomial_sort_key` does."""
     out = []
     for combo in combinations_with_replacement(range(n_vars), degree):
         exp = [0] * n_vars
         for i in combo:
             exp[i] += 1
         out.append(tuple(exp))
-    out.sort(key=monomial_sort_key)
     return out
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from mfcat.complexes import (
     _certified_top_degree,
-    _column_terms,
     _hom_grading,
     _level_profile,
     _serre_stop,
@@ -28,6 +27,8 @@ from mfcat.factorization import (
     MatrixFactorization,
     MFMorphism,
     RMatrix,
+    _column_terms,
+    _columns,
     cone,
     direct_sum,
     shift,
@@ -132,7 +133,7 @@ def test_two_cap_agrees_with_strands():
     C = folded_koszul_complex([w.partial_derivative(0)])
     assert detect_grading(C) is not None
     assert cohomology_over_R(C) == (3, 0)
-    assert _two_cap_cohomology(C, 64) == (3, 0)
+    assert _two_cap_cohomology(C.ctx, _columns(C), 64) == (3, 0)
 
 
 def test_two_cap_non_homogeneous():
@@ -398,6 +399,33 @@ def test_partial_times_cycles_are_boundaries():
         assert rank_all == rank_b  # dw * cycles land inside the boundaries
 
 
+def test_hom_cohomology_builds_no_hom_sized_matrix(monkeypatch):
+    # Hom's column terms are placed from the objects' own; the largest matrix
+    # built on the way is an object's (its dual's transposes)
+    sizes = []
+    init = RMatrix.__init__
+
+    def recorded(self, ctx, entries):
+        init(self, ctx, entries)
+        sizes.append(max(self.rows, self.cols))
+
+    monkeypatch.setattr(RMatrix, "__init__", recorded)
+    for names, text, left, right in (
+        ("x,y", "x^2*y+y^3", ("K", "K"), "K"),
+        ("x,y", "x^2*y+y^3", "Delta", "Delta"),
+        ("x,y", "x^2*y+y^4", "K", ("K", "triv")),
+        ("x", "x^12+x^13", "K", "K"),
+    ):
+        x, y = (
+            direct_sum(*_pair(names, text, *label)) if isinstance(label, tuple)
+            else _pair(names, text, label, label)[0]
+            for label in (left, right)
+        )
+        sizes.clear()
+        hom_cohomology(x, y)
+        assert sizes and max(sizes) <= max(x.rank, y.rank)
+
+
 def test_hom_dims_transpose_symmetry():
     ctx = ring1()
     x = Series.variable(ctx, 0)
@@ -418,7 +446,7 @@ def test_engines_agree_on_random_endomorphism_complexes():
         C = hom_complex(X, X)
         strand = cohomology_over_R(C)
         assert detect_grading(C) is not None
-        assert _two_cap_cohomology(C, 64) == strand
+        assert _two_cap_cohomology(C.ctx, _columns(C), 64) == strand
 
 
 def test_non_isolated_strand_scan_raises(monkeypatch):
@@ -438,7 +466,7 @@ def test_engines_agree_two_variables():
     k = stabilize_residue_field(w)
     C = hom_complex(k, k)
     assert cohomology_over_R(C) == (2, 2)
-    assert _two_cap_dims(_level_profile(C, 6), 3) == (2, 2)
+    assert _two_cap_dims(_level_profile(C.ctx, _columns(C), 6), 3) == (2, 2)
     # D5 has unequal weights, so the two-cap route answers End(K)
     w = parse_potential_text(ctx, "x^2*y + y^4")
     k = stabilize_residue_field(w)
@@ -455,8 +483,8 @@ def _two_cap_reference(C, n):
     from mfcat.linalg import nullspace_dense, rank_sparse
 
     field = C.ctx.field
-    basis_hi, eo_hi, oe_hi = _level_data(C, 2 * n)
-    basis_lo, eo_lo, oe_lo = _level_data(C, n)
+    basis_hi, eo_hi, oe_hi = _level_data(C.ctx, _columns(C), 2 * n)
+    basis_lo, eo_lo, oe_lo = _level_data(C.ctx, _columns(C), n)
 
     def induced(d_hi, tgt_dim, b_lo):
         cols = [[field.zero] * len(basis_hi) for _ in range(tgt_dim)]
@@ -512,11 +540,11 @@ def test_two_cap_dims_match_kernel_basis_formula(build, levels):
     C = build()
     reference = {n: _two_cap_reference(C, n) for n in levels}
     for n in levels:
-        profile = _level_profile(C, 2 * n + 2)
+        profile = _level_profile(C.ctx, _columns(C), 2 * n + 2)
         assert _two_cap_dims(profile, n) == reference[n], n
         if n + 1 in reference:
             assert _two_cap_dims(profile, n + 1) == reference[n + 1], n + 1
-        assert _two_cap_dims(_level_profile(C, 2 * n), n) == reference[n], n
+        assert _two_cap_dims(_level_profile(C.ctx, _columns(C), 2 * n), n) == reference[n], n
 
 
 def _random_rmatrix(rng, ctx, rows, cols):
@@ -606,7 +634,8 @@ def _pair(names, text, left, right, field=QQ):
 
 def _nonzero_strands(c, graded):
     """Strands of the zero-run scan (the old, assumed end) that carry cohomology."""
-    return [s for s, e, o in _strand_dims(c, *graded, stabilization_cap()) if e or o]
+    dims = _strand_dims(c.ctx, _columns(c), *graded, stabilization_cap())
+    return [s for s, e, o in dims if e or o]
 
 
 # A fast subset of graded Hom pairs; the sharp ones have their top class

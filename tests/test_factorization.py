@@ -9,6 +9,9 @@ from mfcat.factorization import (
     MatrixFactorization,
     MFMorphism,
     RMatrix,
+    _column_terms,
+    _from_columns,
+    _tensor_columns,
     cone,
     direct_sum,
     dual,
@@ -18,8 +21,9 @@ from mfcat.factorization import (
     verify_mf,
     verify_mf_report,
 )
-from mfcat.fields import QQ
-from mfcat.series import RingCtx, Series
+from mfcat.fields import QQ, field_from_name
+from mfcat.series import RingCtx, Series, monomial_basis
+from mfcat.serialize import parse_potential_text
 from mfcat.stabilize import stabilize_residue_field
 
 
@@ -157,4 +161,115 @@ def test_morphism_closedness():
     with pytest.raises(VerificationError):
         MFMorphism(X, X, "even", RMatrix(X.ctx, [[Series.one(X.ctx)]]),
                    RMatrix(X.ctx, [[Series.zero(X.ctx)]]), check_closed=True)
+
+
+
+# -- the tensor placement against Kronecker products ----------------------------
+
+
+def _kronecker_tensor(xphi, xpsi, yphi, ypsi, ctx, rx, ry):
+    """Reference for `_tensor_columns`: the tensor differential as Kronecker
+    products of the blocks with identities, joined as 2 x 2 block matrices,
+    in the frozen basis order (pair (i, j) at i * ry + j)."""
+    z = Series.zero(ctx)
+
+    def kron_eye(m, n, m_first, sign=1):
+        # m (x) I_n if m_first, else I_n (x) m; each entry of m copied or negated
+        out = [[z] * (m.cols * n) for _ in range(m.rows * n)]
+        for i, row in enumerate(m.entries):
+            for j, e in enumerate(row):
+                if e.is_zero():
+                    continue
+                if sign < 0:
+                    e = -e
+                for k in range(n):
+                    if m_first:
+                        out[i * n + k][j * n + k] = e
+                    else:
+                        out[k * m.rows + i][k * m.cols + j] = e
+        return RMatrix(ctx, out)
+
+    def block(tl, tr, bl, br):
+        top = [r1 + r2 for r1, r2 in zip(tl.entries, tr.entries)]
+        bot = [r1 + r2 for r1, r2 in zip(bl.entries, br.entries)]
+        return RMatrix(ctx, top + bot)
+
+    phi_xy = block(
+        kron_eye(xphi, ry, True),
+        kron_eye(yphi, rx, False),
+        kron_eye(ypsi, rx, False, sign=-1),
+        kron_eye(xpsi, ry, True),
+    )
+    psi_xy = block(
+        kron_eye(xpsi, ry, True),
+        kron_eye(yphi, rx, False, sign=-1),
+        kron_eye(ypsi, rx, False),
+        kron_eye(xphi, ry, True),
+    )
+    return phi_xy, psi_xy
+
+
+def _placed(ctx, x, y, rx, ry):
+    """(phi, psi) of the tensor from `_tensor_columns`, x and y given as
+    (phi, psi) pairs of `RMatrix`es, and its column terms."""
+    as_columns = lambda pair: (_column_terms(pair[1]), _column_terms(pair[0]))
+    columns = _tensor_columns(as_columns(x), as_columns(y), rx, ry, ctx.field)
+    psi, phi = (_from_columns(ctx, cols) for cols in columns)
+    return phi, psi, columns
+
+
+def _random_square(rng, ctx, r):
+    monos = monomial_basis(ctx, 2)
+
+    def entry():
+        picked = rng.sample(monos, rng.randint(0, 3))
+        return Series(ctx, {m: ctx.field.of(rng.choice([-2, -1, 1, 3])) for m in picked})
+
+    return RMatrix(ctx, [[entry() for _ in range(r)] for _ in range(r)])
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime:7"])
+def test_tensor_columns_match_kronecker_products(field_name):
+    rng = random.Random(41)
+    ctx = RingCtx(("x", "y"), field_from_name(field_name))
+    pairs = [(rx, ry) for rx in range(1, 5) for ry in range(1, 5) if rx != ry]
+    for rx, ry in pairs:
+        x = (_random_square(rng, ctx, rx), _random_square(rng, ctx, rx))
+        y = (_random_square(rng, ctx, ry), _random_square(rng, ctx, ry))
+        phi, psi, columns = _placed(ctx, x, y, rx, ry)
+        ref_phi, ref_psi = _kronecker_tensor(*x, *y, ctx, rx, ry)
+        assert (phi, psi) == (ref_phi, ref_psi), (rx, ry)
+        # the placed terms are exactly the reference's, one per (row, monomial)
+        for cols, ref in zip(columns, (ref_psi, ref_phi)):
+            assert [sorted(c) for c in cols] == [sorted(c) for c in _column_terms(ref)]
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime:7"])
+def test_tensor_columns_with_an_empty_side(field_name):
+    # the null-homotopy's shape: the second factor has no terms at all
+    rng = random.Random(43)
+    ctx = RingCtx(("x", "y"), field_from_name(field_name))
+    for rx, ry in ((1, 3), (2, 1), (3, 4), (4, 2)):
+        x = (_random_square(rng, ctx, rx), _random_square(rng, ctx, rx))
+        zero = RMatrix.zero(ctx, ry, ry)
+        phi, psi, _ = _placed(ctx, x, (zero, zero), rx, ry)
+        assert (phi, psi) == _kronecker_tensor(*x, zero, zero, ctx, rx, ry)
+
+
+def test_external_tensor_matches_kronecker_products():
+    for field in (QQ, field_from_name("prime:7")):
+        cx, cy = RingCtx(("x", "y"), field), RingCtx(("z",), field)
+        k = stabilize_residue_field(parse_potential_text(cx, "x^2*y + y^3"))
+        objects_x = [k, direct_sum(k, trivial_mf(cx, k.potential))]
+        objects_y = [stabilize_residue_field(parse_potential_text(cy, "z^3")),
+                     trivial_mf(cy, parse_potential_text(cy, "z^4"))]
+        for x in objects_x:
+            for y in objects_y:
+                t = external_tensor(x, y)
+                lift_x = lambda s: s.relabel(t.ctx, (0, 1))
+                lift_y = lambda s: s.relabel(t.ctx, (2,))
+                lifted = [m.map_entries(lift, t.ctx) for m, lift in
+                          ((x.phi, lift_x), (x.psi, lift_x), (y.phi, lift_y), (y.psi, lift_y))]
+                assert (t.phi, t.psi) == _kronecker_tensor(*lifted, t.ctx, x.rank, y.rank)
+                assert t.potential == lift_x(x.potential) + lift_y(y.potential)
 

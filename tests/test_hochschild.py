@@ -1,9 +1,9 @@
 import pytest
 
-from mfcat.complexes import _column_terms, _quotient_dim, _truncated_operator_rows, hom_cohomology
+from mfcat.complexes import _quotient_dim, _truncated_operator_rows, hom_cohomology
 from mfcat.corpus import oracle_milnor
 from mfcat.errors import PreconditionError, StabilizationError
-from mfcat.factorization import RMatrix, verify_mf
+from mfcat.factorization import RMatrix, _column_terms, verify_mf
 from mfcat.fields import QQ, field_from_name
 from mfcat.hochschild import (
     calabi_yau_parity_check,
@@ -174,9 +174,9 @@ def test_diagonal_crosscheck():
 
 
 def test_calabi_yau_parity():
-    assert calabi_yau_parity_check(potential("x", "x^2"))
-    assert calabi_yau_parity_check(potential("x", "x^3"))
-    assert calabi_yau_parity_check(potential("xy", "x^2 + y^2"))
+    assert calabi_yau_parity_check(stabilized_diagonal(potential("x", "x^2")))
+    assert calabi_yau_parity_check(stabilized_diagonal(potential("x", "x^3")))
+    assert calabi_yau_parity_check(stabilized_diagonal(potential("xy", "x^2 + y^2")))
 
 
 def test_report_shape():

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -10,6 +11,7 @@ from mfcat.series import (
     Series,
     difference_quotient,
     monomial_basis,
+    monomial_sort_key,
     monomials_of_degree,
 )
 
@@ -113,6 +115,15 @@ def test_monomial_basis_counts_and_order():
     assert len(monomial_basis(2, 2)) == 6
     # within a degree the larger first variable comes first
     assert monomials_of_degree(2, 2) == [(2, 0), (1, 1), (0, 2)]
+
+
+def test_monomials_of_degree_come_in_canonical_order():
+    # the enumeration order itself is canonical; nothing sorts it
+    for n in range(1, 7):
+        for d in range(7):
+            monos = monomials_of_degree(n, d)
+            assert monos == sorted(monos, key=monomial_sort_key)
+            assert len(set(monos)) == len(monos) == comb(n + d - 1, d)
 
 
 def test_difference_quotient_examples():

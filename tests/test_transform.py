@@ -6,7 +6,9 @@ from mfcat.factorization import (
     MatrixFactorization,
     MFMorphism,
     RMatrix,
-    _tensor_blocks,
+    _columns,
+    _from_columns,
+    _tensor_columns,
     cone,
     direct_sum,
     dual,
@@ -57,7 +59,8 @@ def _action_complex_dims(x, t):
     directly, as a factorization of 0 in the tensor basis order, with its
     cohomology over R."""
     t0 = _kernel_at_zero(x, t)
-    phi, psi = _tensor_blocks(x.phi, x.psi, t0.phi, t0.psi, x.ctx, x.rank, t0.rank)
+    columns = _tensor_columns(_columns(x), _columns(t0), x.rank, t0.rank, x.ctx.field)
+    psi, phi = (_from_columns(x.ctx, cols) for cols in columns)
     return cohomology_over_R(MatrixFactorization(x.ctx, Series.zero(x.ctx), phi, psi))
 
 
