@@ -236,9 +236,10 @@ def _hom_grading(x: MatrixFactorization, y: MatrixFactorization):
     and D(f) = d_Y f -+ f d_X raises it by delta. The blocks follow
     `hom_complex`'s basis order. If X or Y is ungraded, or their steps
     differ, Hom is ungraded: every entry of d_X and of d_Y is an entry of
-    Hom's differential.
+    Hom's differential. End(X), with `y is x`, grades X once.
     """
-    gx, gy = detect_grading(x), detect_grading(y)
+    gx = detect_grading(x)
+    gy = gx if y is x else detect_grading(y)
     if gx is None or gy is None or gx[2] != gy[2]:
         return None
     (a0, a1, delta), (b0, b1, _) = gx, gy

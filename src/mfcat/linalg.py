@@ -1,24 +1,18 @@
 """Exact linear algebra over an exact field.
 
-Two sparse elimination kernels serve production code, one per contract.
-Both take rows as {column: coefficient} dicts, turn them into integer rows
-and eliminate exactly, with no Fraction per entry. Over QQ a row whose
-entries are all ints is taken as it is, up to its content; only rows holding
-a Fraction have their denominators cleared. Over GF(p) the residues are the
-integers.
+One sparse elimination kernel serves production code: `echelon`, the row
+rank profile of a matrix given as rows of {column: coefficient} dicts. It
+turns each row into an integer row and eliminates exactly, with no Fraction
+per entry. Over QQ a row whose entries are all ints is taken as it is, up
+to its content; only rows holding a Fraction have their denominators
+cleared. Over GF(p) the residues are the integers.
 
-  * `rank_sparse` gives one rank: strands, quotient dimensions and
-    k-reductions. A column index lets each pivot touch only the rows holding
-    its column, and the pivots are picked to limit fill-in. It consumes its
-    input list and may mutate the dicts in it.
   * `echelon` gives the ranks of every row-prefix x column-prefix block at
-    once, as a rank profile: the two-cap levels, whose ranks are all such
-    blocks of one matrix. It takes the rows in their given order and each
-    pivot at its row's lowest column, which gives up the fill-in choice.
-    Put on the strand ranks, that order was slower and heavier than
-    `rank_sparse`: End of the diagonal of x^3+y^3+z^3+w^3 took 1.14-1.20 s
-    against 0.86-0.92 s and peaked at 66 MiB against 41 MiB (whole CLI
-    runs, 2-vCPU KVM guest). So a single rank stays with `rank_sparse`.
+    once: the two-cap levels, whose ranks are all such blocks of one matrix.
+  * `rank_sparse` gives one rank (strands, quotient dimensions and
+    k-reductions): the number of `echelon` pivots of the rows taken
+    last-first, the order in which most of the callers' rows pivot at once
+    (the reason and its measurement are in its docstring).
 
 The dense Gauss-Jordan `rref_dense`, with `rank_dense` and
 `nullspace_dense` on top of it, is kept as a reference only: the corpus
@@ -83,92 +77,22 @@ def nullspace_dense(rows, ncols, field):
 
 
 def rank_sparse(rows, field) -> int:
-    """Rank of a sparse matrix given as a list of {col: nonzero coeff} dicts.
+    """Rank of a sparse matrix given as a list of {col: nonzero coeff} dicts:
+    the number of `echelon` pivots of its rows taken last-first. The rows
+    are left as they are.
 
-    Consumes its input: each slot of `rows` is set to None once the row is
-    read, and the dicts themselves may be mutated, so a caller that needs
-    its rows afterwards passes copies. Rows become integer rows: over QQ a
-    row of ints (the common case, as `RationalField` keeps integral values
-    as ints) is only divided by its content, and any other row is first
-    scaled by the lcm of its denominators; over GF(p) the entries in [0, p)
-    are used as they are.
-
-    Pivot choice: the sparsest live row (a heap of (length, row id) with
-    lazy invalidation); in it, a column holding a +-1 entry first, then the
-    column with the shortest index list, then the lowest column. The column
-    index maps each column to the ids of the rows that may hold it: every
-    row that gained the column was appended, and none is removed until the
-    column is a pivot, so the length of its list bounds the live rows that
-    hold it from above. A pivot touches only the rows on its column's list
-    (stale ids are skipped). The choice only steers the fill-in.
-    Each step adds a multiple of the pivot row to a row; for a non-unit
-    pivot over QQ the row is first scaled by a nonzero integer (Bareiss's
-    fraction-free step) and its content divided out afterwards. Neither
-    changes the rank, so the result is exact.
+    The order is a rule, not a choice left to the caller. Every caller
+    (strands, quotient dimensions, mod k) builds its rows in increasing
+    (basis index, monomial) order, so the last rows have the highest lowest
+    columns and most of them pivot at once: their pivot rows stay as sparse
+    as they were built, and the rows that do need reducing are reduced by
+    short rows. On End of the diagonal of x^3+y^3+z^3+w^3, 96% of the pivot
+    rows needed no reduction last-first (65% in the given order, 55% sorted
+    by ascending lowest column), the reductions touched 0.78 million
+    entries (3.0 and 4.4 million), and the ranks took 0.49 s in process
+    (0.88 and 1.25 s; Python 3.11 on 2 vCPUs).
     """
-    p = field.characteristic
-    units = (1, p - 1) if p else (1, -1)
-    work = {}
-    for rid, r in enumerate(rows):
-        rows[rid] = None
-        if r:
-            work[rid] = _integer_row(r, p)
-    index: dict = {}
-    for rid, r in work.items():
-        for c in r:
-            index.setdefault(c, []).append(rid)
-    heap = [(len(r), rid) for rid, r in work.items()]
-    heapify(heap)
-    rank = 0
-    while heap:
-        n, rid = heappop(heap)
-        prow = work.get(rid)
-        if prow is None or len(prow) != n:
-            continue
-        del work[rid]
-        rank += 1
-        pcol = min(prow, key=lambda c: (prow[c] not in units, len(index[c]), c))
-        pv = prow.pop(pcol)
-        if p:
-            pinv = pow(pv, -1, p)
-        fraction_free = not p and pv not in units
-        for oid in index.pop(pcol):
-            other = work.get(oid)
-            if other is None or pcol not in other:
-                continue
-            coef = other.pop(pcol)
-            if p:
-                f = coef * pinv % p
-            elif fraction_free:
-                # other = (pv/g)*other - (coef/g)*prow
-                g = gcd(pv, coef)
-                scale, f = pv // g, coef // g
-                if scale != 1:
-                    for c in other:
-                        other[c] *= scale
-            else:
-                f = coef * pv
-            for c, v in prow.items():
-                old = other.get(c)
-                if old is None:
-                    other[c] = -f * v % p if p else -f * v
-                    index[c].append(oid)
-                    continue
-                new = (old - f * v) % p if p else old - f * v
-                if new:
-                    other[c] = new
-                else:
-                    del other[c]
-            if not other:
-                del work[oid]
-                continue
-            if fraction_free:
-                g = gcd(*other.values())
-                if g != 1:
-                    for c in other:
-                        other[c] //= g
-            heappush(heap, (len(other), oid))
-    return rank
+    return len(echelon(rows[::-1], field))
 
 
 def echelon(rows, field):
@@ -183,10 +107,11 @@ def echelon(rows, field):
     vanish, so the rank of the submatrix of the first r rows and first k
     columns is the number of pairs (i, c) with i < r and c < k (the rank
     profile of Dumas-Pernet-Sultan, "Computing the rank profile matrix",
-    ISSAC 2015). The rows are left as they are. The arithmetic is
-    `rank_sparse`'s: integer rows with fraction-free steps and content
-    division over QQ, and residues over GF(p), where each pivot row is
-    scaled to a leading 1.
+    ISSAC 2015). The rows are left as they are. Over QQ a step by a +-1
+    pivot is exact in integers; any other pivot first scales the row by a
+    nonzero integer (Bareiss's fraction-free step) and divides out its
+    content afterwards. Over GF(p) each pivot row is scaled to a leading 1.
+    Neither changes the span, so every rank is exact.
     """
     p = field.characteristic
     reduced: dict = {}  # pivot column -> (pivot entry, the rest of its row)

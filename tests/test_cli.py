@@ -1,17 +1,26 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfcat import serialize
 from mfcat.cli import main
 from mfcat.corpus import elliptic_factorization
-from mfcat.factorization import MatrixFactorization, RMatrix
+from mfcat.factorization import MatrixFactorization, MFMorphism, RMatrix
 from mfcat.fields import QQ
 from mfcat.series import RingCtx, Series
-from mfcat.stabilize import stabilize_residue_field
+from mfcat.stabilize import stabilize_residue_field, stabilized_diagonal
 
 
 def run(capsys, *argv):
@@ -488,3 +497,120 @@ def test_cohomology_and_transform_check_factorization(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 4 and out == "", argv
         assert "bad.json: phi*psi is not w*id at entry (0, 0)" in err
+
+
+# -- fuzzing main -------------------------------------------------------------
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats(allow_nan=False)
+    | st.sampled_from(["1", "-2", "1/2", "1/0", "x", "", "rational", "prime:7", "prime:4"])
+)
+_JSON_KEYS = st.sampled_from(["ring", "potential", "rank", "phi", "psi", "source", "target", "parity", "a", "b"])
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_KEYS, inner, max_size=2), max_leaves=6
+)
+
+
+@st.composite
+def _inline_case(draw):
+    """argv and MFCAT_NMAX for a potential command on a short expression:
+    all three valid, or one of them malformed."""
+    names = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3, unique=True))
+    bad = draw(st.sampled_from([None, None, None, "ring", "expr", "nmax"]))
+    if bad == "ring":
+        spec = draw(st.sampled_from([";prime(4)", ";prime(0)", ";bogus", ";"]).map(",".join(names).__add__)
+                    | st.text("xyz,;() 17", max_size=8))
+    else:
+        spec = ",".join(names) + draw(st.sampled_from(["", ";rational", ";prime(7)", ";prime(2)", ";prime(3)"]))
+    coefficients = ["", "", "2*", "-", "1/2*"] + (["0*", "3/0*", "q*", "(", "^"] if bad == "expr" else [])
+    power = st.tuples(st.sampled_from(names), st.integers(1, 4)).map("{0[0]}^{0[1]}".format)
+    term = st.tuples(st.sampled_from(coefficients), st.lists(power, min_size=1, max_size=3).map("*".join))
+    expr = st.lists(term.map("".join), min_size=1, max_size=3).map(" + ".join)
+    if bad == "expr":
+        expr |= st.text("xyz0123456789^*+-()/ ", max_size=12)
+    command = draw(
+        st.sampled_from([["stabilize"], ["stabilize", "--koszul"], ["diagonal"], ["hh"]])
+        | st.integers(1, 4).map(lambda a: ["minimal-model", "--max-arity", str(a)])
+    )
+    nmax = draw(st.sampled_from(["0", "-1", "abc", "1.5"] if bad == "nmax" else ["1", "6", "12"]))
+    return [*command, "--inline", draw(expr), "--ring", spec], nmax, {}
+
+
+@functools.cache
+def _fuzz_seeds():
+    """Valid factorization objects, a transform's (source, kernel) pair and
+    morphism objects of small potentials, to mutate."""
+    ctx = RingCtx(("x", "y"), QQ)
+    x, y = Series.variable(ctx, 0), Series.variable(ctx, 1)
+    k = stabilize_residue_field(x ** 2 * y + y ** 3)
+    w1 = Series.variable(RingCtx(("x",), QQ), 0) ** 3
+    pair = [serialize.mf_to_obj(stabilize_residue_field(w1)), serialize.mf_to_obj(stabilized_diagonal(w1))]
+    morphisms = [
+        serialize.morphism_to_obj(MFMorphism.identity(k)),
+        serialize.morphism_to_obj(MFMorphism.zero(k, k)),
+    ]
+    return [serialize.mf_to_obj(k), *pair], pair, morphisms
+
+
+def _paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+@st.composite
+def _mutated(draw, obj):
+    """A deep copy of the JSON object `obj` with up to three nodes replaced,
+    deleted, duplicated or moved by one."""
+    obj = copy.deepcopy(obj)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        if not path:
+            continue
+        *head, key = path
+        parent = functools.reduce(lambda node, k: node[k], head, obj)
+        action = draw(st.sampled_from(["replace", "delete", "duplicate", "nudge"]))
+        if action == "delete":
+            del parent[key]
+        elif action == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif action == "nudge" and type(parent[key]) is int:
+            parent[key] += draw(st.sampled_from([-1, 1]))
+        else:
+            parent[key] = draw(_JSON_VALUES)
+    return obj
+
+
+@st.composite
+def _json_case(draw):
+    """argv, MFCAT_NMAX and files for a command reading mutated JSON files."""
+    factorizations, pair, morphisms = _fuzz_seeds()
+    command = draw(st.sampled_from(["verify", "cohomology", "endomorphisms", "transform", "quasi-iso"]))
+    if command == "quasi-iso":
+        files = {"f.json": draw(st.sampled_from(morphisms).flatmap(_mutated))}
+    elif command == "transform":
+        files = {"x.json": draw(_mutated(pair[0])), "t.json": draw(_mutated(pair[1]))}
+    else:
+        files = {"f.json": draw(st.sampled_from(factorizations).flatmap(_mutated))}
+    argv = {"endomorphisms": ["cohomology", "f.json", "--endomorphisms"]}.get(command, [command, *files])
+    nmax = draw(st.sampled_from(["0", "-1", "abc", "1", "3", "6"]))
+    return argv, nmax, files
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_inline_case() | _json_case())
+def test_main_maps_every_input_to_an_exit_code(case):
+    """Whatever the expression, ring spec, MFCAT_NMAX or JSON file, `main`
+    ends with a documented exit code and lets no exception escape."""
+    argv, nmax, files = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"MFCAT_NMAX": nmax}):
+        for name, obj in files.items():
+            Path(tmp, name).write_text(json.dumps(obj))
+        argv = [str(Path(tmp, a)) if a in files else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+    assert code in (0, 2, 3, 4, 5), argv

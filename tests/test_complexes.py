@@ -361,7 +361,7 @@ def test_partial_times_cycles_are_boundaries():
                     if col is not None:
                         vec[col] = field.add(vec.get(col, field.zero), c2)
             rows_b.append({k: v for k, v in vec.items() if v != field.zero})
-        rank_b = rank_sparse([dict(r) for r in rows_b], field)
+        rank_b = rank_sparse(rows_b, field)
         # cycles in the source stratum, multiplied by dw
         eo = C.psi
         img_tgt = stratum(1, s + delta)
@@ -395,7 +395,7 @@ def test_partial_times_cycles_are_boundaries():
                 assert col is not None
                 out[col] = field.add(out.get(col, field.zero), field.mul(v, coef))
             moved.append({k: v for k, v in out.items() if v != field.zero})
-        rank_all = rank_sparse(moved + [dict(r) for r in rows_b], field)
+        rank_all = rank_sparse(moved + rows_b, field)
         assert rank_all == rank_b  # dw * cycles land inside the boundaries
 
 
@@ -495,7 +495,7 @@ def _two_cap_reference(C, n):
         proj = []
         for z in nullspace_dense(cols, len(basis_hi), field):
             proj.append({lo_index[bv]: v for bv, v in zip(basis_hi, z) if v and bv in lo_index})
-        rank_b = rank_sparse([dict(r) for r in b_lo], field)
+        rank_b = rank_sparse(b_lo, field)
         return rank_sparse(proj + b_lo, field) - rank_b
 
     return (
@@ -724,6 +724,22 @@ def test_hom_grading_makes_hom_homogeneous():
     # an ungraded object makes Hom ungraded
     x, y = _pair("x", "x^12+x^13", "K", "K")
     assert _hom_grading(x, y) is None and detect_grading(hom_complex(x, y)) is None
+
+
+def test_end_grades_its_object_once(monkeypatch):
+    # End(X) passes one object for both sides, so its grading is found once
+    import mfcat.complexes as complexes
+
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return detect_grading(c)
+
+    monkeypatch.setattr(complexes, "detect_grading", counted)
+    x, _ = _pair("x,y", "x^3+y^3", "K", "K")
+    assert hom_cohomology(x, x) == (2, 2)
+    assert len(calls) == 1 and calls[0] is x
 
 
 @pytest.mark.parametrize(
