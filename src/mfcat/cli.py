@@ -46,14 +46,18 @@ def _load_json_file(path):
         raise InputParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_checked_mf(path):
-    """A factorization file, with d^2 = w checked as `verify` does (exit 4 if not)."""
-    mf = serialize.mf_from_obj(_load_json_file(path))
+def _checked_mf(mf, where):
+    """`mf`, with d^2 = w checked as `verify` does (exit 4 if not, naming `where`)."""
     ok, offending = verify_mf_report(mf)
     if not ok:
         product, row, col = offending
-        raise VerificationError(f"{path}: {product} is not w*id at entry ({row}, {col})")
+        raise VerificationError(f"{where}: {product} is not w*id at entry ({row}, {col})")
     return mf
+
+
+def _load_checked_mf(path):
+    """A factorization file, checked by `_checked_mf`."""
+    return _checked_mf(serialize.mf_from_obj(_load_json_file(path)), path)
 
 
 def _load_potential(args):
@@ -117,6 +121,8 @@ def cmd_minimal_model(args):
 
 def cmd_quasi_iso(args):
     f = serialize.morphism_from_obj(_load_json_file(args.file))
+    for end, mf in (("source", f.source), ("target", f.target)):
+        _checked_mf(mf, f"{args.file} {end}")
     result = is_quasi_iso(f)
     _emit({"quasi_iso": result})
     return EXIT_OK if result else EXIT_VERIFICATION

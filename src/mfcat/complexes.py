@@ -21,10 +21,10 @@ Two exact routes compute k-dimensions of cohomology over the local ring:
 
 Both stay below the configurable cap (env MFCAT_NMAX, default 64), and
 `_cohomology` is the one place where the route and the stop are chosen.
-The engines read a complex as its column terms (`factorization._columns`),
-never as a matrix: `cohomology_over_R` and `cohomology_mod_k` convert their
-input once. Level 0 of the level rows (`_level_data`) is the reduction
-k (x) C, whose dimensions `cohomology_mod_k` gives. A morphism complex
+The engines read a complex as the column terms its matrices hold, paired
+by source parity (`factorization._columns`). Level 0 of the level rows
+(`_level_data`) is the reduction k (x) C, whose dimensions `cohomology_mod_k`
+gives. A morphism complex
 Hom(X, Y) (`hom_cohomology`) has its column terms placed from those of Y and
 dual(X) (`_hom_columns`), so no Hom-sized matrix is built, and it is graded
 from gradings of X and Y, u_ij = b_i - a_j (`_hom_grading`), not by grading
@@ -57,14 +57,11 @@ from .factorization import (
     MatrixFactorization,
     MFMorphism,
     RMatrix,
-    _column_terms,
     _columns,
-    _from_columns,
     _tensor_columns,
     cone,
     dual,
 )
-from .fields import accumulate
 from .linalg import echelon, rank_sparse
 from .series import Series, monomial_basis, monomials_of_degree
 
@@ -86,21 +83,20 @@ def stabilization_cap() -> int:
 
 def cohomology_mod_k(mf: MatrixFactorization):
     """k-dimensions of the (even, odd) cohomology of k (x) X, the
-    constant-term reduction, which is a complex iff w lies in m. It is level 0
-    of `_level_data`, whose rows are the columns of d mod m, so composing the
-    rows of psi and phi both ways gives the transposes of phi psi and psi phi.
+    constant-term reduction, which is a complex iff w lies in m, that is iff
+    the residue parts of psi and phi compose to 0 both ways. Its rows are
+    level 0 of `_level_data`, the columns of d mod m.
     """
-    field = mf.ctx.field
-    _, rows_eo, rows_oe = _level_data(mf.ctx, _columns(mf), 0)
-    for left, right in ((rows_eo, rows_oe), (rows_oe, rows_eo)):
-        for row in left:
-            acc: dict = {}
-            for k, a in row.items():
-                for j, b in right[k].items():
-                    accumulate(acc, j, field.mul(a, b), field)
-            if acc:
-                raise VerificationError("reduction is not a complex")
-    r = rank_sparse(rows_eo, field) + rank_sparse(rows_oe, field)
+    ctx = mf.ctx
+    const = (0,) * ctx.n_vars
+    psi0, phi0 = (
+        RMatrix.from_columns(ctx, mf.rank, [[t for t in col if t[1] == const] for col in m.columns])
+        for m in (mf.psi, mf.phi)
+    )
+    if not ((phi0 * psi0).is_zero() and (psi0 * phi0).is_zero()):
+        raise VerificationError("reduction is not a complex")
+    _, rows_eo, rows_oe = _level_data(ctx, _columns(mf), 0)
+    r = rank_sparse(rows_eo, ctx.field) + rank_sparse(rows_oe, ctx.field)
     return (mf.rank - r, mf.rank - r)
 
 
@@ -120,7 +116,7 @@ def hom_complex(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFactori
     Even basis blocks: Hom(X0,Y0) ++ Hom(X1,Y1); odd: Hom(X0,Y1) ++ Hom(X1,Y0),
     each block row-major, which is the tensor basis order with Y first.
     """
-    psi, phi = (_from_columns(x.ctx, cols) for cols in _hom_columns(x, y))
+    psi, phi = (RMatrix.from_columns(x.ctx, len(cols), cols) for cols in _hom_columns(x, y))
     return MatrixFactorization(x.ctx, Series.zero(x.ctx), phi, psi)
 
 
@@ -145,10 +141,10 @@ def scalar_action_nullhomotopy(x: MatrixFactorization, y: MatrixFactorization, k
     c = hom_complex(x, y)
     ctx = x.ctx
     derivative = lambda e: e.partial_derivative(k)
-    dy = tuple(_column_terms(m.map_entries(derivative)) for m in (y.psi, y.phi))
+    dy = tuple(m.map_entries(derivative).columns for m in (y.psi, y.phi))
     no_x = [[]] * x.rank
     h = _tensor_columns(dy, (no_x, no_x), y.rank, x.rank, ctx.field)
-    heo, hoe = (_from_columns(ctx, cols) for cols in h)
+    heo, hoe = (RMatrix.from_columns(ctx, len(cols), cols) for cols in h)
     dw = x.potential.partial_derivative(k)
     dw_id = RMatrix.scalar(ctx, c.rank, dw)
     return c.phi * heo + hoe * c.psi == dw_id and c.psi * hoe + heo * c.phi == dw_id
@@ -162,7 +158,7 @@ def detect_grading(c: MatrixFactorization):
 
     Returns (u_even, u_odd, delta) such that a basis vector i carrying a ring
     monomial of degree g sits in strand 2g + u_i, and the differential raises
-    the strand by delta. Entry degrees are read from the `_column_terms` of d;
+    the strand by delta. Entry degrees are read from the column terms of d;
     None as soon as an entry mixes two degrees. `c` may be any factorization,
     not only a complex.
 
@@ -181,7 +177,7 @@ def detect_grading(c: MatrixFactorization):
     adj: dict = {}
     for src_off, dst_off, mat in ((0, n_e, c.psi), (n_e, 0, c.phi)):
         degrees: dict = {}
-        for i, terms in enumerate(_column_terms(mat)):
+        for i, terms in enumerate(mat.columns):
             for j, exp, _ in terms:
                 g = sum(exp)
                 if degrees.setdefault((i, j), g) != g:
@@ -323,7 +319,7 @@ def _truncated_operator_rows(columns, src_basis, tgt_index):
     {target column: coefficient} dict per source basis vector.
 
     Basis vectors are (matrix index, monomial) pairs, and `columns` is the
-    matrix as `_column_terms` gives it. The source vector (i, mono) goes to
+    matrix's `RMatrix.columns`. The source vector (i, mono) goes to
     coeff at (j, mono + exp) for each term (j, exp, coeff) of column i.
     These targets are pairwise distinct, since (j, exp) is distinct over the
     terms and mono is fixed, so each is set once and nothing is summed.

@@ -13,151 +13,167 @@ Sign conventions, frozen so every output is bit-reproducible:
   * a 2-periodic complex is a factorization of 0: `psi` is d even->odd and
     `phi` is d odd->even, so `verify_mf` is its d^2 = 0 check.
 
-This module owns the column-term format the cohomology engines read: per
-column i of a matrix, the terms (j, exp, coeff) of its entries (j, i)
-(`_column_terms`), and for a factorization the pair (psi's, phi's), indexed
-by source parity (`_columns`). `_tensor_columns` places each term of two
-factors straight into the tensor's columns, so a morphism complex is built
-in this format from its objects; `_from_columns` is the dense view for the
-callers that still want an `RMatrix` (`hom_complex`, `external_tensor`, the
-null-homotopy check).
+A matrix over R is stored as its column terms: per column i, the terms
+(j, exp, coeff) of its entries (j, i). All arithmetic works on these terms,
+and `entries` is a dense view for serialization and determinants. For a
+factorization the pair (psi's, phi's), indexed by source parity
+(`_columns`), is what the cohomology engines read. `_tensor_columns` places
+each term of two factors straight into the tensor's columns, so a morphism
+complex is built in this format from its objects.
 """
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import ContextMismatchError, PreconditionError, VerificationError
-from .series import RingCtx, Series
+from .fields import accumulate
+from .series import RingCtx, Series, _check_ctx
 
 
 class RMatrix:
-    """Dense matrix with Series entries, all sharing one context."""
+    """Matrix over R, all entries sharing one context, held as its column
+    terms: `columns[i]` lists the terms (j, exp, coeff) of the entries (j, i),
+    one per monomial x^exp with coefficient coeff, each (j, exp) at most once
+    and every coeff nonzero. Immutable."""
 
-    __slots__ = ("ctx", "rows", "cols", "entries")
+    __slots__ = ("ctx", "rows", "cols", "columns")
 
     def __init__(self, ctx: RingCtx, entries):
-        self.ctx = ctx
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        for row in self.entries:
-            if len(row) != self.cols:
+        """The matrix with the given grid of `Series` entries, checked."""
+        grid = [list(row) for row in entries]
+        cols = len(grid[0]) if grid else 0
+        columns = [[] for _ in range(cols)]
+        for j, row in enumerate(grid):
+            if len(row) != cols:
                 raise PreconditionError("ragged matrix")
-            for e in row:
+            for col, e in zip(columns, row):
                 if e.ctx != ctx:
                     raise ContextMismatchError("matrix entry context mismatch")
+                col.extend((j, exp, coeff) for exp, coeff in e.terms.items())
+        self.ctx, self.rows, self.cols, self.columns = ctx, len(grid), cols, columns
+
+    @classmethod
+    def from_columns(cls, ctx: RingCtx, rows: int, columns) -> "RMatrix":
+        """The rows x len(columns) matrix with these column terms, unchecked."""
+        m = cls.__new__(cls)
+        m.ctx, m.rows, m.cols, m.columns = ctx, rows, len(columns), columns
+        return m
+
+    @property
+    def entries(self):
+        """Dense view: a new grid of `Series`, entry (j, i) at [j][i]."""
+        terms = [[{} for _ in range(self.cols)] for _ in range(self.rows)]
+        for i, col in enumerate(self.columns):
+            for j, exp, coeff in col:
+                terms[j][i][exp] = coeff
+        return tuple(tuple(Series(self.ctx, t) for t in row) for row in terms)
 
     @staticmethod
     def zero(ctx, rows, cols):
-        z = Series.zero(ctx)
-        return RMatrix(ctx, [[z] * cols for _ in range(rows)])
+        return RMatrix.from_columns(ctx, rows, [[] for _ in range(cols)])
 
     @staticmethod
     def identity(ctx, n):
-        z, o = Series.zero(ctx), Series.one(ctx)
-        return RMatrix(ctx, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return RMatrix.scalar(ctx, n, Series.one(ctx))
 
     @staticmethod
     def scalar(ctx, n, s: Series):
-        z = Series.zero(ctx)
-        return RMatrix(ctx, [[s if i == j else z for j in range(n)] for i in range(n)])
+        return RMatrix.from_columns(ctx, n, [[(i, exp, c) for exp, c in s.terms.items()] for i in range(n)])
+
+    def _summed(self, columns) -> "RMatrix":
+        """A matrix with this one's row count whose column i sums the terms
+        listed in columns[i], which may repeat a (row, exp) pair."""
+        field = self.ctx.field
+        out = []
+        for col in columns:
+            acc: dict = {}
+            for j, exp, coeff in col:
+                accumulate(acc, (j, exp), coeff, field)
+            out.append([(j, exp, coeff) for (j, exp), coeff in acc.items()])
+        return RMatrix.from_columns(self.ctx, self.rows, out)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise PreconditionError("shape mismatch in matrix sum")
-        return RMatrix(
-            self.ctx,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
+        _check_ctx(self, other)
+        return self._summed(a + b for a, b in zip(self.columns, other.columns))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RMatrix(self.ctx, [[-e for e in row] for row in self.entries])
+        neg = self.ctx.field.neg
+        return RMatrix.from_columns(
+            self.ctx, self.rows, [[(j, exp, neg(c)) for j, exp, c in col] for col in self.columns]
+        )
 
     def __mul__(self, other):
+        """Matrix product, or with a `Series` the product by that scalar.
+        Column i of A B is the sum of c x^exp (column k of A) over the terms
+        (k, exp, c) of column i of B."""
         if isinstance(other, Series):
-            return RMatrix(self.ctx, [[e * other for e in row] for row in self.entries])
+            other = RMatrix.scalar(other.ctx, self.cols, other)
         if self.cols != other.rows:
             raise PreconditionError("shape mismatch in matrix product")
-        z = Series.zero(self.ctx)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return RMatrix(self.ctx, out)
+        _check_ctx(self, other)
+        mul, left = self.ctx.field.mul, self.columns
+        return self._summed(
+            ((j, tuple(map(add, e1, e2)), mul(c1, c2)) for k, e2, c2 in col for j, e1, c1 in left[k])
+            for col in other.columns
+        )
 
     def transpose(self):
-        return RMatrix(
-            self.ctx, [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        out = [[] for _ in range(self.rows)]
+        for i, col in enumerate(self.columns):
+            for j, exp, coeff in col:
+                out[j].append((i, exp, coeff))
+        return RMatrix.from_columns(self.ctx, self.cols, out)
 
     def map_entries(self, fn, new_ctx=None):
         return RMatrix(new_ctx or self.ctx, [[fn(e) for e in row] for row in self.entries])
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.columns)
 
     def __eq__(self, other):
         return (
             isinstance(other, RMatrix)
             and self.ctx == other.ctx
-            and self.entries == other.entries
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and all(set(a) == set(b) for a, b in zip(self.columns, other.columns))
         )
 
     def det(self) -> Series:
         if self.rows != self.cols:
             raise PreconditionError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Series.one(self.ctx)
-        if n == 1:
-            return self.entries[0][0]
-        acc = Series.zero(self.ctx)
-        for j in range(n):
-            a = self.entries[0][j]
-            if a.is_zero():
-                continue
-            minor = RMatrix(
-                self.ctx,
-                [[self.entries[i][k] for k in range(n) if k != j] for i in range(1, n)],
-            )
-            term = a * minor.det()
-            acc = acc + (term if j % 2 == 0 else -term)
-        return acc
+        return _det(self.ctx, self.entries)
 
     def adjugate(self) -> "RMatrix":
         """Transposed cofactor matrix: self * adjugate = det * identity."""
         n = self.rows
         if n != self.cols:
             raise PreconditionError("adjugate of a non-square matrix")
-        if n == 1:
-            return RMatrix.identity(self.ctx, 1)
-        out = RMatrix.zero(self.ctx, n, n)
-        for i in range(n):
-            for j in range(n):
-                minor = RMatrix(
-                    self.ctx,
-                    [
-                        [self.entries[r][c] for c in range(n) if c != j]
-                        for r in range(n)
-                        if r != i
-                    ],
-                )
-                cof = minor.det()
-                out.entries[j][i] = cof if (i + j) % 2 == 0 else -cof
-        return RMatrix(self.ctx, out.entries)
+        grid = self.entries
+
+        def cofactor(i, j):
+            c = _det(self.ctx, [row[:j] + row[j + 1 :] for r, row in enumerate(grid) if r != i])
+            return c if (i + j) % 2 == 0 else -c
+
+        return RMatrix(self.ctx, [[cofactor(j, i) for j in range(n)] for i in range(n)])
+
+
+def _det(ctx, grid) -> Series:
+    """Determinant of a square grid of `Series`, by expansion along row 0."""
+    if not grid:
+        return Series.one(ctx)
+    acc = Series.zero(ctx)
+    for j, a in enumerate(grid[0]):
+        if a.is_zero():
+            continue
+        term = a * _det(ctx, [row[:j] + row[j + 1 :] for row in grid[1:]])
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
 
 
 class MatrixFactorization:
@@ -192,13 +208,13 @@ def verify_mf(mf: MatrixFactorization) -> bool:
 
 
 def verify_mf_report(mf: MatrixFactorization):
-    """(ok, offending (product, i, j) or None), for CLI diagnostics."""
+    """(ok, offending (product, i, j) or None), for CLI diagnostics: the
+    first entry (i, j) in row-major order where the product is not w * id."""
     w_id = RMatrix.scalar(mf.ctx, mf.rank, mf.potential)
     for label, prod in (("phi*psi", mf.phi * mf.psi), ("psi*phi", mf.psi * mf.phi)):
-        for i in range(mf.rank):
-            for j in range(mf.rank):
-                if prod.entries[i][j] != w_id.entries[i][j]:
-                    return False, (label, i, j)
+        wrong = [(j, i) for i, col in enumerate((prod - w_id).columns) for j, _, _ in col]
+        if wrong:
+            return False, (label, *min(wrong))
     return True, None
 
 
@@ -225,9 +241,12 @@ def dual(mf: MatrixFactorization) -> MatrixFactorization:
 
 def _block(ctx, tl, tr, bl, br) -> RMatrix:
     """The 2 x 2 block matrix [[tl, tr], [bl, br]]."""
-    top = [r1 + r2 for r1, r2 in zip(tl.entries, tr.entries)]
-    bot = [r1 + r2 for r1, r2 in zip(bl.entries, br.entries)]
-    return RMatrix(ctx, top + bot)
+
+    def stacked(top, bottom):
+        shift = top.rows
+        return [t + [(j + shift, exp, c) for j, exp, c in b] for t, b in zip(top.columns, bottom.columns)]
+
+    return RMatrix.from_columns(ctx, tl.rows + bl.rows, stacked(tl, bl) + stacked(tr, br))
 
 
 def direct_sum(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactorization:
@@ -298,10 +317,8 @@ class MFMorphism:
     @staticmethod
     def inclusion_first(summand, total) -> "MFMorphism":
         """Inclusion of X into X (+) Y built by direct_sum."""
-        ctx = summand.ctx
-        top = RMatrix.identity(ctx, summand.rank)
-        bottom = RMatrix.zero(ctx, total.rank - summand.rank, summand.rank)
-        inc = RMatrix(ctx, top.entries + bottom.entries)
+        eye = RMatrix.identity(summand.ctx, summand.rank)
+        inc = RMatrix.from_columns(summand.ctx, total.rank, eye.columns)
         return MFMorphism(summand, total, "even", inc, inc)
 
 
@@ -335,29 +352,9 @@ def _combined_ctx(cx: RingCtx, cy: RingCtx) -> RingCtx:
     return RingCtx(tuple(names), cx.field)
 
 
-def _column_terms(mat: RMatrix):
-    """Per column i of `mat`, the list of nonzero terms (j, exp, coeff): one
-    for each monomial x^exp with coefficient coeff in the entry mat[j][i]."""
-    columns = [[] for _ in range(mat.cols)]
-    for j, row in enumerate(mat.entries):
-        for i, entry in enumerate(row):
-            for exp, coeff in entry.terms.items():
-                columns[i].append((j, exp, coeff))
-    return columns
-
-
 def _columns(mf: MatrixFactorization):
     """The column terms of d by source parity: (psi's, phi's)."""
-    return _column_terms(mf.psi), _column_terms(mf.phi)
-
-
-def _from_columns(ctx: RingCtx, columns) -> RMatrix:
-    """The square `RMatrix` whose `_column_terms` are `columns`."""
-    terms = [[{} for _ in columns] for _ in columns]
-    for i, col in enumerate(columns):
-        for j, exp, coeff in col:
-            terms[j][i][exp] = coeff
-    return RMatrix(ctx, [[Series(ctx, t) for t in row] for row in terms])
+    return mf.psi.columns, mf.phi.columns
 
 
 def _tensor_columns(x, y, rx, ry, field):
@@ -401,5 +398,5 @@ def external_tensor(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFac
 
     w = x.potential.relabel(ctx, range(nx)) + y.potential.relabel(ctx, range(nx, nx + ny))
     columns = _tensor_columns(lifted(x, 0, ny), lifted(y, nx, 0), x.rank, y.rank, ctx.field)
-    psi, phi = (_from_columns(ctx, cols) for cols in columns)
+    psi, phi = (RMatrix.from_columns(ctx, len(cols), cols) for cols in columns)
     return MatrixFactorization(ctx, w, phi, psi)

@@ -55,19 +55,21 @@ def make_koszul_mf(kd: KoszulData) -> MatrixFactorization:
     inversions of the word i followed by S. Distinct generators send S to
     distinct words, so each entry is one signed f_i or w_i.
     """
-    ctx, zero = kd.ctx, Series.zero(kd.ctx)
+    ctx, neg = kd.ctx, kd.ctx.field.neg
     words = [mask_of(s) for s in subsets_ordered(kd.size)]
     even = [s for s in words if not s.bit_count() % 2]
     odd = [s for s in words if s.bit_count() % 2]
     row_of = {s: r for part in (even, odd) for r, s in enumerate(part)}
 
+    def column(s):
+        for i in range(kd.size):
+            entry = (kd.generators if s >> i & 1 else kd.witnesses)[i]
+            sign = inversions(1 << i, s) % 2
+            for exp, c in entry.terms.items():
+                yield row_of[s ^ 1 << i], exp, neg(c) if sign else c
+
     def differential(rows, cols):
-        entries = [[zero] * len(cols) for _ in rows]
-        for col, s in enumerate(cols):
-            for i in range(kd.size):
-                entry = (kd.generators if s >> i & 1 else kd.witnesses)[i]
-                entries[row_of[s ^ 1 << i]][col] = -entry if inversions(1 << i, s) % 2 else entry
-        return RMatrix(ctx, entries)
+        return RMatrix.from_columns(ctx, len(rows), [list(column(s)) for s in cols])
 
     return MatrixFactorization(ctx, kd.potential, differential(even, odd), differential(odd, even))
 

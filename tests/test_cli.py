@@ -259,6 +259,22 @@ def test_quasi_iso(tmp_path, capsys):
     assert code == 4 and json.loads(out)["quasi_iso"] is False
 
 
+def test_quasi_iso_checks_both_ends(tmp_path, capsys):
+    # (1, x) over x^3 is no factorization: phi psi = x, not x^3
+    ctx = RingCtx(("x",), QQ)
+    x = Series.variable(ctx, 0)
+    bad = MatrixFactorization(ctx, x ** 3, RMatrix.identity(ctx, 1), RMatrix(ctx, [[x]]))
+    good = MatrixFactorization(ctx, x ** 3, RMatrix(ctx, [[x]]), RMatrix(ctx, [[x ** 2]]))
+    one = RMatrix.identity(ctx, 1)
+    for source, target, end in ((bad, bad, "source"), (good, bad, "target")):
+        path = tmp_path / f"{end}.json"
+        f = MFMorphism(source, target, "even", one, one)
+        path.write_text(serialize.dumps_canonical(serialize.morphism_to_obj(f)))
+        code, out, err = run(capsys, "quasi-iso", str(path))
+        assert code == 4 and out == "", end
+        assert f"{end}.json {end}: phi*psi is not w*id at entry (0, 0)" in err
+
+
 def test_cohomology(tmp_path, capsys):
     ctx = RingCtx(("x",), QQ)
     k = stabilize_residue_field(Series.variable(ctx, 0) ** 3)

@@ -27,7 +27,6 @@ from mfcat.factorization import (
     MatrixFactorization,
     MFMorphism,
     RMatrix,
-    _column_terms,
     _columns,
     cone,
     direct_sum,
@@ -236,9 +235,9 @@ def _hom_reference(x, y):
     """Hom(X, Y) differentials from D(f) = d_Y f - (-1)^|f| f d_X on elementary
     matrices f: (X0 ++ X1) -> (Y0 ++ Y1), with the basis order of `hom_complex`."""
     ctx, rx, ry = x.ctx, x.rank, y.rank
+    z = Series.zero(ctx)
 
     def odd_block(mf, r):
-        z = Series.zero(ctx)
         top = [[z] * r + list(row) for row in mf.phi.entries]
         bottom = [list(row) + [z] * r for row in mf.psi.entries]
         return RMatrix(ctx, top + bottom)
@@ -256,8 +255,9 @@ def _hom_reference(x, y):
         for r, c in src:
             for p in range(ry):
                 for q in range(rx):
-                    f = RMatrix.zero(ctx, 2 * ry, 2 * rx)
-                    f.entries[r + p][c + q] = Series.one(ctx)
+                    grid = [[z] * (2 * rx) for _ in range(2 * ry)]
+                    grid[r + p][c + q] = Series.one(ctx)
+                    f = RMatrix(ctx, grid)
                     fd = f * d_x
                     cols.append(coords(d_y * f - (fd if degree == 0 else -fd), tgt))
         return RMatrix(ctx, [list(row) for row in zip(*cols)])
@@ -401,15 +401,22 @@ def test_partial_times_cycles_are_boundaries():
 
 def test_hom_cohomology_builds_no_hom_sized_matrix(monkeypatch):
     # Hom's column terms are placed from the objects' own; the largest matrix
-    # built on the way is an object's (its dual's transposes)
+    # built on the way, through either constructor, is an object's (its
+    # dual's transposes)
     sizes = []
-    init = RMatrix.__init__
+    init, from_columns = RMatrix.__init__, RMatrix.from_columns
 
     def recorded(self, ctx, entries):
         init(self, ctx, entries)
         sizes.append(max(self.rows, self.cols))
 
+    def recorded_from_columns(ctx, rows, columns):
+        m = from_columns(ctx, rows, columns)
+        sizes.append(max(m.rows, m.cols))
+        return m
+
     monkeypatch.setattr(RMatrix, "__init__", recorded)
+    monkeypatch.setattr(RMatrix, "from_columns", staticmethod(recorded_from_columns))
     for names, text, left, right in (
         ("x,y", "x^2*y+y^3", ("K", "K"), "K"),
         ("x,y", "x^2*y+y^3", "Delta", "Delta"),
@@ -590,7 +597,7 @@ def test_operator_rows_match_series_products(field_name):
     for _ in range(12):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         mat = _random_rmatrix(rng, ctx, rows, cols)
-        columns = _column_terms(mat)
+        columns = mat.columns
         # a strand-like pair: source index i in degree g_i, target row j in degree h_j
         src = [(i, m) for i in range(cols) for m in monomials_of_degree(2, rng.randint(0, 3))]
         tgt = [(j, m) for j in range(rows) for m in monomials_of_degree(2, rng.randint(0, 5))]
@@ -718,7 +725,7 @@ def test_hom_grading_makes_hom_homogeneous():
         u_even, u_odd, delta = _hom_grading(x, y)
         C = hom_complex(x, y)
         for src, dst, mat in ((u_even, u_odd, C.psi), (u_odd, u_even, C.phi)):
-            for i, terms in enumerate(_column_terms(mat)):
+            for i, terms in enumerate(mat.columns):
                 for j, exp, _ in terms:
                     assert dst[j] == src[i] + delta - 2 * sum(exp)
     # an ungraded object makes Hom ungraded

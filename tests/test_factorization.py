@@ -9,8 +9,6 @@ from mfcat.factorization import (
     MatrixFactorization,
     MFMorphism,
     RMatrix,
-    _column_terms,
-    _from_columns,
     _tensor_columns,
     cone,
     direct_sum,
@@ -212,20 +210,24 @@ def _kronecker_tensor(xphi, xpsi, yphi, ypsi, ctx, rx, ry):
 def _placed(ctx, x, y, rx, ry):
     """(phi, psi) of the tensor from `_tensor_columns`, x and y given as
     (phi, psi) pairs of `RMatrix`es, and its column terms."""
-    as_columns = lambda pair: (_column_terms(pair[1]), _column_terms(pair[0]))
+    as_columns = lambda pair: (pair[1].columns, pair[0].columns)
     columns = _tensor_columns(as_columns(x), as_columns(y), rx, ry, ctx.field)
-    psi, phi = (_from_columns(ctx, cols) for cols in columns)
+    psi, phi = (RMatrix.from_columns(ctx, len(cols), cols) for cols in columns)
     return phi, psi, columns
 
 
-def _random_square(rng, ctx, r):
+def _random_matrix(rng, ctx, rows, cols):
     monos = monomial_basis(ctx, 2)
 
     def entry():
         picked = rng.sample(monos, rng.randint(0, 3))
         return Series(ctx, {m: ctx.field.of(rng.choice([-2, -1, 1, 3])) for m in picked})
 
-    return RMatrix(ctx, [[entry() for _ in range(r)] for _ in range(r)])
+    return RMatrix(ctx, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def _random_square(rng, ctx, r):
+    return _random_matrix(rng, ctx, r, r)
 
 
 @pytest.mark.parametrize("field_name", ["rational", "prime:7"])
@@ -241,7 +243,7 @@ def test_tensor_columns_match_kronecker_products(field_name):
         assert (phi, psi) == (ref_phi, ref_psi), (rx, ry)
         # the placed terms are exactly the reference's, one per (row, monomial)
         for cols, ref in zip(columns, (ref_psi, ref_phi)):
-            assert [sorted(c) for c in cols] == [sorted(c) for c in _column_terms(ref)]
+            assert [sorted(c) for c in cols] == [sorted(c) for c in ref.columns]
 
 
 @pytest.mark.parametrize("field_name", ["rational", "prime:7"])
@@ -273,3 +275,111 @@ def test_external_tensor_matches_kronecker_products():
                 assert (t.phi, t.psi) == _kronecker_tensor(*lifted, t.ctx, x.rank, y.rank)
                 assert t.potential == lift_x(x.potential) + lift_y(y.potential)
 
+
+# -- the column-term arithmetic against dense Series grids ---------------------
+
+
+def _dense_product(a, b):
+    """Reference for `RMatrix.__mul__`: the dense triple loop over the
+    `Series` entries, skipping zero factors."""
+    z = Series.zero(a.ctx)
+    ea, eb = a.entries, b.entries
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = z
+            for k in range(a.cols):
+                if not (ea[i][k].is_zero() or eb[k][j].is_zero()):
+                    acc = acc + ea[i][k] * eb[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _well_formed(m):
+    """Every (row, exp) at most once per column, every coefficient nonzero."""
+    field = m.ctx.field
+    for col in m.columns:
+        assert len({(j, exp) for j, exp, _ in col}) == len(col)
+        assert all(0 <= j < m.rows and c != field.zero for j, _, c in col)
+    return m
+
+
+def _grid(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime:7"])
+def test_column_term_arithmetic_matches_dense_grids(field_name):
+    rng = random.Random(47)
+    ctx = RingCtx(("x", "y"), field_from_name(field_name))
+    monos = monomial_basis(ctx, 2)
+    for _ in range(40):
+        r, k, c = (rng.randint(1, 4) for _ in range(3))
+        a, a2 = _random_matrix(rng, ctx, r, k), _random_matrix(rng, ctx, r, k)
+        b = _random_matrix(rng, ctx, k, c)
+        s = Series(ctx, {m: ctx.field.of(rng.choice([-1, 2])) for m in rng.sample(monos, rng.randint(0, 2))})
+        ea, ea2 = a.entries, a2.entries
+        assert _well_formed(a + a2).entries == _grid(
+            [p + q for p, q in zip(r1, r2)] for r1, r2 in zip(ea, ea2)
+        )
+        assert _well_formed(a - a2).entries == _grid(
+            [p - q for p, q in zip(r1, r2)] for r1, r2 in zip(ea, ea2)
+        )
+        assert _well_formed(a * b).entries == _dense_product(a, b)
+        assert _well_formed(a * s).entries == _grid([e * s for e in row] for row in ea)
+        assert _well_formed(-a).entries == _grid([-e for e in row] for row in ea)
+        assert _well_formed(a.transpose()).entries == _grid(zip(*ea))
+        assert (a + (-a)).is_zero() and (a * RMatrix.zero(ctx, k, c)).is_zero()
+        # equality is per column as sets of terms, whatever their order
+        shuffled = RMatrix.from_columns(ctx, r, [rng.sample(col, len(col)) for col in a.columns])
+        assert shuffled == a and shuffled.entries == ea
+        assert (a == a2) == (ea == ea2)
+        assert a != RMatrix.zero(ctx, r + 1, k)
+        if r != k:
+            assert a.transpose() != a
+
+
+def test_column_term_shape_checks():
+    ctx = ring1()
+    a, b = RMatrix.zero(ctx, 2, 3), RMatrix.zero(ctx, 2, 2)
+    with pytest.raises(PreconditionError):
+        a + b
+    with pytest.raises(PreconditionError):
+        a * b
+    with pytest.raises(PreconditionError):
+        RMatrix(ctx, [[Series.one(ctx)], []])
+    assert RMatrix.zero(ctx, 2, 0) != RMatrix.zero(ctx, 3, 0)
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime:7"])
+def test_verify_report_names_the_dense_row_major_first(field_name):
+    rng = random.Random(53)
+    ctx = RingCtx(("x", "y", "z"), field_from_name(field_name))
+    k = stabilize_residue_field(parse_potential_text(ctx, "x^3 + y^3 + z^3 + x*y*z"))
+    seen = set()
+    for _ in range(30):
+        phi, psi = k.phi.entries, k.psi.entries
+        grids = [list(map(list, phi)), list(map(list, psi))]
+        for _ in range(rng.randint(1, 2)):
+            grid = rng.choice(grids)
+            i, j = rng.randrange(k.rank), rng.randrange(k.rank)
+            grid[i][j] = _random_matrix(rng, ctx, 1, 1).entries[0][0]
+        mf = MatrixFactorization(ctx, k.potential, *(RMatrix(ctx, g) for g in grids))
+        w_id = RMatrix.scalar(ctx, k.rank, k.potential).entries
+        expected = (True, None)
+        for label, x, y in (("phi*psi", mf.phi, mf.psi), ("psi*phi", mf.psi, mf.phi)):
+            prod = _dense_product(x, y)
+            wrong = [(i, j) for i in range(k.rank) for j in range(k.rank) if prod[i][j] != w_id[i][j]]
+            if wrong:
+                expected = (False, (label, *wrong[0]))
+                break
+        assert verify_mf_report(mf) == expected
+        seen.add(expected)
+    assert len(seen) > 5, seen
+    assert verify_mf_report(k) == (True, None)
+    # over w = 0 phi psi can vanish while psi phi does not
+    one, z = Series.one(ctx), Series.zero(ctx)
+    phi, psi = RMatrix(ctx, [[one, z], [z, z]]), RMatrix(ctx, [[z, z], [one, z]])
+    assert verify_mf_report(MatrixFactorization(ctx, z, phi, psi)) == (False, ("psi*phi", 1, 0))

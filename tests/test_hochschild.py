@@ -3,7 +3,7 @@ import pytest
 from mfcat.complexes import _quotient_dim, _truncated_operator_rows, hom_cohomology
 from mfcat.corpus import oracle_milnor
 from mfcat.errors import PreconditionError, StabilizationError
-from mfcat.factorization import RMatrix, _column_terms, verify_mf
+from mfcat.factorization import RMatrix, verify_mf
 from mfcat.fields import QQ, field_from_name
 from mfcat.hochschild import (
     calabi_yau_parity_check,
@@ -52,7 +52,7 @@ def _dense_quotient_data(ctx, gens, cap):
     index = {(0, m): i for i, m in enumerate(monos)}
     src = [(i, alpha) for i in range(len(gens)) for alpha in monos]
     rows = []
-    for vec in _truncated_operator_rows(_column_terms(RMatrix(ctx, [list(gens)])), src, index):
+    for vec in _truncated_operator_rows(RMatrix(ctx, [list(gens)]).columns, src, index):
         if vec:
             row = [field.zero] * len(monos)
             for col, c in vec.items():

@@ -7,7 +7,6 @@ from mfcat.factorization import (
     MFMorphism,
     RMatrix,
     _columns,
-    _from_columns,
     _tensor_columns,
     cone,
     direct_sum,
@@ -60,7 +59,7 @@ def _action_complex_dims(x, t):
     cohomology over R."""
     t0 = _kernel_at_zero(x, t)
     columns = _tensor_columns(_columns(x), _columns(t0), x.rank, t0.rank, x.ctx.field)
-    psi, phi = (_from_columns(x.ctx, cols) for cols in columns)
+    psi, phi = (RMatrix.from_columns(x.ctx, len(cols), cols) for cols in columns)
     return cohomology_over_R(MatrixFactorization(x.ctx, Series.zero(x.ctx), phi, psi))
 
 
