@@ -22,9 +22,11 @@ Two exact routes compute k-dimensions of cohomology over the local ring:
 Both stay below the configurable cap (env MFCAT_NMAX, default 64), and
 `_cohomology` is the one place where the route and the stop are chosen.
 The engines read a complex as the column terms its matrices hold, paired
-by source parity (`factorization._columns`). Level 0 of the level rows
-(`_level_data`) is the reduction k (x) C, whose dimensions `cohomology_mod_k`
-gives. A morphism complex
+by source parity (`factorization._columns`). Levels are read one way: as
+prefix blocks of one `echelon`. The reduction k (x) C of `cohomology_mod_k`
+is level 0 of `_level_profile`, and the quotients R/(gens + m^(L+1)) of the
+Jacobian ring, every L <= top at once, are the prefixes of one echelon of
+the level-top products (`_quotient_levels`). A morphism complex
 Hom(X, Y) (`hom_cohomology`) has its column terms placed from those of Y and
 dual(X) (`_hom_columns`), so no Hom-sized matrix is built, and it is graded
 from gradings of X and Y, u_ij = b_i - a_j (`_hom_grading`), not by grading
@@ -45,6 +47,7 @@ route ends when levels n and n+1 agree.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
 from heapq import merge
@@ -84,8 +87,9 @@ def stabilization_cap() -> int:
 def cohomology_mod_k(mf: MatrixFactorization):
     """k-dimensions of the (even, odd) cohomology of k (x) X, the
     constant-term reduction, which is a complex iff w lies in m, that is iff
-    the residue parts of psi and phi compose to 0 both ways. Its rows are
-    level 0 of `_level_data`, the columns of d mod m.
+    the residue parts of psi and phi compose to 0 both ways. It is level 0
+    of `_level_profile`, and its rank is that profile's pivot count: the
+    clearing there needs C/m to be a complex, which the check above proves.
     """
     ctx = mf.ctx
     const = (0,) * ctx.n_vars
@@ -95,8 +99,7 @@ def cohomology_mod_k(mf: MatrixFactorization):
     )
     if not ((phi0 * psi0).is_zero() and (psi0 * phi0).is_zero()):
         raise VerificationError("reduction is not a complex")
-    _, rows_eo, rows_oe = _level_data(ctx, _columns(mf), 0)
-    r = rank_sparse(rows_eo, ctx.field) + rank_sparse(rows_oe, ctx.field)
+    r = sum(map(len, _level_profile(ctx, _columns(mf), 0)[1]))
     return (mf.rank - r, mf.rank - r)
 
 
@@ -281,7 +284,7 @@ def _strand_dims(ctx, columns, u_even, u_odd, delta, cap, stop=None):
         if not src:
             return 0
         tgt_index = {bv: idx for idx, bv in enumerate(stratum(1 - parity, s + delta))}
-        return rank_sparse(_truncated_operator_rows(columns[parity], src, tgt_index), field)
+        return rank_sparse(list(_truncated_operator_rows(columns[parity], src, tgt_index)), field)
 
     # conservative: cover the differential's step and the spread of the
     # internal degrees before declaring the tail empty
@@ -316,7 +319,8 @@ def _strand_dims(ctx, columns, u_even, u_odd, delta, cap, stop=None):
 
 def _truncated_operator_rows(columns, src_basis, tgt_index):
     """Rows of the multiplication operator of a matrix over R, one
-    {target column: coefficient} dict per source basis vector.
+    {target column: coefficient} dict per source basis vector, yielded one
+    at a time so that `echelon` can drop each as soon as it is reduced.
 
     Basis vectors are (matrix index, monomial) pairs, and `columns` is the
     matrix's `RMatrix.columns`. The source vector (i, mono) goes to
@@ -326,15 +330,13 @@ def _truncated_operator_rows(columns, src_basis, tgt_index):
     Targets outside `tgt_index` (above a degree truncation, or off a strand)
     are dropped, so the target basis alone sets the truncation.
     """
-    rows = []
     for i, mono in src_basis:
         vec: dict = {}
         for j, exp, coeff in columns[i]:
             col = tgt_index.get((j, tuple(map(add, mono, exp))))
             if col is not None:
                 vec[col] = coeff
-        rows.append(vec)
-    return rows
+        yield vec
 
 
 def _level_basis(ctx, columns, cap):
@@ -345,15 +347,9 @@ def _level_basis(ctx, columns, cap):
     return basis, {bv: k for k, bv in enumerate(basis)}
 
 
-def _level_data(ctx, columns, cap):
-    """Basis and truncated differentials (even->odd, odd->even) of
-    C tensor R/m^(cap+1), C given by its `_columns`."""
-    basis, index = _level_basis(ctx, columns, cap)
-    return (basis, *(_truncated_operator_rows(cols, basis, index) for cols in columns))
-
-
 def _level_profile(ctx, columns, top):
-    """What `_two_cap_dims` reads at every n with 2n <= top: the sizes N_L of
+    """What `_two_cap_dims` reads at every n with 2n <= top (and, at top 0,
+    `cohomology_mod_k` reads as its rank): the sizes N_L of
     the levels L <= top (the vectors of degree <= L) and, per parity, the
     `echelon` pivots (row, column) of the level-`top` differential D_top,
     with its rows taken from the highest degree down and named by their
@@ -363,7 +359,8 @@ def _level_profile(ctx, columns, top):
     Chen-Kerber, "Persistent homology computation with a twist", 2011):
     they would reduce to 0. Proof: the reduced even row with pivot i is D(s)
     for some even chain s, so D(s) = a e_i + (vectors of index > i) with
-    a != 0. Since D D(s) = 0 (C/m^(top+1) is a complex), the odd row of e_i
+    a != 0. Since D D(s) = 0 (C/m^(top+1) is a complex: for a factorization
+    of 0 always, and at top 0 when w lies in m), the odd row of e_i
     is a combination of the odd rows of index > i, which come before it.
     """
     basis, index = _level_basis(ctx, columns, top)
@@ -546,7 +543,9 @@ def _certified_top_degree(gens):
     """sum(deg g - 1) over n nonzero homogeneous gens in n variables when
     R/(gens) is certified finite-dimensional, else None.
 
-    The certificate is (R/(gens))_{top+1} = 0, one sparse rank. It makes
+    The certificate is (R/(gens))_{top+1} = 0, one `rank_sparse` of the
+    products on that one graded window (reading it as a level of
+    `_quotient_levels` would rank every degree up to top + 1). It makes
     R/(gens) finite: the ideal is homogeneous, so every degree above top+1 is
     a multiple of degree top+1. Then the gens generate an m-primary ideal, so
     they form a regular sequence, R/(gens) has Hilbert series
@@ -564,14 +563,33 @@ def _certified_top_degree(gens):
         return None
     top = sum(e - 1 for e in degrees)
     src = [(i, m) for i, e in enumerate(degrees) for m in monomials_of_degree(ctx.n_vars, top + 1 - e)]
-    return top if _quotient_dim(gens, src, monomials_of_degree(ctx.n_vars, top + 1)) == 0 else None
+    target = monomials_of_degree(ctx.n_vars, top + 1)
+    return top if rank_sparse(list(_product_rows(gens, src, target)), ctx.field) == len(target) else None
 
 
-def _quotient_dim(gens, src, target):
-    """dim of R/(gens) on the monomial window `target`: len(target) minus the
-    rank of the products m * gens[i], (i, m) in src, with the terms outside
-    the window dropped."""
-    index = {(0, m): i for i, m in enumerate(target)}
+def _quotient_levels(gens, top):
+    """[dim R/(gens + m^(L+1)) for L = 0, ..., top], every gen in m, from one
+    `echelon` of the products m * g truncated at degree `top`.
+
+    The columns are the monomials of degree <= top, degree-major, so those of
+    degree <= L are the first C(n + L, n). Every g lies in m, so a product of
+    degree > L is 0 on these columns, and on them the products are exactly
+    those of level L truncated at degree L. So the rank at level L is the
+    rank of the first C(n + L, n) columns, the number of pivots in them
+    (`echelon`), and dim_L is C(n + L, n) minus it. The rows m * g with
+    deg m < top are yielded from the highest degree down, as `_level_profile`
+    takes its rows; those with deg m = top would vanish.
+    """
+    n, field = gens[0].ctx.n_vars, gens[0].ctx.field
+    monos = monomial_basis(n, top)
+    src = ((i, m) for m in reversed(monos[: comb(n + top - 1, n)]) for i in reversed(range(len(gens))))
+    pivots = sorted(col for _, col in echelon(_product_rows(gens, src, monos), field))
+    return [comb(n + level, n) - bisect_left(pivots, comb(n + level, n)) for level in range(top + 1)]
+
+
+def _product_rows(gens, src, target):
+    """The rows of the products m * gens[i], (i, m) in `src`, on the monomial
+    window `target`, yielded one at a time; terms outside it are dropped."""
+    index = {(0, m): k for k, m in enumerate(target)}
     columns = [[(0, exp, c) for exp, c in g.terms.items()] for g in gens]
-    rows = _truncated_operator_rows(columns, src, index)
-    return len(target) - rank_sparse(rows, gens[0].ctx.field)
+    return _truncated_operator_rows(columns, src, index)

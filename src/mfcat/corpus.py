@@ -176,7 +176,7 @@ def _bruteforce_quotient_dim(w: Series, cap: int) -> int:
     """dim R/(partials) in R/m^(cap+1) by dense elimination.
 
     The multiplication rows are built here on purpose instead of through
-    complexes._quotient_dim or complexes._truncated_operator_rows, and
+    complexes._quotient_levels or complexes._truncated_operator_rows, and
     eliminated densely: this is the independent oracle those engines are
     checked against.
     """

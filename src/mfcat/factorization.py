@@ -265,7 +265,8 @@ class MFMorphism:
     """Morphism of factorizations over a shared potential.
 
     Even parity: a: X0 -> Y0 and b: X1 -> Y1. Odd parity: a: X0 -> Y1 and
-    b: X1 -> Y0. Closedness is d_Y f - (-1)^|f| f d_X = 0.
+    b: X1 -> Y0. Closedness is d_Y f - (-1)^|f| f d_X = 0. Both a and b
+    are target.rank x source.rank (else PreconditionError).
     """
 
     __slots__ = ("source", "target", "parity", "a", "b")
@@ -277,6 +278,12 @@ class MFMorphism:
             raise PreconditionError("morphism endpoints must share the potential")
         if parity not in ("even", "odd"):
             raise PreconditionError("parity must be 'even' or 'odd'")
+        for name, m in (("a", a), ("b", b)):
+            if (m.rows, m.cols) != (target.rank, source.rank):
+                raise PreconditionError(
+                    f"morphism matrix {name} is {m.rows}x{m.cols}, "
+                    f"not target rank x source rank = {target.rank}x{source.rank}"
+                )
         self.source = source
         self.target = target
         self.parity = parity

@@ -8,11 +8,13 @@ to its content; only rows holding a Fraction have their denominators
 cleared. Over GF(p) the residues are the integers.
 
   * `echelon` gives the ranks of every row-prefix x column-prefix block at
-    once: the two-cap levels, whose ranks are all such blocks of one matrix.
-  * `rank_sparse` gives one rank (strands, quotient dimensions and
-    k-reductions): the number of `echelon` pivots of the rows taken
-    last-first, the order in which most of the callers' rows pivot at once
-    (the reason and its measurement are in its docstring).
+    once. Every truncation level is read that way: the two-cap levels, the
+    levels of the Jacobian quotient and the reduction mod k (level 0) are
+    all such blocks of one matrix.
+  * `rank_sparse` gives one rank (the strands, and the one graded window of
+    `complexes._certified_top_degree`): the number of `echelon` pivots of
+    the rows taken last-first, the order in which most of the callers' rows
+    pivot at once (the reason and its measurement are in its docstring).
 
 The dense Gauss-Jordan `rref_dense`, with `rank_dense` and
 `nullspace_dense` on top of it, is kept as a reference only: the corpus
@@ -81,10 +83,12 @@ def rank_sparse(rows, field) -> int:
     the number of `echelon` pivots of its rows taken last-first. The rows
     are left as they are.
 
-    The order is a rule, not a choice left to the caller. Every caller
-    (strands, quotient dimensions, mod k) builds its rows in increasing
-    (basis index, monomial) order, so the last rows have the highest lowest
-    columns and most of them pivot at once: their pivot rows stay as sparse
+    The order is a rule, not a choice left to the caller. Both callers
+    (the strands, and the certified top degree of a Jacobian ring) build
+    their rows in increasing (basis index, monomial) order, so the last rows
+    have the highest lowest columns and most of them pivot at once (mod k
+    and the quotient levels are `echelon` prefixes, not ranks of their
+    own). Their pivot rows stay as sparse
     as they were built, and the rows that do need reducing are reduced by
     short rows. On End of the diagonal of x^3+y^3+z^3+w^3, 96% of the pivot
     rows needed no reduction last-first (65% in the given order, 55% sorted

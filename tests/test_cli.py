@@ -275,6 +275,22 @@ def test_quasi_iso_checks_both_ends(tmp_path, capsys):
         assert f"{end}.json {end}: phi*psi is not w*id at entry (0, 0)" in err
 
 
+@pytest.mark.parametrize("shape", [(2, 1), (1, 2)])
+def test_quasi_iso_rejects_a_misshapen_morphism(tmp_path, capsys, shape):
+    # the identity of K of x^3 (rank 1) with `a` made 2x1 or 1x2: one exit
+    # code for both, not the verdict of whichever product meets it first
+    ctx = RingCtx(("x",), QQ)
+    k = stabilize_residue_field(Series.variable(ctx, 0) ** 3)
+    obj = serialize.morphism_to_obj(MFMorphism.identity(k))
+    rows, cols = shape
+    obj["a"] = [[obj["a"][0][0]] * cols for _ in range(rows)]
+    path = tmp_path / "f.json"
+    path.write_text(serialize.dumps_canonical(obj))
+    code, out, err = run(capsys, "quasi-iso", str(path))
+    assert code == 3 and out == ""
+    assert f"morphism matrix a is {rows}x{cols}" in err
+
+
 def test_cohomology(tmp_path, capsys):
     ctx = RingCtx(("x",), QQ)
     k = stabilize_residue_field(Series.variable(ctx, 0) ** 3)

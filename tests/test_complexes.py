@@ -486,12 +486,17 @@ def _two_cap_reference(C, n):
     """The kernel-basis formula for the two-cap dims: a `nullspace_dense` basis
     of the level-2n cycles, truncated to level n and ranked against the
     level-n boundaries."""
-    from mfcat.complexes import _level_data
+    from mfcat.complexes import _level_basis
     from mfcat.linalg import nullspace_dense, rank_sparse
 
     field = C.ctx.field
-    basis_hi, eo_hi, oe_hi = _level_data(C.ctx, _columns(C), 2 * n)
-    basis_lo, eo_lo, oe_lo = _level_data(C.ctx, _columns(C), n)
+
+    def level(cap):
+        basis, index = _level_basis(C.ctx, _columns(C), cap)
+        return (basis, *(list(_truncated_operator_rows(cols, basis, index)) for cols in _columns(C)))
+
+    basis_hi, eo_hi, oe_hi = level(2 * n)
+    basis_lo, eo_lo, oe_lo = level(n)
 
     def induced(d_hi, tgt_dim, b_lo):
         cols = [[field.zero] * len(basis_hi) for _ in range(tgt_dim)]
@@ -602,7 +607,7 @@ def test_operator_rows_match_series_products(field_name):
         src = [(i, m) for i in range(cols) for m in monomials_of_degree(2, rng.randint(0, 3))]
         tgt = [(j, m) for j in range(rows) for m in monomials_of_degree(2, rng.randint(0, 5))]
         strand_index = {bv: k for k, bv in enumerate(tgt)}
-        assert _truncated_operator_rows(columns, src, strand_index) == _operator_rows_reference(
+        assert list(_truncated_operator_rows(columns, src, strand_index)) == _operator_rows_reference(
             mat, src, strand_index
         )
         # a level truncation, as the two-cap route builds it
@@ -611,7 +616,7 @@ def test_operator_rows_match_series_products(field_name):
         src = [(i, m) for i in range(cols) for m in monos]
         level = [(j, m) for j in range(rows) for m in monos]
         level_index = {bv: k for k, bv in enumerate(level)}
-        assert _truncated_operator_rows(columns, src, level_index) == _operator_rows_reference(
+        assert list(_truncated_operator_rows(columns, src, level_index)) == _operator_rows_reference(
             mat, src, level_index
         )
 

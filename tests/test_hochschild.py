@@ -1,6 +1,6 @@
 import pytest
 
-from mfcat.complexes import _quotient_dim, _truncated_operator_rows, hom_cohomology
+from mfcat.complexes import _quotient_levels, _truncated_operator_rows, hom_cohomology
 from mfcat.corpus import oracle_milnor
 from mfcat.errors import PreconditionError, StabilizationError
 from mfcat.factorization import RMatrix, verify_mf
@@ -105,8 +105,10 @@ JACOBIAN_CASES = [
 
 @pytest.mark.parametrize("names,text,field", JACOBIAN_CASES)
 def test_jacobian_report_matches_dense_reference(names, text, field):
-    """mu, tau and the level from sparse ranks equal those of the dense
-    reference loop, level by level, and mu equals the corpus oracle."""
+    """mu, tau and the level from one echelon per doubling step equal those
+    of the dense reference loop, and mu equals the corpus oracle. One
+    `_quotient_levels` call at the highest level the reference visited gives
+    the reference's dimension at every level."""
     ctx = RingCtx(tuple(names), field_from_name(field) if field else QQ)
     w = parse_potential_text(ctx, text)
     partials = [w.partial_derivative(i) for i in range(ctx.n_vars)]
@@ -115,10 +117,33 @@ def test_jacobian_report_matches_dense_reference(names, text, field):
     tau, _, _, _ = _dense_stabilized_quotient(ctx, partials + [w])
     assert (rep.milnor_number, rep.tyurina_number, rep.stabilized_at) == (mu, tau, at)
     assert len(standard) == mu == oracle_milnor(w)
+    dims = _quotient_levels(partials, len(levels))
     for n, dim in enumerate(levels, start=1):
-        monos = monomial_basis(ctx, n)
-        src = [(i, m) for i in range(len(partials)) for m in monos]
-        assert _quotient_dim(partials, src, monos) == dim
+        assert dims[n] == dim, n
+
+
+@pytest.mark.parametrize(
+    "names,text,cap",
+    [
+        ("xy", "x^2*y + y^3", 3),
+        ("xy", "x^3 + x*y^3", 5),
+        # W12: its Milnor level 5 needs one more than its Tyurina level 4
+        ("xy", "x^4 + y^5 + x^2*y^3", 6),
+        ("x", "x^7", 6),
+        ("xy", "x^2 + y^30", 29),
+    ],
+)
+def test_jacobian_report_smallest_cap(monkeypatch, names, text, cap):
+    """The report answers at MFCAT_NMAX = cap and not at cap - 1: the first
+    repeat N, N + 1 counts only when N + 1 <= cap, whatever levels the
+    doubling reads (none of these caps is a power of two). Each Milnor
+    level N is cap - 1."""
+    w = potential(names, text)
+    monkeypatch.setenv("MFCAT_NMAX", str(cap))
+    assert jacobian_report(w).stabilized_at == cap - 1
+    monkeypatch.setenv("MFCAT_NMAX", str(cap - 1))
+    with pytest.raises(StabilizationError):
+        jacobian_report(w)
 
 
 def test_d4_standard_monomials():
