@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 ok, 2 parse error, 3 precondition violation, 4 verification
-failure, 5 stabilization cap exceeded. MFCAT_NMAX overrides the cap.
+failure, 5 stabilization cap exceeded or out of memory. MFCAT_NMAX
+overrides the cap.
 """
 
 from __future__ import annotations
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
     except MfcatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VERIFICATION
+    except MemoryError:
+        sys.stderr.write("out of memory before the computation finished\n")
+        return EXIT_STABILIZATION
 
 
 if __name__ == "__main__":

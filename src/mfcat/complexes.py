@@ -24,9 +24,10 @@ Both stay below the configurable cap (env MFCAT_NMAX, default 64), and
 The engines read a complex as the column terms its matrices hold, paired
 by source parity (`factorization._columns`). Levels are read one way: as
 prefix blocks of one `echelon`. The reduction k (x) C of `cohomology_mod_k`
-is level 0 of `_level_profile`, and the quotients R/(gens + m^(L+1)) of the
-Jacobian ring, every L <= top at once, are the prefixes of one echelon of
-the level-top products (`_quotient_levels`). A morphism complex
+is level 0 of `_level_profile`, and the quotients R/(J + m^(L+1)) and
+R/(J + (w) + m^(L+1)), J the Jacobian ideal, every L <= top at once, are
+the prefixes of one echelon of the level-top products, row prefixes
+included (`_quotient_levels`). A morphism complex
 Hom(X, Y) (`hom_cohomology`) has its column terms placed from those of Y and
 dual(X) (`_hom_columns`), so no Hom-sized matrix is built, and it is graded
 from gradings of X and Y, u_ij = b_i - a_j (`_hom_grading`), not by grading
@@ -567,9 +568,10 @@ def _certified_top_degree(gens):
     return top if rank_sparse(list(_product_rows(gens, src, target)), ctx.field) == len(target) else None
 
 
-def _quotient_levels(gens, top):
-    """[dim R/(gens + m^(L+1)) for L = 0, ..., top], every gen in m, from one
-    `echelon` of the products m * g truncated at degree `top`.
+def _quotient_levels(partials, w, top):
+    """[dim R/(J + m^(L+1)) for L = 0, ..., top] and the same list for
+    J + (w), J the ideal of the `partials`, from one `echelon` of the
+    products m * g truncated at degree `top`.
 
     The columns are the monomials of degree <= top, degree-major, so those of
     degree <= L are the first C(n + L, n). Every g lies in m, so a product of
@@ -577,14 +579,19 @@ def _quotient_levels(gens, top):
     those of level L truncated at degree L. So the rank at level L is the
     rank of the first C(n + L, n) columns, the number of pivots in them
     (`echelon`), and dim_L is C(n + L, n) minus it. The rows m * g with
-    deg m < top are yielded from the highest degree down, as `_level_profile`
-    takes its rows; those with deg m = top would vanish.
+    deg m < top (those with deg m = top would vanish) come from the highest
+    degree down, as `_level_profile` takes its rows: first those of every
+    partial, then those of w. `echelon` takes the rows in order, so the
+    pivots in the partials' rows are those of an echelon of theirs alone and
+    give the dims of J, and all the pivots give those of J + (w).
     """
-    n, field = gens[0].ctx.n_vars, gens[0].ctx.field
+    n, field, k = w.ctx.n_vars, w.ctx.field, len(partials)
     monos = monomial_basis(n, top)
-    src = ((i, m) for m in reversed(monos[: comb(n + top - 1, n)]) for i in reversed(range(len(gens))))
-    pivots = sorted(col for _, col in echelon(_product_rows(gens, src, monos), field))
-    return [comb(n + level, n) - bisect_left(pivots, comb(n + level, n)) for level in range(top + 1)]
+    below = monos[: comb(n + top - 1, n)][::-1]
+    src = ((i, m) for group in (range(k - 1, -1, -1), (k,)) for m in below for i in group)
+    profile = echelon(_product_rows(partials + [w], src, monos), field)
+    pivots = sorted(c for r, c in profile if r < k * len(below)), sorted(c for _, c in profile)
+    return [[comb(n + L, n) - bisect_left(p, comb(n + L, n)) for L in range(top + 1)] for p in pivots]
 
 
 def _product_rows(gens, src, target):

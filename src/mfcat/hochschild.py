@@ -1,21 +1,26 @@
 """Hochschild invariants via the folded Koszul complex of the partials.
 
-The Milnor/Tyurina dimensions are those of R/(gens + m^(N+1)). The first
-repeated dimension is the answer: the dimensions never decrease, and
-equality at N and N + 1 means m^(N+1) lies in (gens) + m^(N+2), so m^(N+1)
-lies in (gens) by Nakayama's lemma and every later level has the same
-dimension. The rule is the first N >= 1 with dim_N = dim_(N+1) and
-N + 1 <= cap (env MFCAT_NMAX).
+The Milnor number is the dimension of R/J, J the ideal of the partials,
+read off R/(J + m^(N+1)). The first repeated dimension is the answer: the
+dimensions never decrease, and equality at N and N + 1 means m^(N+1) lies
+in J + m^(N+2), so m^(N+1) lies in J by Nakayama's lemma and every later
+level has the same dimension. The rule is the first N >= 1 with
+dim_N = dim_(N+1) and N + 1 <= cap (env MFCAT_NMAX); that N is N_J
+(`JacobianReport.stabilized_at`). The Tyurina number is the dimension of
+R/(J + (w) + m^(N+1)) at that same N, with no rule of its own: m^(N+1)
+lies in J, so in J + (w), and every level from N on has dimension
+dim R/(J + (w)).
 
 The levels are read in doubling steps, top = 2, 4, 8, ..., the last top
-clamped to the cap, each giving dim_L for every L <= top from one
-`echelon` (`complexes._quotient_levels`). Every generator lies in m, so
+clamped to the cap, each giving both dims for every L <= top from one
+`echelon` (`complexes._quotient_levels`): the products of the partials are
+its first rows, and those of w follow them. Every generator lies in m, so
 with the monomials ordered degree-major the products at level L are those
 at level top on the first C(n + L, n) columns, and the rank of that column
-prefix is the number of pivots in it. So each step reads the same dims as
-ranking every level afresh, the rule meets the same first N, and a level
-past a repeat only costs time: x^8+y^8+z^8 repeats at 18 and is read up to
-32.
+prefix (of those rows, or of all of them) is the number of pivots in it.
+So each step reads the same dims as ranking every level afresh, the rule
+meets the same first N, and a level past a repeat only costs time:
+x^8+y^8+z^8 repeats at 18 and is read up to 32.
 """
 
 from __future__ import annotations
@@ -43,23 +48,6 @@ class JacobianReport:
     stabilized_at: int = 0
 
 
-def _stabilized_quotient(gens):
-    """(dim R/(gens), N): the dimension of R/(gens + m^(N+1)) at the first
-    level N >= 1 whose dimension repeats at N + 1 <= cap, read off
-    `_quotient_levels` at top = 2, 4, 8, ..., the last top clamped to the cap."""
-    cap = stabilization_cap()
-    top = 1
-    while top < cap:
-        top = min(2 * top, cap)
-        dims = _quotient_levels(gens, top)
-        for n in range(1, top):
-            if dims[n] == dims[n + 1]:
-                return dims[n], n
-    raise StabilizationError(
-        "quotient dimension does not stabilize: not isolated (or cap too low)"
-    )
-
-
 def jacobian_report(w: Series) -> JacobianReport:
     require_potential(w)
     ctx = w.ctx
@@ -73,9 +61,15 @@ def jacobian_report(w: Series) -> JacobianReport:
                 f"{ctx.field.characteristic}: the Jacobian ideal is not m-primary, "
                 "so the Jacobian and Koszul routes do not apply"
             )
-    milnor, at = _stabilized_quotient(partials)
-    tyurina, _ = _stabilized_quotient(partials + [w])
-    return JacobianReport(milnor, tyurina, at)
+    cap = stabilization_cap()
+    top = 1
+    while top < cap:
+        top = min(2 * top, cap)
+        milnor, tyurina = _quotient_levels(partials, w, top)
+        for n in range(1, top):
+            if milnor[n] == milnor[n + 1]:
+                return JacobianReport(milnor[n], tyurina[n], n)
+    raise StabilizationError("quotient dimension does not stabilize: not isolated (or cap too low)")
 
 
 def folded_koszul_complex(gens) -> MatrixFactorization:

@@ -10,7 +10,8 @@ cleared. Over GF(p) the residues are the integers.
   * `echelon` gives the ranks of every row-prefix x column-prefix block at
     once. Every truncation level is read that way: the two-cap levels, the
     levels of the Jacobian quotient and the reduction mod k (level 0) are
-    all such blocks of one matrix.
+    all such blocks of one matrix. The Milnor and Tyurina levels share one
+    matrix, the rows of the partials' products a prefix of those with w's.
   * `rank_sparse` gives one rank (the strands, and the one graded window of
     `complexes._certified_top_degree`): the number of `echelon` pivots of
     the rows taken last-first, the order in which most of the callers' rows

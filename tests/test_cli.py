@@ -95,17 +95,23 @@ def test_diagonal(capsys):
 
 
 def test_hh(capsys):
-    # A2, and E7 with a non-integral coefficient
-    for text, ring, dims, parity in (("x^3", "x", 2, 1), ("x^3 + 1/2*x*y^3", "x,y", 7, 0)):
+    # A2, E7 with a non-integral coefficient, and W12, which is not
+    # quasi-homogeneous, so its Tyurina number is below its Milnor number
+    for text, ring, mu, tau, parity in (
+        ("x^3", "x", 2, 2, 1),
+        ("x^3 + 1/2*x*y^3", "x,y", 7, 7, 0),
+        ("x^4+y^5+x^2*y^3", "x,y", 12, 11, 0),
+        ("x^4+y^5+x^2*y^3", "x,y;prime(7)", 12, 11, 0),
+    ):
         code, out, _ = run(capsys, "hh", "--inline", text, "--ring", ring)
         assert code == 0
         assert json.loads(out) == {
-            "hh_even": dims,
+            "hh_even": mu,
             "hh_odd": 0,
-            "milnor": dims,
-            "tyurina": dims,
+            "milnor": mu,
+            "tyurina": tau,
             "hh_homology_parity": parity,
-            "hp": dims,
+            "hp": mu,
         }
 
 
@@ -113,6 +119,18 @@ def test_hh_stabilization_exit(capsys, monkeypatch):
     monkeypatch.setenv("MFCAT_NMAX", "8")
     code, _, err = run(capsys, "hh", "--inline", "x^2*y", "--ring", "x,y")
     assert code == 5 and "stabilization" in err
+
+
+def test_out_of_memory_exits_5(tmp_path, capsys, monkeypatch):
+    def exhausted(x, y):
+        raise MemoryError
+
+    monkeypatch.setattr("mfcat.cli.hom_cohomology", exhausted)
+    w = Series.variable(RingCtx(("x",), QQ), 0) ** 3
+    path = write_mf(tmp_path, stabilize_residue_field(w))
+    code, out, err = run(capsys, "cohomology", path, "--endomorphisms")
+    assert code == 5 and out == ""
+    assert err.startswith("out of memory") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("text, ring", [("x^7", "x;prime(7)"), ("x^7+y^2", "x,y;prime(7)")])

@@ -1,5 +1,6 @@
 import pytest
 
+from mfcat import complexes
 from mfcat.complexes import _quotient_levels, _truncated_operator_rows, hom_cohomology
 from mfcat.corpus import oracle_milnor
 from mfcat.errors import PreconditionError, StabilizationError
@@ -13,7 +14,7 @@ from mfcat.hochschild import (
     hochschild_homology,
     jacobian_report,
 )
-from mfcat.linalg import rref_dense
+from mfcat.linalg import echelon, rref_dense
 from mfcat.series import RingCtx, monomial_basis
 from mfcat.serialize import parse_potential_text
 from mfcat.stabilize import stabilized_diagonal
@@ -106,9 +107,10 @@ JACOBIAN_CASES = [
 @pytest.mark.parametrize("names,text,field", JACOBIAN_CASES)
 def test_jacobian_report_matches_dense_reference(names, text, field):
     """mu, tau and the level from one echelon per doubling step equal those
-    of the dense reference loop, and mu equals the corpus oracle. One
-    `_quotient_levels` call at the highest level the reference visited gives
-    the reference's dimension at every level."""
+    of the dense reference loops, and mu equals the corpus oracle. One
+    `_quotient_levels` call at the highest level the Milnor reference
+    visited gives the dense dimension of R/(J + m^(L+1)) and of
+    R/(J + (w) + m^(L+1)) at every level L up to it."""
     ctx = RingCtx(tuple(names), field_from_name(field) if field else QQ)
     w = parse_potential_text(ctx, text)
     partials = [w.partial_derivative(i) for i in range(ctx.n_vars)]
@@ -117,9 +119,27 @@ def test_jacobian_report_matches_dense_reference(names, text, field):
     tau, _, _, _ = _dense_stabilized_quotient(ctx, partials + [w])
     assert (rep.milnor_number, rep.tyurina_number, rep.stabilized_at) == (mu, tau, at)
     assert len(standard) == mu == oracle_milnor(w)
-    dims = _quotient_levels(partials, len(levels))
+    milnor, tyurina = _quotient_levels(partials, w, len(levels))
     for n, dim in enumerate(levels, start=1):
-        assert dims[n] == dim, n
+        assert milnor[n] == dim, n
+        assert tyurina[n] == _dense_quotient_data(ctx, partials + [w], n)[0], n
+
+
+@pytest.mark.parametrize("names,text,field", JACOBIAN_CASES)
+def test_jacobian_report_runs_one_echelon_per_doubling_step(monkeypatch, names, text, field):
+    """mu, tau and N_J come from one `echelon` per doubling step
+    top = 2, 4, 8, ..., and the steps end at the first top >= N_J + 1."""
+    calls = []
+
+    def counted(rows, field):
+        calls.append(None)
+        return echelon(rows, field)
+
+    monkeypatch.setattr(complexes, "echelon", counted)
+    monkeypatch.delenv("MFCAT_NMAX", raising=False)
+    ctx = RingCtx(tuple(names), field_from_name(field) if field else QQ)
+    rep = jacobian_report(parse_potential_text(ctx, text))
+    assert len(calls) == rep.stabilized_at.bit_length()
 
 
 @pytest.mark.parametrize(
