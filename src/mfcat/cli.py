@@ -271,8 +271,9 @@ def main(argv=None) -> int:
     except MfcatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VERIFICATION
-    except MemoryError:
-        sys.stderr.write("out of memory before the computation finished\n")
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"out of memory before the computation finished{detail}\n")
         return EXIT_STABILIZATION
 
 

@@ -31,18 +31,21 @@ included (`_quotient_levels`). A morphism complex
 Hom(X, Y) (`hom_cohomology`) has its column terms placed from those of Y and
 dual(X) (`_hom_columns`), so no Hom-sized matrix is built, and it is graded
 from gradings of X and Y, u_ij = b_i - a_j (`_hom_grading`), not by grading
-its own basis. Its strand scan has a proven
-end when the potential w is homogeneous of the grading's step delta and
-certified isolated by (R/(dw))_{n(delta-2)+1} = 0: graded Serre duality puts
-every class at or below the strand u_max + n(delta - 2) (`_serre_stop`).
-Under the same conditions End(X) is scanned only up to its center
-n(delta - 2)/2, and each strand below the center is counted again for its
-mirror (proof in `hom_cohomology`); Hom(X, Y) with X != Y is scanned in full.
-The folded Koszul complex of the partials has a proven end too
-(`hochschild._koszul_stop`). Every other stop is assumed, not proven: the
-strand scan of any other graded complex, such as a Hom whose potential fails
-the preconditions, ends after a long run of empty strands; and the two-cap
-route ends when levels n and n+1 agree.
+its own basis. A graded strand scan has one proven stop, the strand
+u_max + n(delta - 2), u_max the largest shift and n the number of variables,
+chosen in `_cohomology` and proven two ways. For Hom(X, Y), when w is
+homogeneous of the grading's step delta and certified isolated by
+(R/(dw))_{n(delta-2)+1} = 0, graded Serre duality puts every class at or
+below it (`_serre_applies`); under the same conditions End(X) is scanned
+only up to its center n(delta - 2)/2, and each strand below the center is
+counted again for its mirror (proof in `hom_cohomology`), while Hom(X, Y)
+with X != Y is scanned in full. For the folded Koszul complex of the
+partials of an isolated w, delta is 0 and the stop is u_max - 2n, the top
+degree of the Jacobian algebra (proof in `hochschild._checked_koszul_dims`).
+Every other stop is assumed, not proven: the strand scan of any other graded
+complex, such as a Hom whose potential fails the preconditions, ends after a
+long run of empty strands; and the two-cap route ends when levels n and n+1
+agree.
 """
 
 from __future__ import annotations
@@ -421,11 +424,18 @@ def _two_cap_dims(profile, n_lo):
 def _two_cap_cohomology(ctx, columns, cap):
     """The two-cap route: `_two_cap_dims` at n and n + 1, both read off one
     level-(2n+2) profile, from n = max(2, 2(maxdeg + 1)) doubling until they
-    agree."""
+    agree. A MemoryError names the level and its size, rank * C(n_vars + 2n + 2,
+    n_vars) basis vectors per parity, built before the level is."""
     max_deg = max((sum(exp) for cols in columns for col in cols for _, exp, _ in col), default=0)
     n = max(2, 2 * (max_deg + 1))
     while n <= cap:
-        profile = _level_profile(ctx, columns, 2 * n + 2)
+        level = 2 * n + 2
+        size = len(columns[0]) * comb(ctx.n_vars + level, ctx.n_vars)
+        message = f"two-cap level {level} needs {size:,} basis vectors per parity"
+        try:
+            profile = _level_profile(ctx, columns, level)
+        except MemoryError:
+            raise MemoryError(message) from None
         dims = _two_cap_dims(profile, n)
         if dims == _two_cap_dims(profile, n + 1):
             return dims
@@ -435,23 +445,24 @@ def _two_cap_cohomology(ctx, columns, cap):
     )
 
 
-def _cohomology(ctx, columns, graded, stop=None, mirror=False):
+def _cohomology(ctx, columns, graded, proven=False, mirror=False):
     """(even, odd) k-dims of H(C) over R, C a factorization of 0 over `ctx`
     given by its `_columns` and graded by `graded` (u_even, u_odd, delta) or
     None: the one place where the route and the stop are chosen.
 
-    Ungraded, the two-cap route. Graded, the strands of `_strand_dims` up to
-    `stop`; with `mirror` (End(X) under `_serre_stop`, proof in
+    Ungraded, the two-cap route. Graded, the strands of `_strand_dims`: with
+    `proven`, up to the one proven stop u_max + n(delta - 2), u_max the
+    largest shift (proofs in `hom_cohomology` and
+    `hochschild._checked_koszul_dims`); with `mirror` (End(X), proof in
     `hom_cohomology`), up to the center n(delta - 2)/2, each strand below it
-    counted again for its mirror.
+    counted again for its mirror; otherwise until a run of empty strands.
     """
     cap = stabilization_cap()
     if graded is None:
         return _two_cap_cohomology(ctx, columns, cap)
     n = ctx.n_vars
     top = n * (graded[2] - 2)
-    if mirror:
-        stop = top // 2
+    stop = top // 2 if mirror else (max(graded[0] + graded[1]) + top if proven else None)
     even = odd = 0
     for s, he, ho in _strand_dims(ctx, columns, *graded, cap, stop):
         if mirror and 2 * s < top:
@@ -462,7 +473,7 @@ def _cohomology(ctx, columns, graded, stop=None, mirror=False):
     return even, odd
 
 
-def cohomology_over_R(c: MatrixFactorization, strand_stop=None):
+def cohomology_over_R(c: MatrixFactorization, proven=False):
     """k-dimensions of (even, odd) cohomology of a 2-periodic complex, i.e. of
     a factorization of 0.
 
@@ -472,15 +483,13 @@ def cohomology_over_R(c: MatrixFactorization, strand_stop=None):
     two-cap rank formula both rely on it. Entries are polynomials; the strand
     and level truncations below reach the local ring.
 
-    `strand_stop(u_even, u_odd, delta)`, when given, returns the last strand
-    that can carry cohomology under the grading found, or None; a strand scan
-    with a stop visits exactly the strands up to it (see `hom_cohomology`).
+    `proven` states that no class lies above the strand u_max + n(delta - 2)
+    of the grading `detect_grading` finds, and a strand scan then ends there
+    (`_cohomology`); the caller holds the proof.
     """
     if not c.potential.is_zero():
         raise PreconditionError("cohomology over R requires a factorization of 0")
-    graded = detect_grading(c)
-    stop = None if graded is None or strand_stop is None else strand_stop(*graded)
-    return _cohomology(c.ctx, _columns(c), graded, stop)
+    return _cohomology(c.ctx, _columns(c), detect_grading(c), proven)
 
 
 def hom_cohomology(x: MatrixFactorization, y: MatrixFactorization):
@@ -488,14 +497,14 @@ def hom_cohomology(x: MatrixFactorization, y: MatrixFactorization):
     `hom_complex(x, y)`.
 
     Hom is graded from X and Y (`_hom_grading`), and takes the two-cap route
-    when they are not graded alike. Graded, its strand scan ends at the Serre
-    stop where that applies (`_serre_stop`), and then End(X) is read off its
-    strands s <= n(delta - 2)/2 alone, each one below the center counted
-    again for its mirror. Every other graded Hom is scanned until the run of
-    empty strands of `cohomology_over_R`.
+    when they are not graded alike. Graded, and when `_serre_applies`, its
+    strand scan ends at the proven stop u_max + n(delta - 2) of `_cohomology`,
+    and End(X) is read off its strands s <= n(delta - 2)/2 alone, each one
+    below the center counted again for its mirror. Every other graded Hom is
+    scanned until the run of empty strands of `cohomology_over_R`.
 
     Proof. Write N = n(delta - 2) and h^p_t for the dimension of the parity-p
-    cohomology in strand t. The duality of `_serre_stop` with Y = X reads
+    cohomology in strand t. The duality of `_serre_applies` with Y = X reads
     H(End(X))_t = H(End(X))^dual_{N-t}, parity shifted by n: the grading of
     Hom(Y, X) it uses is that of End(X) again, since both are a_i - a_j. So
     h^p_t = h^(p+n)_(N-t), and t -> N - t maps the strands above N/2 onto
@@ -506,17 +515,15 @@ def hom_cohomology(x: MatrixFactorization, y: MatrixFactorization):
     """
     columns = _hom_columns(x, y)
     graded = _hom_grading(x, y)
-    stop = None if graded is None else _serre_stop(x.potential, *graded)
-    return _cohomology(x.ctx, columns, graded, stop, mirror=stop is not None and x == y)
+    proven = graded is not None and _serre_applies(x.potential, graded[2])
+    return _cohomology(x.ctx, columns, graded, proven, mirror=proven and x == y)
 
 
-def _serre_stop(w: Series, u_even, u_odd, delta):
-    """Last strand of Hom(X, Y) that can carry cohomology, u_max + n(delta - 2),
-    or None when the proof below does not apply.
-
-    It applies when w is homogeneous of degree delta >= 2 (the step of the
-    grading) and (R/(dw))_{n(delta-2)+1} = 0, which certifies that w has an
-    isolated singularity (`_certified_top_degree`); n is the number of
+def _serre_applies(w: Series, delta):
+    """Whether no class of a Hom(X, Y) graded with step `delta` lies above the
+    strand u_max + n(delta - 2), by the proof below: w is homogeneous of
+    degree delta >= 2 and (R/(dw))_{n(delta-2)+1} = 0, which certifies that w
+    has an isolated singularity (`_certified_top_degree`); n is the number of
     variables and u_max the largest shift of the grading.
 
     Proof. X and Y are graded (basis degrees a_j and b_i, d of degree delta,
@@ -535,9 +542,8 @@ def _serre_stop(w: Series, u_even, u_odd, delta):
     strand 38 = u_max + n(delta - 2).
     """
     if w.is_zero() or delta < 2 or any(sum(exp) != delta for exp in w.terms):
-        return None
-    top = _certified_top_degree([w.partial_derivative(i) for i in range(w.ctx.n_vars)])
-    return None if top is None else max(list(u_even) + list(u_odd)) + top
+        return False
+    return _certified_top_degree([w.partial_derivative(i) for i in range(w.ctx.n_vars)]) is not None
 
 
 def _certified_top_degree(gens):

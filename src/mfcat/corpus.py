@@ -232,13 +232,19 @@ def _criterion(index, title):
 
     The generator sees only the isolated entries of the corpus it is given.
     The criterion passes when every pair does, and its details are the lines
-    in the order they were yielded.
+    in the order they were yielded. An `MfcatError` raised by the generator
+    ends it with a failing line that names the error, so the battery goes on.
     """
 
     def wrap(checks):
         @wraps(checks)
         def run(corpus, rng, **options):
-            pairs = list(checks([e for e in corpus if e.isolated], rng, **options))
+            pairs = []
+            try:
+                for pair in checks([e for e in corpus if e.isolated], rng, **options):
+                    pairs.append(pair)
+            except MfcatError as exc:
+                pairs.append((False, f"raised {type(exc).__name__}: {exc}"))
             return CriterionResult(
                 index, title, all(ok for ok, _ in pairs), [line for _, line in pairs]
             )

@@ -26,15 +26,8 @@ x^8+y^8+z^8 repeats at 18 and is read up to 32.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
-from .complexes import (
-    _certified_top_degree,
-    _quotient_levels,
-    cohomology_mod_k,
-    cohomology_over_R,
-    stabilization_cap,
-)
+from .complexes import _quotient_levels, cohomology_mod_k, cohomology_over_R, stabilization_cap
 from .errors import PreconditionError, StabilizationError, VerificationError
 from .factorization import MatrixFactorization, dual, shift_power
 from .series import Series
@@ -91,30 +84,30 @@ def hochschild_cohomology(w: Series):
 
 
 def _checked_koszul_dims(w: Series, report: JacobianReport):
+    """The Koszul dims of `hochschild_cohomology`, checked against `report`.
+
+    Its strand scan ends at the proven stop u_max + n(delta - 2) of
+    `complexes._cohomology`. Proof: `report` found m^(N_J+1) in J, so the n
+    partials generate an m-primary ideal. If the folded Koszul complex is
+    graded, each partial, an entry of d, is homogeneous, so they form a
+    regular sequence, the Koszul complex resolves Jac(w), and its folding has
+    cohomology Jac(w) on the basis vector e_0 of the empty wedge word. Every
+    edge of the basis graph is a contraction S + {i} -> S by d_i w and fixes
+    u(S + {i}) - u(S) = 2 deg d_i w - delta, so no cycle forces a step,
+    `detect_grading` gives delta = 0, and u_max = u(e_0) + 2 sum deg d_i w.
+    A class m e_0 with m of degree g lies in strand u(e_0) + 2g, and Jac(w),
+    of Hilbert series prod (1 - t^deg d_i w)/(1 - t)^n, is zero above degree
+    sum(deg d_i w - 1). So every class lies at or below
+    u(e_0) + 2 sum(deg d_i w - 1) = u_max - 2n = u_max + n(delta - 2).
+    """
     ctx = w.ctx
     partials = [w.partial_derivative(i) for i in range(ctx.n_vars)]
-    dims = cohomology_over_R(folded_koszul_complex(partials), partial(_koszul_stop, partials))
+    dims = cohomology_over_R(folded_koszul_complex(partials), proven=True)
     if dims[1] != 0 or dims[0] != report.milnor_number:
         raise VerificationError(
             f"Koszul route gave {dims}, Jacobian quotient gave ({report.milnor_number}, 0)"
         )
     return dims
-
-
-def _koszul_stop(partials, u_even, u_odd, delta):
-    """Last strand of the folded Koszul complex of the partials that can carry
-    cohomology, u(e_0) + 2 top, or None when the proof below does not apply.
-
-    It applies when each partial is nonzero and homogeneous and
-    `_certified_top_degree` certifies them, with top = sum(deg - 1) (n(D - 2)
-    for w homogeneous of degree D). Proof: the partials then form a regular
-    sequence, so the Koszul complex is a resolution of Jac(w) and its folding
-    has cohomology Jac(w) on the basis vector e_0 of the empty wedge word
-    (even index 0). A class m e_0 with m of degree g lies in strand
-    u(e_0) + 2g, and Jac(w) is zero above degree top.
-    """
-    top = _certified_top_degree(partials)
-    return None if top is None else u_even[0] + 2 * top
 
 
 def hochschild_homology(w: Series):

@@ -133,6 +133,23 @@ def test_out_of_memory_exits_5(tmp_path, capsys, monkeypatch):
     assert err.startswith("out of memory") and "Traceback" not in err
 
 
+def test_out_of_memory_names_the_two_cap_level(tmp_path, capsys, monkeypatch):
+    # End(K) of x^2+y^30 is ungraded, so its first two-cap level is 2n + 2 = 122
+    # for n = 2(29 + 1), and End(K) of rank 8 has 8 * C(2 + 122, 2) vectors there
+    def exhausted(ctx, columns, top):
+        raise MemoryError
+
+    monkeypatch.setattr("mfcat.complexes._level_profile", exhausted)
+    w = serialize.parse_potential_text(RingCtx(("x", "y"), QQ), "x^2+y^30")
+    path = write_mf(tmp_path, stabilize_residue_field(w))
+    code, out, err = run(capsys, "cohomology", path, "--endomorphisms")
+    assert code == 5 and out == ""
+    assert err == (
+        "out of memory before the computation finished: "
+        "two-cap level 122 needs 61,008 basis vectors per parity\n"
+    )
+
+
 @pytest.mark.parametrize("text, ring", [("x^7", "x;prime(7)"), ("x^7+y^2", "x,y;prime(7)")])
 def test_hh_vanishing_partial_is_a_precondition(capsys, text, ring):
     # dw/dx = 7x^6 = 0 in characteristic 7: the Jacobian ideal is not m-primary

@@ -1,14 +1,12 @@
 import random
 from fractions import Fraction
-from functools import partial
-
 import pytest
 
 from mfcat.complexes import (
     _certified_top_degree,
     _hom_grading,
     _level_profile,
-    _serre_stop,
+    _serre_applies,
     _strand_dims,
     _truncated_operator_rows,
     cohomology_mod_k,
@@ -35,7 +33,7 @@ from mfcat.factorization import (
     verify_mf,
 )
 from mfcat.fields import QQ, field_from_name
-from mfcat.hochschild import _koszul_stop, folded_koszul_complex, hochschild_cohomology
+from mfcat.hochschild import folded_koszul_complex, hochschild_cohomology
 from mfcat.linalg import rank_dense
 from mfcat.series import RingCtx, Series, monomial_basis, monomials_of_degree
 from mfcat.serialize import parse_potential_text
@@ -650,6 +648,26 @@ def _nonzero_strands(c, graded):
     return [s for s, e, o in dims if e or o]
 
 
+def _proven_stop(ctx, graded):
+    """The one proven stop of `_cohomology`, u_max + n(delta - 2)."""
+    u_even, u_odd, delta = graded
+    return max(u_even + u_odd) + ctx.n_vars * (delta - 2)
+
+
+def _scan_stops(monkeypatch):
+    """The `stop` of each `_strand_dims` call from here on, in call order."""
+    import mfcat.complexes as complexes
+
+    stops = []
+
+    def spy(*args):
+        stops.append(args[-1])
+        return _strand_dims(*args)
+
+    monkeypatch.setattr(complexes, "_strand_dims", spy)
+    return stops
+
+
 # A fast subset of graded Hom pairs; the sharp ones have their top class
 # exactly on the stop.
 _HOM_PAIRS = [
@@ -682,9 +700,13 @@ def test_serre_stop_bounds_the_strand_scan(monkeypatch, names, text, left, right
     x, y = _pair(names, text, left, right, field)
     C = hom_complex(x, y)
     graded = _hom_grading(x, y)
-    stop = _serre_stop(x.potential, *graded)
-    assert stop is not None
+    assert _serre_applies(x.potential, graded[2])
+    stops = _scan_stops(monkeypatch)
     assert hom_cohomology(x, y) == cohomology_over_R(C)
+    # End(X) is scanned to its center, every other Hom to the proven stop;
+    # the reference scan has no stop
+    stop = _proven_stop(x.ctx, graded)
+    assert stops == [x.ctx.n_vars * (graded[2] - 2) // 2 if x == y else stop, None]
     strands = _nonzero_strands(C, graded)
     assert all(s <= stop for s in strands)
     assert (bool(strands) and strands[-1] == stop) == sharp
@@ -713,13 +735,13 @@ _END_OBJECTS = [
 )
 def test_reflected_end_matches_the_full_scan(names, text, label, field):
     # hom_cohomology scans End(X) only up to its center n(delta - 2)/2 and
-    # reflects; the reference scans every strand up to the Serre stop
+    # reflects; the reference scans every strand up to the proven stop
     if isinstance(label, tuple):
         x = direct_sum(*_pair(names, text, *label, field))
     else:
         x, _ = _pair(names, text, label, label, field)
-    assert _serre_stop(x.potential, *_hom_grading(x, x)) is not None
-    full = cohomology_over_R(hom_complex(x, x), partial(_serre_stop, x.potential))
+    assert _serre_applies(x.potential, _hom_grading(x, x)[2])
+    full = cohomology_over_R(hom_complex(x, x), proven=True)
     assert hom_cohomology(x, x) == full
 
 
@@ -767,24 +789,30 @@ def test_koszul_stop_bounds_the_strand_scan(monkeypatch, names, text, field):
     partials = [w.partial_derivative(i) for i in range(w.ctx.n_vars)]
     C = folded_koszul_complex(partials)
     graded = detect_grading(C)
-    stop = _koszul_stop(partials, *graded)
+    stops = _scan_stops(monkeypatch)
     assert hochschild_cohomology(w) == cohomology_over_R(C)
+    # no cycle forces a step, and the proven stop u_max - 2n is u(e_0) plus
+    # twice the top degree sum(deg d_i w - 1) of Jac(w)
+    stop = _proven_stop(w.ctx, graded)
+    assert graded[2] == 0 and stops == [stop, None]
+    assert stop == graded[0][0] + 2 * sum(p.total_degree() - 1 for p in partials)
     # Jac(w) is nonzero in its top degree, so this stop is always sharp
     assert _nonzero_strands(C, graded)[-1] == stop
 
 
 def test_stop_needs_homogeneous_isolated_potential():
     ctx = RingCtx(("x", "y"), QQ)
-    graded = ([0], [0], 4)
 
-    def stop(text):
-        return _serre_stop(parse_potential_text(ctx, text), *graded)
+    def applies(text, delta=4):
+        return _serre_applies(parse_potential_text(ctx, text), delta)
 
-    assert stop("x^3*y+x*y^3") == 4  # n(delta - 2) = 4 above u_max = 0
-    assert stop("x^2*y^2") is None  # homogeneous, not isolated
-    assert stop("x^4+y^5") is None  # not homogeneous
-    assert stop("x^3+y^3") is None  # homogeneous of the wrong degree
-    assert _serre_stop(Series.zero(ctx), *graded) is None
+    assert applies("x^3*y+x*y^3")
+    assert applies("x^3+y^3", 3)
+    assert not applies("x^2*y^2")  # homogeneous, not isolated
+    assert not applies("x^4+y^5")  # not homogeneous
+    assert not applies("x^3+y^3")  # homogeneous of the wrong degree
+    assert not applies("x", 1)  # the step must be at least 2
+    assert not _serre_applies(Series.zero(ctx), 4)
     partials = [parse_potential_text(ctx, t) for t in ("2*x*y", "x^2+3*y^2")]
     assert _certified_top_degree(partials) == 2
     assert _certified_top_degree([partials[0], Series.zero(ctx)]) is None
@@ -800,12 +828,13 @@ def test_stop_past_the_cap_raises(monkeypatch):
     x, y = _pair("x", "x^40", "K", "K[1]")
     graded = _hom_grading(x, y)
     assert graded == ([0, 76], [38, 38], 40)
-    assert _serre_stop(x.potential, *graded) == 114
+    stops = _scan_stops(monkeypatch)
     monkeypatch.setenv("MFCAT_NMAX", "18")
     with pytest.raises(StabilizationError):
         hom_cohomology(x, y)
     monkeypatch.setenv("MFCAT_NMAX", "19")
     assert hom_cohomology(x, y) == (1, 1)
+    assert stops == [114, 114]
     # End of the node (x^20, x^20) has shifts 0 and is scanned to its center
     # n(delta - 2)/2 = 19, past the last strand 2 * 9 under a cap of 9
     node, _ = _pair("x", "x^40", "x^20|x^20", "x^20|x^20")
@@ -815,3 +844,4 @@ def test_stop_past_the_cap_raises(monkeypatch):
         hom_cohomology(node, node)
     monkeypatch.setenv("MFCAT_NMAX", "10")
     assert hom_cohomology(node, node) == (20, 20)
+    assert stops[2:] == [19, 19]

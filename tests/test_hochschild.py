@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from mfcat import complexes
@@ -234,6 +236,27 @@ def test_report_shape():
         "hh_homology_parity": 1,
         "hp": 2,
     }
+
+
+@pytest.mark.parametrize("text, mu", [("x^2*y + y^3", 4), ("x^3 + y^4", 6), ("x^3 + y^5", 8)],
+                         ids=["D4", "E6", "E8"])
+def test_hh_certifies_isolatedness_once(text, mu):
+    # jacobian_report's repeat proves m^(N_J+1) in J, so the Koszul scan runs
+    # no certificate of its own; the profile hook sees a call of the function
+    # under any name a module binds it to
+    code = complexes._certified_top_degree.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        rep = hh_report(potential("xy", text))
+    finally:
+        sys.setprofile(None)
+    assert rep["hh_even"] == rep["milnor"] == mu and not calls
 
 
 def test_folded_koszul_is_complex():
