@@ -1,5 +1,11 @@
 """Command-line interface.
 
+A command pays only for itself: `main` builds the parser of the command it
+is given, and that of all nine only for `--help`, no arguments or an
+unknown command (`build_parser`); `corpus-run` alone imports the corpus.
+The engine modules are imported here, not lazily: the benchmark's layer
+tracer rebinds their functions from `sys.modules` once this module loads.
+
 Exit codes: 0 ok, 2 parse error, 3 precondition violation, 4 verification
 failure, 5 stabilization cap exceeded or out of memory. MFCAT_NMAX
 overrides the cap.
@@ -22,7 +28,6 @@ from .errors import (
     StabilizationError,
     VerificationError,
 )
-from .corpus import run_acceptance
 from .factorization import verify_mf_report
 from .hochschild import hh_report
 from .stabilize import decompose_potential, stabilize_residue_field, stabilized_diagonal
@@ -70,12 +75,6 @@ def _load_potential(args):
         ctx = serialize.parse_ring_spec(args.ring)
         return serialize.parse_potential_text(ctx, args.inline)
     raise InputParseError("supply --potential FILE or --inline EXPR with --ring SPEC")
-
-
-def _add_potential_flags(sub):
-    sub.add_argument("--potential", help="JSON file with {ring, series}")
-    sub.add_argument("--inline", help='inline expression, e.g. "x^2*y + y^3"')
-    sub.add_argument("--ring", help='ring spec "x,y;rational" or "x,y;prime(7)"')
 
 
 def cmd_verify(args):
@@ -149,6 +148,8 @@ def cmd_transform(args):
 
 
 def cmd_corpus_run(args):
+    from .corpus import run_acceptance  # only this command loads the corpus
+
     results = run_acceptance(filter_text=args.filter, seed=args.seed, quick=args.quick)
     if args.json:
         _emit(
@@ -175,58 +176,41 @@ def cmd_corpus_run(args):
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFICATION
 
 
-@functools.cache
-def build_parser():
-    """The argument parser, built on the first call and shared after it."""
-    parser = argparse.ArgumentParser(
-        prog="mfcat",
-        description="Exact matrix-factorization computations for hypersurface singularities",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _potential_args(p):
+    p.add_argument("--potential", help="JSON file with {ring, series}")
+    p.add_argument("--inline", help='inline expression, e.g. "x^2*y + y^3"')
+    p.add_argument("--ring", help='ring spec "x,y;rational" or "x,y;prime(7)"')
 
-    p = sub.add_parser("verify", help="check d^2 = w for a factorization file")
+
+def _file_args(p):
     p.add_argument("file")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("stabilize", help="stabilized residue field of a potential")
-    _add_potential_flags(p)
+
+def _stabilize_args(p):
+    _potential_args(p)
     p.add_argument("--koszul", action="store_true", help="emit generator/witness data instead")
-    p.set_defaults(fn=cmd_stabilize)
 
-    p = sub.add_parser("diagonal", help="stabilized diagonal over the doubled ring")
-    _add_potential_flags(p)
-    p.set_defaults(fn=cmd_diagonal)
 
-    p = sub.add_parser("hh", help="Hochschild invariants and Milnor/Tyurina numbers")
-    _add_potential_flags(p)
-    p.set_defaults(fn=cmd_hh)
-
-    p = sub.add_parser("minimal-model", help="transferred A-infinity products")
-    _add_potential_flags(p)
+def _minimal_model_args(p):
+    _potential_args(p)
     p.add_argument("--max-arity", type=int, default=4)
-    p.set_defaults(fn=cmd_minimal_model)
 
-    p = sub.add_parser("quasi-iso", help="test a morphism file for quasi-isomorphism")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_quasi_iso)
 
-    p = sub.add_parser("cohomology", help="cohomology dimensions for a factorization file")
+def _cohomology_args(p):
     p.add_argument("file")
     p.add_argument(
         "--endomorphisms",
         action="store_true",
         help="dims of the endomorphism complex over the ring instead of mod k",
     )
-    p.set_defaults(fn=cmd_cohomology)
 
-    p = sub.add_parser(
-        "transform", help="cohomology dims of a factorization's integral transform by a kernel"
-    )
+
+def _transform_args(p):
     p.add_argument("source")
     p.add_argument("kernel")
-    p.set_defaults(fn=cmd_transform)
 
-    p = sub.add_parser("corpus-run", help="run the acceptance battery on the bundled corpus")
+
+def _corpus_run_args(p):
     p.add_argument("--filter", help="restrict corpus entries by substring")
     p.add_argument("--seed", type=int, default=20240801)
     fmt = p.add_mutually_exclusive_group()
@@ -234,8 +218,50 @@ def build_parser():
     fmt.add_argument("--table", action="store_true", help="plain table output (default)")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--quick", action="store_true", help="fewer randomized soundness trials")
-    p.set_defaults(fn=cmd_corpus_run)
 
+
+# command -> (help line, handler, the function that adds its arguments)
+COMMANDS = {
+    "verify": ("check d^2 = w for a factorization file", cmd_verify, _file_args),
+    "stabilize": ("stabilized residue field of a potential", cmd_stabilize, _stabilize_args),
+    "diagonal": ("stabilized diagonal over the doubled ring", cmd_diagonal, _potential_args),
+    "hh": ("Hochschild invariants and Milnor/Tyurina numbers", cmd_hh, _potential_args),
+    "minimal-model": ("transferred A-infinity products", cmd_minimal_model, _minimal_model_args),
+    "quasi-iso": ("test a morphism file for quasi-isomorphism", cmd_quasi_iso, _file_args),
+    "cohomology": (
+        "cohomology dimensions for a factorization file", cmd_cohomology, _cohomology_args
+    ),
+    "transform": (
+        "cohomology dims of a factorization's integral transform by a kernel",
+        cmd_transform,
+        _transform_args,
+    ),
+    "corpus-run": (
+        "run the acceptance battery on the bundled corpus", cmd_corpus_run, _corpus_run_args
+    ),
+}
+
+
+@functools.cache
+def build_parser(only=None):
+    """The parser of every command, or of command `only` alone; each is built
+    on its first call and shared after it.
+
+    A one-command parser names all nine in its usage line, as the full one
+    does, so every message it prints reads the same. The full parser keeps
+    argparse's own metavar, which is what names a missing or unknown command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="mfcat",
+        description="Exact matrix-factorization computations for hypersurface singularities",
+    )
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_line, fn, add_args) in COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            add_args(p)
+            p.set_defaults(fn=fn)
     return parser
 
 
@@ -253,7 +279,9 @@ def _attach_inline_values(argv):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_attach_inline_values(sys.argv[1:] if argv is None else argv))
+    argv = _attach_inline_values(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except InputParseError as exc:

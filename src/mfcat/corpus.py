@@ -332,12 +332,15 @@ def criterion_3(corpus, rng):
     # only counts ranks and satisfies no such identity)
     for entry in corpus:
         eps = entry.ctx.n_vars % 2
+        agree = True
         for label, x in entry.test_objects():
             lhs = hom_cohomology(entry.kstab, x)
             rhs = _swap(cohomology_mod_k(x), eps)
             if lhs != rhs:
+                agree = False
                 yield False, f"{entry.name}/{label}: {lhs} != swapped {rhs}"
-        yield True, f"{entry.name}: duality dims agree (eps={eps})"
+        if agree:
+            yield True, f"{entry.name}: duality dims agree (eps={eps})"
 
 
 @_criterion(4, "Jacobian annihilation")
@@ -345,11 +348,14 @@ def criterion_4(corpus, rng):
     for entry in corpus:
         if entry.ctx.n_vars > 2:
             continue
+        null = True
         for label, x in entry.test_objects():
             for k in range(entry.ctx.n_vars):
                 if not scalar_action_nullhomotopy(x, x, k):
+                    null = False
                     yield False, f"{entry.name}/{label}: partial {k} not null-homotopic"
-        yield True, f"{entry.name}: all partials act null-homotopically"
+        if null:
+            yield True, f"{entry.name}: all partials act null-homotopically"
 
 
 _HH_CASES = ("A1-1var", "A2-1var", "A3-1var", "A4-1var", "A5-1var", "A6-1var",
@@ -444,14 +450,17 @@ def criterion_10(corpus, rng):
     for entry in corpus:
         if entry.ctx.n_vars > 2:
             continue
+        identity = True
         for label, x in entry.test_objects():
             if x.rank > 2:
                 continue
             lhs = transform_mod_k_dims(x, entry.diagonal)
             rhs = cohomology_mod_k(x)
             if lhs != rhs:
+                identity = False
                 yield False, f"{entry.name}/{label}: {lhs} != {rhs}"
-        yield True, f"{entry.name}: diagonal kernel acts as the identity on dims"
+        if identity:
+            yield True, f"{entry.name}: diagonal kernel acts as the identity on dims"
 
 
 @_criterion(11, "Calabi-Yau parity shadow")

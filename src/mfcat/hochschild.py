@@ -25,8 +25,6 @@ x^8+y^8+z^8 repeats at 18 and is read up to 32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import _quotient_levels, cohomology_mod_k, cohomology_over_R, stabilization_cap
 from .errors import PreconditionError, StabilizationError, VerificationError
 from .factorization import MatrixFactorization, dual, shift_power
@@ -34,11 +32,20 @@ from .series import Series
 from .stabilize import KoszulData, make_koszul_mf, require_potential
 
 
-@dataclass
 class JacobianReport:
-    milnor_number: int
-    tyurina_number: int
-    stabilized_at: int = 0
+    """mu, tau and N_J, compared and printed by value. A plain class: a
+    dataclass would load `dataclasses` and `inspect` with every CLI command."""
+
+    def __init__(self, milnor_number: int, tyurina_number: int, stabilized_at: int = 0):
+        self.milnor_number = milnor_number
+        self.tyurina_number = tyurina_number
+        self.stabilized_at = stabilized_at
+
+    def __repr__(self):
+        return f"JacobianReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
 
 def jacobian_report(w: Series) -> JacobianReport:

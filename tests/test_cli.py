@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import functools
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcat import serialize
-from mfcat.cli import main
+from mfcat.cli import COMMANDS, build_parser, main
 from mfcat.corpus import elliptic_factorization
 from mfcat.factorization import MatrixFactorization, MFMorphism, RMatrix
 from mfcat.fields import QQ
@@ -428,10 +429,66 @@ def test_transform(tmp_path, capsys):
         assert exc.value.code == 2
 
 
-def test_parser_is_built_once():
-    from mfcat.cli import build_parser
-
+def test_parser_is_built_once(capsys, monkeypatch):
     assert build_parser() is build_parser()
+    argv = ["hh", "--inline", "x^2", "--ring", "x"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert main(argv) == 0
+    assert built == []
+
+
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], *([name, "--help"] for name in COMMANDS),
+     [], ["bogus"], ["hh", "--bogus"], ["transform", "a.json"]],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_cli_surface_is_the_all_commands_parsers(argv):
+    # main builds only the parser of the command it is given; what it prints
+    # and its exit code are those of the parser of all nine commands
+    code, out, err = _parse_outcome(main, argv)
+    assert (code, out, err) == _parse_outcome(build_parser().parse_args, argv)
+    if "--help" in argv:
+        assert code == 0 and out.startswith("usage: mfcat ") and err == ""
+    else:
+        assert code == 2 and out == "" and "mfcat" in err
+
+
+def test_cli_import_path():
+    # only corpus-run loads the corpus, and nothing loads dataclasses or
+    # inspect; every module the benchmark's tracer rebinds from sys.modules
+    # is loaded by the import itself
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "perfbench"))
+    import layertrace
+
+    sys.path.pop(0)
+    traced = {*layertrace.SPANS, layertrace.SPAN_ALL_PUBLIC}
+    traced.update(module for module, _, _ in layertrace.COUNTED.values())
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from mfcat import cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(root / "src")],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"mfcat.corpus", "dataclasses", "inspect"}
+    assert traced <= loaded, sorted(traced - loaded)
 
 
 def test_transform_of_k_by_its_diagonal_at_the_default_cap(tmp_path, capsys, monkeypatch):

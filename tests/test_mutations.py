@@ -47,3 +47,18 @@ def test_battery_reports_every_criterion_under_a_mutation(monkeypatch, capsys):
     assert sum(line.startswith("criterion ") for line in out.splitlines()) == 13
     assert "raised VerificationError: Koszul route gave (0, 0)" in out
     assert out.endswith("10/13 criteria passed\n")
+
+
+@pytest.mark.parametrize("mutant, caught_by", _ROWS)
+def test_a_failing_entry_prints_no_passing_line(monkeypatch, mutant, caught_by):
+    # criteria 3, 4 and 10 end each entry with one passing line; it used to
+    # follow the entry's failing lines, as "A1-1var: duality dims agree"
+    # after "A1-1var/kstab: (0, 0) != swapped (1, 1)"
+    monkeypatch.setattr(complexes, "_strand_dims", mutant)
+    for result in run_acceptance(quick=True):
+        if result.index in (3, 4, 10):
+            heads = [line.split(":", 1)[0] for line in result.details]
+            failing = {head.split("/", 1)[0] for head in heads if "/" in head}
+            passing = {head for head in heads if "/" not in head}
+            assert not failing & passing, result.details
+            assert result.passed == (not failing)
